@@ -31,6 +31,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import datetime
 import json
@@ -39,8 +40,7 @@ import pathlib
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -67,8 +67,18 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(t) for t in tokens]
 
 
+def _finite(value, text: str):
+    if not cmath.isfinite(value):
+        raise ValueError(f"{text.strip()} is not finite")
+    return value
+
+
+def _parse_float(text: str) -> float:
+    return _finite(float(text), text)
+
+
 def _parse_complex(text: str) -> complex:
-    return complex(text.strip().replace(" ", ""))
+    return _finite(complex(text.strip().replace(" ", "")), text)
 
 
 def _parse_seed(text: str) -> int:
@@ -98,14 +108,6 @@ class _ExperimentSpec:
     run: Callable[[dict, int], tuple[list[str], list[list], dict]]
 
 
-def _pooled(fn: Callable, items: list) -> list:
-    """Dispatch grid points to a worker pool, collecting in grid order."""
-    if len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(8, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def _two_mode_cap_check(n_list: list[int], factor: int = 1) -> list[str]:
     if not n_list:
         return ["empty N grid"]
@@ -118,30 +120,42 @@ def _two_mode_cap_check(n_list: list[int], factor: int = 1) -> list[str]:
     return []
 
 
-def _rate_or_none(n_list: list[int], values: list[float]) -> dict:
-    if len(n_list) >= 4:
-        rate, r2 = cvlimit.fit_rate(n_list, values)
-        return {"rate": rate, "r_squared": r2}
-    return {"rate": None, "r_squared": None}
+def _increasing_check(n_list: list[int]) -> list[str]:
+    if sorted(set(n_list)) != n_list:
+        return ["N grid must be strictly increasing"]
+    return []
+
+
+def _window_check(n_list: list[int], n_max: int, factor: int = 1) -> list[str]:
+    """The n <= n_max window must fit in the smallest sector; its largest
+    signal occupation is factor * min N."""
+    if n_list and n_max > factor * min(n_list):
+        return [f"n_max = {n_max} exceeds the largest occupation "
+                f"{factor * min(n_list)} at min N = {min(n_list)}"]
+    return []
 
 
 # ---------------------------------------------------------------------------
 # Runners (columns, rows, derived)
 
 
-def _run_coherent(p: dict, seed: int):
-    def job(n: int):
-        infid = max(0.0, 1.0 - cvlimit.coherent_window_fidelity(
-            p["alpha"], n, p["n_max"]))
-        return [n, infid, 1.0 - infid]
+def _convergence(columns: list[str], report: cvlimit.ConvergenceReport):
+    """Rows (n, value[, 1 - value]) and the rate fit of a cvlimit sweep."""
+    rows = [[n, v, 1.0 - v][: len(columns)]
+            for n, v in zip(report.n_list, report.values)]
+    return columns, rows, {"rate": report.rate,
+                           "r_squared": report.r_squared}
 
-    rows = _pooled(job, p["n_list"])
-    derived = _rate_or_none(p["n_list"], [r[1] for r in rows])
-    return ["n", "infidelity", "fidelity"], rows, derived
+
+def _run_coherent(p: dict, seed: int):
+    return _convergence(
+        ["n", "infidelity", "fidelity"],
+        cvlimit.coherent_convergence(p["alpha"], p["n_list"], p["n_max"]),
+    )
 
 
 def _check_coherent(p: dict) -> list[str]:
-    out = _two_mode_cap_check(p["n_list"])
+    out = _two_mode_cap_check(p["n_list"]) + _increasing_check(p["n_list"])
     if p["n_list"] and abs(p["alpha"]) ** 2 >= min(p["n_list"]):
         out.append(
             f"|alpha|^2 = {abs(p['alpha'])**2:.4g} must be < min N "
@@ -149,55 +163,45 @@ def _check_coherent(p: dict) -> list[str]:
         )
     if p["n_max"] < 0:
         out.append("n_max must be >= 0")
-    return out
+    return out + _window_check(p["n_list"], p["n_max"])
 
 
 def _run_displacement(p: dict, seed: int):
-    def job(n: int):
-        return [n, cvlimit.displacement_residual(
-            p["alpha"], p["k"], n, p["n_max"])]
-
-    rows = _pooled(job, p["n_list"])
-    derived = _rate_or_none(p["n_list"], [r[1] for r in rows])
-    return ["n", "residual"], rows, derived
+    return _convergence(
+        ["n", "residual"],
+        cvlimit.displacement_convergence(
+            p["alpha"], p["k"], p["n_list"], p["n_max"]),
+    )
 
 
 def _check_displacement(p: dict) -> list[str]:
-    out = _check_coherent({**p, "n_max": p["n_max"]})
+    out = _check_coherent(p)
     if not 0 <= p["k"] <= p["n_max"]:
         out.append(f"need 0 <= k <= n_max, got k={p['k']} n_max={p['n_max']}")
     return out
 
 
 def _run_squeezed(p: dict, seed: int):
-    def job(n_pairs: int):
-        infid = max(0.0, 1.0 - cvlimit.squeezed_window_fidelity(
-            p["r"], p["phi"], n_pairs, p["n_max"]))
-        return [n_pairs, infid, 1.0 - infid]
-
-    rows = _pooled(job, p["n_list"])
-    derived = _rate_or_none(p["n_list"], [r[1] for r in rows])
-    return ["n_pairs", "infidelity", "fidelity"], rows, derived
+    return _convergence(
+        ["n_pairs", "infidelity", "fidelity"],
+        cvlimit.squeezed_convergence(
+            p["r"], p["phi"], p["n_list"], p["n_max"]),
+    )
 
 
 def _check_squeezed(p: dict) -> list[str]:
     out = _two_mode_cap_check(p["n_list"], factor=2)
+    out += _increasing_check(p["n_list"])
     if p["r"] < 0:
         out.append("squeezing magnitude r must be >= 0")
-    return out
+    return out + _window_check(p["n_list"], p["n_max"], factor=2)
 
 
 def _run_commutator(p: dict, seed: int):
-    def job(n: int):
-        return [
-            n,
-            p["n_max"],
-            cvlimit.commutator_residual(n, p["n_max"]),
-            2.0 * p["n_max"] / n,
-        ]
-
-    return ["n", "n_max", "residual", "closed_form"], \
-        _pooled(job, p["n_list"]), {}
+    n_max = p["n_max"]
+    rows = [[n, n_max, cvlimit.commutator_residual(n, n_max), 2.0 * n_max / n]
+            for n in p["n_list"]]
+    return ["n", "n_max", "residual", "closed_form"], rows, {}
 
 
 def _check_commutator(p: dict) -> list[str]:
@@ -230,13 +234,16 @@ def _check_phase_locking(p: dict) -> list[str]:
     out = [] if p["n_list"] else ["empty N grid"]
     if not 0 < p["theta"] < math.pi:
         out.append("theta must lie in (0, pi)")
-    if sorted(set(p["n_list"])) != p["n_list"]:
-        out.append("N grid must be strictly increasing")
+    out += _increasing_check(p["n_list"])
+    out += [f"N={n} must be >= 0" for n in p["n_list"] if n < 0]
+    if not out and math.exp(-max(p["n_list"]) * p["theta"] ** 2 / 8) == 0:
+        out.append(f"asymptote e^(-N theta^2/8) underflows to 0 at "
+                   f"N={max(p['n_list'])}")
     return out
 
 
 def _run_overlap(p: dict, seed: int):
-    def job(n: int):
+    def row(n: int):
         rec = cvlimit.overlap_asymptotics(p["alpha"], p["beta"], n)
         return [
             n,
@@ -250,7 +257,7 @@ def _run_overlap(p: dict, seed: int):
 
     cols = ["n", "exact_re", "exact_im", "exact_abs", "limit",
             "residual", "statevector_agreement"]
-    return cols, _pooled(job, p["n_list"]), {}
+    return cols, [row(n) for n in p["n_list"]], {}
 
 
 def _check_overlap(p: dict) -> list[str]:
@@ -267,26 +274,21 @@ def _check_overlap(p: dict) -> list[str]:
 
 
 def _run_synthesis_bench(p: dict, seed: int):
-    jobs = []
+    rows = []
     for n in p["n_list"]:
         basis = make_basis(2, n)
         sub_seed = SplitMix64(seed).derive(n).next_u64()
         targets = synthesis.bench_targets(basis, p["targets"], sub_seed)
         start = basis_state(basis, (0, n))
         for idx, target in enumerate(targets):
-            jobs.append((n, idx, target, start))
-
-    def job(item):
-        n, idx, target, start = item
-        plan = synthesis.plan_two_mode(
-            target, small_angle=p["small_angle"], passes=p["passes"]
-        )
-        result = synthesis.execute_plan(plan, start)
-        return [n, idx, len(plan.steps), plan.total_repetitions,
-                result.fidelity]
-
+            plan = synthesis.plan_two_mode(
+                target, small_angle=p["small_angle"], passes=p["passes"]
+            )
+            result = synthesis.execute_plan(plan, start)
+            rows.append([n, idx, len(plan.steps), plan.total_repetitions,
+                         result.fidelity])
     cols = ["n", "target_index", "steps", "total_repetitions", "fidelity"]
-    return cols, _pooled(job, jobs), {}
+    return cols, rows, {}
 
 
 def _check_synthesis_bench(p: dict) -> list[str]:
@@ -355,7 +357,7 @@ def _target_matrix(name: str) -> np.ndarray:
     for prefix, fn in (("ry:", encodings.r_y), ("rz:", encodings.r_z),
                        ("phase:", encodings.phase_gate)):
         if key.startswith(prefix):
-            return fn(float(key[len(prefix):]))
+            return fn(_parse_float(key[len(prefix):]))
     raise ValueError(
         f"unknown target {name!r}; expected one of "
         f"{sorted(_TARGETS)} or ry:<angle>, rz:<angle>, phase:<angle>"
@@ -364,8 +366,8 @@ def _target_matrix(name: str) -> np.ndarray:
 
 def _run_encoding_feasibility(p: dict, seed: int):
     target = _target_matrix(p["target"])
-
-    def job(n: int):
+    rows, reports = [], []
+    for n in p["n_list"]:
         enc = encodings.fock_encoding(make_basis(2, n))
         floor = encodings.grid_error_floor(
             target, enc, resolution=p["resolution"]
@@ -376,18 +378,13 @@ def _run_encoding_feasibility(p: dict, seed: int):
             restarts=p["restarts"],
             seed=SplitMix64(seed).derive(n).next_u64(),
         )
-        report = encodings.feasibility_report(
-            enc, p["target"], search, floor
-        )
-        row = [n, p["target"], search.error, floor.error,
-               search.leakage, search.restarts]
-        return row, report
-
-    outcomes = _pooled(job, p["n_list"])
+        reports.append(
+            encodings.feasibility_report(enc, p["target"], search, floor))
+        rows.append([n, p["target"], search.error, floor.error,
+                     search.leakage, search.restarts])
     cols = ["n", "target", "best_error", "certified_floor", "leakage",
             "restarts"]
-    rows = [row for row, _ in outcomes]
-    return cols, rows, {"reports": [rep for _, rep in outcomes]}
+    return cols, rows, {"reports": reports}
 
 
 def _check_encoding_feasibility(p: dict) -> list[str]:
@@ -407,22 +404,19 @@ def _check_encoding_feasibility(p: dict) -> list[str]:
 
 
 def _run_cnot_feasibility(p: dict, seed: int):
-    def job(n: int):
+    rows, reports = [], []
+    for n in p["n_list"]:
         enc = encodings.fock_encoding(make_basis(2, n))
         res = encodings.cnot_search(
             enc,
             restarts=p["restarts"],
             seed=SplitMix64(seed).derive(n).next_u64(),
         )
-        report = encodings.feasibility_report(enc, "cnot", res, None)
-        dim = math.comb(2 * n + 3, 3)
-        return [n, res.error, res.leakage, res.restarts, dim], report
-
-    outcomes = _pooled(job, p["n_list"])
+        reports.append(encodings.feasibility_report(enc, "cnot", res, None))
+        rows.append([n, res.error, res.leakage, res.restarts,
+                     math.comb(2 * n + 3, 3)])
     cols = ["n", "best_error", "leakage", "restarts", "dimension"]
-    return cols, [row for row, _ in outcomes], {
-        "reports": [rep for _, rep in outcomes]
-    }
+    return cols, rows, {"reports": reports}
 
 
 def _check_cnot_feasibility(p: dict) -> list[str]:
@@ -459,7 +453,8 @@ EXPERIMENTS: dict[str, _ExperimentSpec] = {
         _run_displacement,
     ),
     "convergence-squeezed": _ExperimentSpec(
-        {"r": float, "phi": float, "n_list": _parse_int_list, "n_max": int},
+        {"r": _parse_float, "phi": _parse_float, "n_list": _parse_int_list,
+         "n_max": int},
         {"phi": 0.0, "n_max": 20},
         _check_squeezed,
         _run_squeezed,
@@ -471,7 +466,7 @@ EXPERIMENTS: dict[str, _ExperimentSpec] = {
         _run_commutator,
     ),
     "phase-locking": _ExperimentSpec(
-        {"theta": float, "n_list": _parse_int_list},
+        {"theta": _parse_float, "n_list": _parse_int_list},
         {},
         _check_phase_locking,
         _run_phase_locking,
@@ -484,22 +479,22 @@ EXPERIMENTS: dict[str, _ExperimentSpec] = {
         _run_overlap,
     ),
     "synthesis-bench": _ExperimentSpec(
-        {"n_list": _parse_int_list, "targets": int, "small_angle": float,
-         "passes": int},
+        {"n_list": _parse_int_list, "targets": int,
+         "small_angle": _parse_float, "passes": int},
         {"targets": 5, "small_angle": 1e-3, "passes": 2},
         _check_synthesis_bench,
         _run_synthesis_bench,
     ),
     "synthesis-complexity": _ExperimentSpec(
-        {"n_list": _parse_int_list, "fidelity_target": float,
-         "small_angle": float, "targets_per_n": int},
+        {"n_list": _parse_int_list, "fidelity_target": _parse_float,
+         "small_angle": _parse_float, "targets_per_n": int},
         {"fidelity_target": 0.99, "small_angle": 1e-3, "targets_per_n": 3},
         _check_synthesis_complexity,
         _run_synthesis_complexity,
     ),
     "encoding-feasibility": _ExperimentSpec(
         {"n_list": _parse_int_list, "target": str, "restarts": int,
-         "resolution": float},
+         "resolution": _parse_float},
         {"target": "hadamard", "restarts": 8, "resolution": 1e-2},
         _check_encoding_feasibility,
         _run_encoding_feasibility,
@@ -687,14 +682,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {violation}", file=sys.stderr)
         return 2
     if args.seed is not None:
-        config = ExperimentConfig(
-            config.name,
-            config.parameters,
-            config.raw_parameters,
-            args.seed,
-            config.fmt,
-            config.filename,
-        )
+        config = replace(config, seed=args.seed)
     try:
         written = run_experiment(config, args.out)
     except OSError as exc:

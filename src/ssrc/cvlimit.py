@@ -454,6 +454,15 @@ def fit_rate(
     return float(-slope), r2
 
 
+def _rate_fields(n_list: Sequence[int], values: Sequence[float]) -> dict:
+    """``rate``/``r_squared`` of a ConvergenceReport: the fitted power law
+    when the grid has at least 4 points, else None."""
+    if len(n_list) < 4:
+        return {"rate": None, "r_squared": None}
+    rate, r2 = fit_rate(n_list, values)
+    return {"rate": rate, "r_squared": r2}
+
+
 def phase_locking_curve(
     theta: float, n_list: Sequence[int]
 ) -> ConvergenceReport:
@@ -466,7 +475,12 @@ def phase_locking_curve(
         a = math.exp(-n_tot * theta**2 / 8.0)
         exact.append(e)
         asym.append(a)
-        ratio.append(e / a)
+        try:
+            ratio.append(e / a)
+        except ZeroDivisionError:
+            raise ValueError(
+                f"asymptote e^(-N theta^2/8) underflows to 0 at N={n_tot}"
+            ) from None
         resid.append(abs(e - a))
     return ConvergenceReport(
         {"theta": theta},
@@ -490,16 +504,12 @@ def coherent_convergence(
         1.0 - coherent_window_fidelity(alpha, n_tot, n_max)
         for n_tot in n_list
     ]
-    rate = r2 = None
-    if len(n_list) >= 4:
-        rate, r2 = fit_rate(n_list, values)
     return ConvergenceReport(
         {"alpha_re": alpha.real, "alpha_im": alpha.imag, "n_max": n_max},
         tuple(int(n) for n in n_list),
         "infidelity",
         tuple(max(0.0, v) for v in values),
-        rate=rate,
-        r_squared=r2,
+        **_rate_fields(n_list, values),
     )
 
 
@@ -510,9 +520,6 @@ def displacement_convergence(
     values = [
         displacement_residual(alpha, k, n_tot, n_max) for n_tot in n_list
     ]
-    rate = r2 = None
-    if len(n_list) >= 4:
-        rate, r2 = fit_rate(n_list, values)
     return ConvergenceReport(
         {
             "alpha_re": alpha.real,
@@ -523,8 +530,7 @@ def displacement_convergence(
         tuple(int(n) for n in n_list),
         "window_l2_residual",
         tuple(values),
-        rate=rate,
-        r_squared=r2,
+        **_rate_fields(n_list, values),
     )
 
 
@@ -537,14 +543,10 @@ def squeezed_convergence(
         max(0.0, 1.0 - squeezed_window_fidelity(r, phi, n_tot, n_max))
         for n_tot in n_list
     ]
-    rate = r2 = None
-    if len(n_list) >= 4:
-        rate, r2 = fit_rate(n_list, values)
     return ConvergenceReport(
         {"r": r, "phi": phi, "n_max": n_max},
         tuple(int(n) for n in n_list),
         "infidelity",
         tuple(values),
-        rate=rate,
-        r_squared=r2,
+        **_rate_fields(n_list, values),
     )

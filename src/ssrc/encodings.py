@@ -13,7 +13,6 @@ universal beyond one photon.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -251,7 +250,23 @@ def sg_manifold_unitary(
     return rot @ core @ rot.dagger()
 
 
-class _RotationManifold:
+class _Manifold:
+    """Gate error and leakage of a parameterized logical matrix.
+
+    Subclasses supply ``logical(params)``, the conjugated target
+    ``g_conj`` and its dimension ``d``.
+    """
+
+    def error(self, params: Sequence[float]) -> float:
+        a = self.logical(params)
+        return _error_from_trace(complex(np.sum(self.g_conj * a)), self.d)
+
+    def leakage(self, params: Sequence[float]) -> float:
+        a = self.logical(params)
+        return max(0.0, 1.0 - float(np.sum(np.abs(a) ** 2)) / self.d)
+
+
+class _RotationManifold(_Manifold):
     """Fast evaluator of the logical error over (theta', phi', eta).
 
     Uses e^{i theta' Jy} = V e^{i theta' w} V^dagger from one Hermitian
@@ -302,14 +317,6 @@ class _RotationManifold:
             for j in range(self.d):
                 a[i, j] = np.sum(rows[i][0] * eta_ph * rows[j][0].conj())
         return a
-
-    def error(self, params: Sequence[float]) -> float:
-        a = self.logical(params)
-        return _error_from_trace(complex(np.sum(self.g_conj * a)), self.d)
-
-    def leakage(self, params: Sequence[float]) -> float:
-        a = self.logical(params)
-        return max(0.0, 1.0 - float(np.sum(np.abs(a) ** 2)) / self.d)
 
 
 @dataclass(frozen=True)
@@ -400,6 +407,36 @@ def grid_error_floor(
     )
 
 
+def _multistart(
+    manifold: _Manifold,
+    target: np.ndarray,
+    starts: list[np.ndarray],
+    seed: int,
+    options: dict,
+) -> GateSearchResult:
+    """Nelder-Mead from each start in order; keep the lowest error.
+
+    Ties go to the earliest start.  ``iterations`` sums over all starts.
+    """
+    best, iterations = None, 0
+    for start in starts:
+        res = minimize(
+            manifold.error, start, method="Nelder-Mead", options=options
+        )
+        iterations += int(res.nit)
+        if best is None or float(res.fun) < float(best.fun):
+            best = res
+    return GateSearchResult(
+        np.asarray(target, dtype=np.complex128),
+        tuple(float(v) for v in best.x),
+        float(best.fun),
+        manifold.leakage(best.x),
+        len(starts),
+        iterations,
+        seed,
+    )
+
+
 def sg_gate_search(
     target: np.ndarray,
     enc: Encoding,
@@ -410,8 +447,8 @@ def sg_gate_search(
     """Multi-start derivative-free search over (theta', phi', eta).
 
     One start comes from a coarse grid scan; the rest are seeded uniform
-    draws.  Workers run independently and merge by minimum error with
-    index tie-breaking, so the result is deterministic given the seed.
+    draws.  The lowest error wins, the earliest start on ties, so the
+    result is deterministic given the seed.
     """
     target = np.asarray(target, dtype=np.complex128)
     manifold = _RotationManifold(enc, target)
@@ -430,31 +467,9 @@ def sg_gate_search(
                 ]
             )
         )
-
-    def run(start: np.ndarray) -> tuple[float, np.ndarray, int]:
-        res = minimize(
-            manifold.error,
-            start,
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-        )
-        return float(res.fun), res.x, int(res.nit)
-
-    with ThreadPoolExecutor(max_workers=min(8, len(starts))) as pool:
-        outcomes = list(pool.map(run, starts))
-    iterations = sum(nit for _, _, nit in outcomes)
-    best_idx = min(
-        range(len(outcomes)), key=lambda k: (outcomes[k][0], k)
-    )
-    err, params, _ = outcomes[best_idx]
-    return GateSearchResult(
-        target,
-        tuple(float(v) for v in params),
-        err,
-        manifold.leakage(params),
-        len(starts),
-        iterations,
-        seed,
+    return _multistart(
+        manifold, target, starts, seed,
+        {"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
     )
 
 
@@ -491,7 +506,7 @@ def _composite_codes(
     return codes
 
 
-class _MeshManifold:
+class _MeshManifold(_Manifold):
     """Passive 4-mode mesh: six pair rotations plus four output phases."""
 
     def __init__(self, basis: FockBasis, codes: np.ndarray, target: np.ndarray):
@@ -522,14 +537,6 @@ class _MeshManifold:
     def logical(self, params: Sequence[float]) -> np.ndarray:
         u = self.unitary(params)
         return self.codes_conj @ u @ self.codes_conj.conj().T
-
-    def error(self, params: Sequence[float]) -> float:
-        a = self.logical(params)
-        return _error_from_trace(complex(np.sum(self.g_conj * a)), self.d)
-
-    def leakage(self, params: Sequence[float]) -> float:
-        a = self.logical(params)
-        return max(0.0, 1.0 - float(np.sum(np.abs(a) ** 2)) / self.d)
 
 
 def cnot_search(
@@ -568,34 +575,9 @@ def cnot_search(
         for k in range(12, 16):
             start[k] = draw[k] * 2.0 * math.pi
         starts.append(start)
-
-    def run(start: np.ndarray) -> tuple[float, np.ndarray, int]:
-        res = minimize(
-            manifold.error,
-            start,
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-10,
-                "fatol": 1e-12,
-                "maxiter": 8000,
-                "maxfev": 12000,
-            },
-        )
-        return float(res.fun), res.x, int(res.nit)
-
-    with ThreadPoolExecutor(max_workers=min(8, len(starts))) as pool:
-        outcomes = list(pool.map(run, starts))
-    iterations = sum(nit for _, _, nit in outcomes)
-    best_idx = min(range(len(outcomes)), key=lambda k: (outcomes[k][0], k))
-    err, params, _ = outcomes[best_idx]
-    return GateSearchResult(
-        np.asarray(target, dtype=np.complex128),
-        tuple(float(v) for v in params),
-        err,
-        manifold.leakage(params),
-        len(starts),
-        iterations,
-        seed,
+    return _multistart(
+        manifold, target, starts, seed,
+        {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 8000, "maxfev": 12000},
     )
 
 

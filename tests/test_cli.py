@@ -1,6 +1,7 @@
 import json
 import math
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -168,64 +169,187 @@ class TestLoadConfig:
         assert "unknown parameter 'bogus'" in text
 
     def test_semantic_checks(self, tmp_path):
-        cases = {
-            "empty N grid": """
+        cases = [
+            ("empty N grid", """
                 [experiment]
                 name = convergence-coherent
                 [parameters]
                 alpha = 1.0
                 n_list =
-                """,
-            "must be < min N": """
+                """),
+            ("must be < min N", """
                 [experiment]
                 name = convergence-coherent
                 [parameters]
                 alpha = 11.0
                 n_list = 100
-                """,
-            "theta must lie in": """
+                """),
+            ("theta must lie in", """
                 [experiment]
                 name = phase-locking
                 [parameters]
                 theta = 3.5
                 n_list = 100
-                """,
-            "need n_max < min N": """
+                """),
+            ("need n_max < min N", """
                 [experiment]
                 name = commutator
                 [parameters]
                 n_list = 100
                 n_max = 100
-                """,
-            "passes must be 1 or 2": """
+                """),
+            ("passes must be 1 or 2", """
                 [experiment]
                 name = synthesis-bench
                 [parameters]
                 n_list = 2
                 passes = 3
-                """,
-            "unknown target": """
+                """),
+            ("unknown target", """
                 [experiment]
                 name = encoding-feasibility
                 [parameters]
                 n_list = 1
                 target = toffoli
-                """,
-            "resolution must lie in": """
+                """),
+            ("resolution must lie in", """
                 [experiment]
                 name = encoding-feasibility
                 [parameters]
                 n_list = 1
                 resolution = 0.75
-                """,
-            "exceeds cap": """
+                """),
+            ("exceeds cap", """
                 [experiment]
                 name = cnot-feasibility
                 [parameters]
                 n_list = 100
-                """,
-        }
-        for fragment, body in cases.items():
+                """),
+            ("N grid must be strictly increasing", """
+                [experiment]
+                name = convergence-coherent
+                [parameters]
+                alpha = 1.0
+                n_list = 316, 100
+                """),
+            ("N grid must be strictly increasing", """
+                [experiment]
+                name = convergence-displacement
+                [parameters]
+                alpha = 1.0
+                n_list = 10000, 1000, 100000
+                """),
+            ("N grid must be strictly increasing", """
+                [experiment]
+                name = convergence-squeezed
+                [parameters]
+                r = 0.5
+                n_list = 50, 50, 100
+                """),
+            ("'alpha': nan is not finite", """
+                [experiment]
+                name = convergence-displacement
+                [parameters]
+                alpha = nan
+                n_list = 1000
+                """),
+            ("'alpha': 1 + infj is not finite", """
+                [experiment]
+                name = convergence-coherent
+                [parameters]
+                alpha = 1 + infj
+                n_list = 100
+                """),
+            ("'r': inf is not finite", """
+                [experiment]
+                name = convergence-squeezed
+                [parameters]
+                r = inf
+                n_list = 50
+                """),
+            ("'phi': -inf is not finite", """
+                [experiment]
+                name = convergence-squeezed
+                [parameters]
+                r = 0.5
+                phi = -inf
+                n_list = 50
+                """),
+            ("'theta': nan is not finite", """
+                [experiment]
+                name = phase-locking
+                [parameters]
+                theta = nan
+                n_list = 100
+                """),
+            ("'small_angle': nan is not finite", """
+                [experiment]
+                name = synthesis-bench
+                [parameters]
+                n_list = 2
+                small_angle = nan
+                """),
+            ("'fidelity_target': inf is not finite", """
+                [experiment]
+                name = synthesis-complexity
+                [parameters]
+                n_list = 2
+                fidelity_target = inf
+                """),
+            ("'resolution': inf is not finite", """
+                [experiment]
+                name = encoding-feasibility
+                [parameters]
+                n_list = 1
+                resolution = inf
+                """),
+            ("nan is not finite", """
+                [experiment]
+                name = encoding-feasibility
+                [parameters]
+                n_list = 1
+                target = ry:nan
+                """),
+            ("n_max = 11 exceeds the largest occupation 10", """
+                [experiment]
+                name = convergence-coherent
+                [parameters]
+                alpha = 1.0
+                n_list = 10, 20
+                n_max = 11
+                """),
+            ("n_max = 11 exceeds the largest occupation 10", """
+                [experiment]
+                name = convergence-displacement
+                [parameters]
+                alpha = 0.1
+                n_list = 10, 20
+                n_max = 11
+                """),
+            ("n_max = 11 exceeds the largest occupation 10", """
+                [experiment]
+                name = convergence-squeezed
+                [parameters]
+                r = 0.1
+                n_list = 5, 10
+                n_max = 11
+                """),
+            ("underflows to 0 at N=1000", """
+                [experiment]
+                name = phase-locking
+                [parameters]
+                theta = 3.0
+                n_list = 10, 1000
+                """),
+            ("N=-5 must be >= 0", """
+                [experiment]
+                name = phase-locking
+                [parameters]
+                theta = 0.2
+                n_list = -5
+                """),
+        ]
+        for fragment, body in cases:
             path = write_ini(tmp_path, body)
             with pytest.raises(ConfigError) as err:
                 load_config(path)
@@ -355,6 +479,28 @@ class TestRunExperiment:
             fid = float(line.split(",")[-1])
             assert fid >= 0.99
 
+    def test_runs_without_threads(self, tmp_path, monkeypatch):
+        # Grid points and search restarts run inline, in grid order.
+        def refuse(thread):
+            raise RuntimeError("ssrc started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        bodies = {
+            "encoding-feasibility": "n_list = 1, 2\nrestarts = 2\n"
+                                    "resolution = 0.1",
+            "cnot-feasibility": "n_list = 1\nrestarts = 2",
+            "synthesis-bench": "n_list = 1, 2\ntargets = 2\n"
+                               "small_angle = 0.01",
+            "convergence-coherent": "alpha = 1.0\nn_list = 100, 200",
+        }
+        for name, params in bodies.items():
+            path = write_ini(
+                tmp_path,
+                f"[experiment]\nname = {name}\n[parameters]\n{params}\n",
+            )
+            data = run_experiment(load_config(path), tmp_path / name)[0]
+            assert len(data.read_text().splitlines()) >= 2, name
+
 
 class TestMain:
     def test_validate_ok(self, tmp_path, capsys):
@@ -378,6 +524,26 @@ class TestMain:
         assert main(["validate", "--config", str(path)]) == 1
         out = capsys.readouterr().out
         assert "violation: theta must lie in (0, pi)" in out
+
+    def test_window_beyond_n_exit_1_then_2(self, tmp_path, capsys):
+        # Without the window check this config crashes mid-run with a
+        # ZeroDivisionError.
+        path = write_ini(
+            tmp_path,
+            """
+            [experiment]
+            name = convergence-displacement
+            [parameters]
+            alpha = 0.1
+            n_list = 10, 20
+            n_max = 11
+            """,
+        )
+        assert main(["validate", "--config", str(path)]) == 1
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+        assert "exceeds the largest occupation" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.ini"

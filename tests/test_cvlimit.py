@@ -330,6 +330,12 @@ class TestConvergenceMachinery:
         with pytest.raises(ValueError):
             phase_locking_curve(math.pi, [10])
 
+    def test_phase_locking_names_underflow(self):
+        # e^{-N theta^2/8} = e^{-1125} underflows to 0; the ratio column
+        # cannot be formed, and the error says why.
+        with pytest.raises(ValueError, match="underflows to 0 at N=1000"):
+            phase_locking_curve(3.0, [10, 1000])
+
     def test_coherent_convergence_rate_near_two(self):
         # Window infidelity of the |alpha| = 1 construction falls off as
         # 1/N^2 on this grid (the 1/N overlap corrections cancel in
