@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, cvlimit, encodings, synthesis
-from .hilbert import DIMENSION_CAP_DEFAULT, basis_state, make_basis
+from .hilbert import basis_state, make_basis
 from .prng import DEFAULT_SEED, SplitMix64
 
 
@@ -108,15 +108,15 @@ class _ExperimentSpec:
     run: Callable[[dict, int], tuple[list[str], list[list], dict]]
 
 
-def _two_mode_cap_check(n_list: list[int], factor: int = 1) -> list[str]:
+def _cap_check(n_list: list[int], modes: int, factor: int) -> list[str]:
+    """The grid is non-empty and its largest basis, (modes, factor * max N),
+    can be built."""
     if not n_list:
         return ["empty N grid"]
-    dim = factor * max(n_list) + 1
-    if dim > DIMENSION_CAP_DEFAULT:
-        return [
-            f"dimension {dim} exceeds cap {DIMENSION_CAP_DEFAULT} "
-            f"for N={max(n_list)}"
-        ]
+    try:
+        make_basis(modes, factor * max(n_list))
+    except ValueError as exc:
+        return [f"{exc} for N={max(n_list)}"]
     return []
 
 
@@ -126,9 +126,22 @@ def _increasing_check(n_list: list[int]) -> list[str]:
     return []
 
 
+def _amplitude_check(p: dict, names: tuple[str, ...]) -> list[str]:
+    """Each named amplitude must satisfy the library's |a|^2 < min N."""
+    if not p["n_list"]:
+        return []
+    bound = min(p["n_list"])
+    # abs(a) * abs(a) is inf for a huge amplitude; abs(a) ** 2 would raise.
+    mod2 = {name: abs(p[name]) * abs(p[name]) for name in names}
+    return [f"|{name}|^2 = {mod2[name]:.4g} must be < min N = {bound}"
+            for name in names if mod2[name] >= bound]
+
+
 def _window_check(n_list: list[int], n_max: int, factor: int = 1) -> list[str]:
-    """The n <= n_max window must fit in the smallest sector; its largest
-    signal occupation is factor * min N."""
+    """The n <= n_max window must be non-empty and fit in the smallest
+    sector, whose largest signal occupation is factor * min N."""
+    if n_max < 0:
+        return ["n_max must be >= 0"]
     if n_list and n_max > factor * min(n_list):
         return [f"n_max = {n_max} exceeds the largest occupation "
                 f"{factor * min(n_list)} at min N = {min(n_list)}"]
@@ -155,14 +168,8 @@ def _run_coherent(p: dict, seed: int):
 
 
 def _check_coherent(p: dict) -> list[str]:
-    out = _two_mode_cap_check(p["n_list"]) + _increasing_check(p["n_list"])
-    if p["n_list"] and abs(p["alpha"]) ** 2 >= min(p["n_list"]):
-        out.append(
-            f"|alpha|^2 = {abs(p['alpha'])**2:.4g} must be < min N "
-            f"= {min(p['n_list'])}"
-        )
-    if p["n_max"] < 0:
-        out.append("n_max must be >= 0")
+    out = _cap_check(p["n_list"], 2, 1) + _increasing_check(p["n_list"])
+    out += _amplitude_check(p, ("alpha",))
     return out + _window_check(p["n_list"], p["n_max"])
 
 
@@ -190,8 +197,8 @@ def _run_squeezed(p: dict, seed: int):
 
 
 def _check_squeezed(p: dict) -> list[str]:
-    out = _two_mode_cap_check(p["n_list"], factor=2)
-    out += _increasing_check(p["n_list"])
+    out = _cap_check(p["n_list"], 2, 2) + _increasing_check(p["n_list"])
+    out += [f"N={n} must be >= 1" for n in p["n_list"] if n < 1]
     if p["r"] < 0:
         out.append("squeezing magnitude r must be >= 0")
     return out + _window_check(p["n_list"], p["n_max"], factor=2)
@@ -205,13 +212,11 @@ def _run_commutator(p: dict, seed: int):
 
 
 def _check_commutator(p: dict) -> list[str]:
-    out = _two_mode_cap_check(p["n_list"])
-    if p["n_list"] and p["n_max"] >= min(p["n_list"]):
-        out.append(
-            f"need n_max < min N; got n_max={p['n_max']} "
-            f"min N={min(p['n_list'])}"
-        )
-    return out
+    window = _window_check(p["n_list"], p["n_max"])
+    if not window and p["n_list"] and p["n_max"] >= min(p["n_list"]):
+        window = [f"need n_max < min N; got n_max={p['n_max']} "
+                  f"min N={min(p['n_list'])}"]
+    return _cap_check(p["n_list"], 2, 1) + window
 
 
 def _run_phase_locking(p: dict, seed: int):
@@ -261,16 +266,8 @@ def _run_overlap(p: dict, seed: int):
 
 
 def _check_overlap(p: dict) -> list[str]:
-    out = _two_mode_cap_check(p["n_list"])
-    if p["n_list"]:
-        bound = min(p["n_list"])
-        for name in ("alpha", "beta"):
-            if abs(p[name]) ** 2 >= bound:
-                out.append(
-                    f"|{name}|^2 = {abs(p[name])**2:.4g} must be < min N "
-                    f"= {bound}"
-                )
-    return out
+    return _cap_check(p["n_list"], 2, 1) + _amplitude_check(
+        p, ("alpha", "beta"))
 
 
 def _run_synthesis_bench(p: dict, seed: int):
@@ -291,18 +288,19 @@ def _run_synthesis_bench(p: dict, seed: int):
     return cols, rows, {}
 
 
-def _check_synthesis_bench(p: dict) -> list[str]:
-    out = []
-    if not p["n_list"]:
-        out.append("empty N grid")
-    for n in p["n_list"]:
-        if n <= 0:
-            out.append(f"N={n} in synthesis-bench grid must be positive")
-    out.extend(_two_mode_cap_check([n for n in p["n_list"] if n > 0] or [0]))
-    if p["targets"] < 1:
-        out.append("targets must be >= 1")
+def _check_synthesis(p: dict) -> list[str]:
+    """Grid and step-size rules shared by both synthesis experiments."""
+    out = _cap_check(p["n_list"], 2, 1)
+    out += [f"N={n} must be positive" for n in p["n_list"] if n <= 0]
     if not 0 < p["small_angle"] <= 1:
         out.append("small_angle must lie in (0, 1]")
+    return out
+
+
+def _check_synthesis_bench(p: dict) -> list[str]:
+    out = _check_synthesis(p)
+    if p["targets"] < 1:
+        out.append("targets must be >= 1")
     if p["passes"] not in (1, 2):
         out.append("passes must be 1 or 2")
     return out
@@ -326,12 +324,9 @@ def _run_synthesis_complexity(p: dict, seed: int):
 
 
 def _check_synthesis_complexity(p: dict) -> list[str]:
-    out = []
-    if not p["n_list"]:
-        out.append("empty N grid")
-    for n in p["n_list"]:
-        if n <= 0:
-            out.append(f"N={n} must be positive")
+    out = _check_synthesis(p) + _increasing_check(p["n_list"])
+    out += [f"N={n} exceeds the probe's limit {synthesis.PROBE_N_MAX}"
+            for n in p["n_list"] if n > synthesis.PROBE_N_MAX]
     if not 0 < p["fidelity_target"] <= 1:
         out.append("fidelity_target must lie in (0, 1]")
     if p["targets_per_n"] < 1:
@@ -388,10 +383,8 @@ def _run_encoding_feasibility(p: dict, seed: int):
 
 
 def _check_encoding_feasibility(p: dict) -> list[str]:
-    out = _two_mode_cap_check(p["n_list"])
-    for n in p["n_list"]:
-        if n < 1:
-            out.append(f"N={n} must be >= 1")
+    out = _cap_check(p["n_list"], 2, 1)
+    out += [f"N={n} must be >= 1" for n in p["n_list"] if n < 1]
     try:
         _target_matrix(p["target"])
     except ValueError as exc:
@@ -414,25 +407,14 @@ def _run_cnot_feasibility(p: dict, seed: int):
         )
         reports.append(encodings.feasibility_report(enc, "cnot", res, None))
         rows.append([n, res.error, res.leakage, res.restarts,
-                     math.comb(2 * n + 3, 3)])
+                     make_basis(4, 2 * n).dimension])
     cols = ["n", "best_error", "leakage", "restarts", "dimension"]
     return cols, rows, {"reports": reports}
 
 
 def _check_cnot_feasibility(p: dict) -> list[str]:
-    out = []
-    if not p["n_list"]:
-        out.append("empty N grid")
-    for n in p["n_list"]:
-        if n < 1:
-            out.append(f"N={n} must be >= 1")
-        else:
-            dim = math.comb(2 * n + 3, 3)
-            if dim > DIMENSION_CAP_DEFAULT:
-                out.append(
-                    f"dimension {dim} exceeds cap {DIMENSION_CAP_DEFAULT} "
-                    f"for N={n}"
-                )
+    out = _cap_check(p["n_list"], 4, 2)
+    out += [f"N={n} must be >= 1" for n in p["n_list"] if n < 1]
     if p["restarts"] < 1:
         out.append("restarts must be >= 1")
     return out
@@ -688,6 +670,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 1
+    except (cvlimit.WindowTooSmallError, OverflowError) as exc:
+        # Only the library knows the mass outside a window and where its
+        # double-precision series overflow.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     for path in written:
         print(path)
     return 0

@@ -77,6 +77,20 @@ class TruncatedReference:
     tail_mass: float
 
 
+def _renormalized(coeffs: np.ndarray) -> TruncatedReference:
+    """``coeffs`` scaled to unit norm, with the mass they miss as the tail."""
+    mass = float(np.sum(np.abs(coeffs) ** 2))
+    return TruncatedReference(coeffs / math.sqrt(mass), max(0.0, 1.0 - mass))
+
+
+def _window_fidelity(
+    state: State, ref: TruncatedReference, n_max: int
+) -> float:
+    """|<ref|window>|^2 over the signal occupations k <= n_max of ``state``."""
+    window = np.asarray(state.amplitudes[: n_max + 1])
+    return min(1.0, abs(np.vdot(ref.coefficients, window)) ** 2)
+
+
 def truncated_coherent_reference(
     alpha: complex, n_max: int
 ) -> TruncatedReference:
@@ -94,10 +108,7 @@ def truncated_coherent_reference(
         + k * math.log(abs(alpha))
         - 0.5 * gammaln(k + 1)
     )
-    coeffs = np.exp(logmag) * np.exp(1j * cmath.phase(alpha) * k)
-    mass = float(np.sum(np.abs(coeffs) ** 2))
-    tail = max(0.0, 1.0 - mass)
-    return TruncatedReference(coeffs / math.sqrt(mass), tail)
+    return _renormalized(np.exp(logmag) * np.exp(1j * cmath.phase(alpha) * k))
 
 
 def coherent_window_fidelity(
@@ -105,10 +116,8 @@ def coherent_window_fidelity(
 ) -> float:
     """Fidelity of the finite-N coherent construction against the
     renormalized truncated reference on occupations k <= n_max."""
-    state = coherent_from_rotation(alpha, n_photons)
-    ref = truncated_coherent_reference(alpha, n_max)
-    window = np.asarray(state.amplitudes[: n_max + 1])
-    return min(1.0, abs(np.vdot(ref.coefficients, window)) ** 2)
+    return _window_fidelity(coherent_from_rotation(alpha, n_photons),
+                            truncated_coherent_reference(alpha, n_max), n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +294,8 @@ def truncated_squeezed_reference(
         - k * math.log(2.0)
         - gammaln(k + 1)
     )
-    vals = np.exp(logmag) * np.exp(1j * (phi + math.pi) * k)
-    coeffs[2 * k] = vals
-    mass = float(np.sum(np.abs(coeffs) ** 2))
-    tail = max(0.0, 1.0 - mass)
-    return TruncatedReference(coeffs / math.sqrt(mass), tail)
+    coeffs[2 * k] = np.exp(logmag) * np.exp(1j * (phi + math.pi) * k)
+    return _renormalized(coeffs)
 
 
 def squeezed_window_fidelity(
@@ -297,10 +303,8 @@ def squeezed_window_fidelity(
 ) -> float:
     """Fidelity of the finite-N squeezed construction against the
     renormalized truncated squeezed-vacuum series on occupations <= n_max."""
-    state = squeezed_from_rotation(r, phi, n_pairs)
-    ref = truncated_squeezed_reference(r, phi, n_max)
-    window = np.asarray(state.amplitudes[: n_max + 1])
-    return min(1.0, abs(np.vdot(ref.coefficients, window)) ** 2)
+    return _window_fidelity(squeezed_from_rotation(r, phi, n_pairs),
+                            truncated_squeezed_reference(r, phi, n_max), n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +458,15 @@ def fit_rate(
     return float(-slope), r2
 
 
-def _rate_fields(n_list: Sequence[int], values: Sequence[float]) -> dict:
-    """``rate``/``r_squared`` of a ConvergenceReport: the fitted power law
-    when the grid has at least 4 points, else None."""
-    if len(n_list) < 4:
-        return {"rate": None, "r_squared": None}
-    rate, r2 = fit_rate(n_list, values)
-    return {"rate": rate, "r_squared": r2}
+def _sweep(
+    parameter: dict, n_list: Sequence[int], metric: str,
+    values: Sequence[float],
+) -> ConvergenceReport:
+    """Report of ``values`` over an N grid, with the fitted power law when
+    the grid has at least 4 points."""
+    rate, r2 = fit_rate(n_list, values) if len(n_list) >= 4 else (None, None)
+    return ConvergenceReport(parameter, tuple(int(n) for n in n_list),
+                             metric, tuple(values), rate=rate, r_squared=r2)
 
 
 def phase_locking_curve(
@@ -500,16 +506,12 @@ def coherent_convergence(
 ) -> ConvergenceReport:
     """Infidelity of the finite-N coherent construction vs the truncated
     reference over an N grid, with fitted 1/N rate when >= 4 points."""
-    values = [
-        1.0 - coherent_window_fidelity(alpha, n_tot, n_max)
-        for n_tot in n_list
-    ]
-    return ConvergenceReport(
+    return _sweep(
         {"alpha_re": alpha.real, "alpha_im": alpha.imag, "n_max": n_max},
-        tuple(int(n) for n in n_list),
+        n_list,
         "infidelity",
-        tuple(max(0.0, v) for v in values),
-        **_rate_fields(n_list, values),
+        [1.0 - coherent_window_fidelity(alpha, n_tot, n_max)
+         for n_tot in n_list],
     )
 
 
@@ -517,20 +519,12 @@ def displacement_convergence(
     alpha: complex, k: int, n_list: Sequence[int], n_max: int
 ) -> ConvergenceReport:
     """Windowed displacement residual over an N grid with optional rate."""
-    values = [
-        displacement_residual(alpha, k, n_tot, n_max) for n_tot in n_list
-    ]
-    return ConvergenceReport(
-        {
-            "alpha_re": alpha.real,
-            "alpha_im": alpha.imag,
-            "k": k,
-            "n_max": n_max,
-        },
-        tuple(int(n) for n in n_list),
+    return _sweep(
+        {"alpha_re": alpha.real, "alpha_im": alpha.imag, "k": k,
+         "n_max": n_max},
+        n_list,
         "window_l2_residual",
-        tuple(values),
-        **_rate_fields(n_list, values),
+        [displacement_residual(alpha, k, n_tot, n_max) for n_tot in n_list],
     )
 
 
@@ -539,14 +533,10 @@ def squeezed_convergence(
 ) -> ConvergenceReport:
     """Infidelity of the finite-N squeezed construction vs the truncated
     squeezed-vacuum series over an N grid (N counts photon pairs)."""
-    values = [
-        max(0.0, 1.0 - squeezed_window_fidelity(r, phi, n_tot, n_max))
-        for n_tot in n_list
-    ]
-    return ConvergenceReport(
+    return _sweep(
         {"r": r, "phi": phi, "n_max": n_max},
-        tuple(int(n) for n in n_list),
+        n_list,
         "infidelity",
-        tuple(values),
-        **_rate_fields(n_list, values),
+        [1.0 - squeezed_window_fidelity(r, phi, n_tot, n_max)
+         for n_tot in n_list],
     )

@@ -250,6 +250,17 @@ def sg_manifold_unitary(
     return rot @ core @ rot.dagger()
 
 
+def _pair_eig(
+    basis: FockBasis, pair: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs (w, V) of Jy on a mode pair, and the diagonal mz of Jz."""
+    w, v = np.linalg.eigh(j_operator(basis, "y", pair).to_dense())
+    mz = np.array(
+        [(occ[pair[0]] - occ[pair[1]]) / 2.0 for occ in basis.occupations]
+    )
+    return w, v, mz
+
+
 class _Manifold:
     """Gate error and leakage of a parameterized logical matrix.
 
@@ -276,12 +287,7 @@ class _RotationManifold(_Manifold):
     """
 
     def __init__(self, enc: Encoding, target: np.ndarray):
-        basis = enc.basis
-        jy = j_operator(basis, "y").to_dense()
-        self.wy, self.vy = np.linalg.eigh(jy)
-        self.m = np.array(
-            [(occ[0] - occ[1]) / 2.0 for occ in basis.occupations]
-        )
+        self.wy, self.vy, self.m = _pair_eig(enc.basis, (0, 1))
         self.codes_conj = enc.code_vectors().conj()
         self.g_conj = np.asarray(target, dtype=np.complex128).conj()
         self.d = self.g_conj.shape[0]
@@ -358,14 +364,13 @@ def grid_error_floor(
     enc: Encoding,
     resolution: float = 1e-2,
     polish: bool = True,
-    top_slices: int = 3,
 ) -> GridFloor:
     """Dense scan of the rotation manifold, then derivative-free polish.
 
     Scans theta' in [0, pi], phi' and eta in [0, 2 pi) at the given
     spacing, evaluating the exact logical error at every node, and
-    polishes the best few slices so the reported floor is a conservative
-    (lower) estimate of the true manifold minimum.
+    polishes the best three theta' slices so the reported floor is a
+    conservative (lower) estimate of the true manifold minimum.
     """
     manifold = _RotationManifold(enc, target)
     thetas, phis, etas = _grid_axes(resolution)
@@ -384,7 +389,7 @@ def grid_error_floor(
     best_error = grid_error
     best_params = tuple(slice_best[0][1:])
     if polish:
-        for _, theta_p, phi_p, eta in slice_best[:top_slices]:
+        for _, theta_p, phi_p, eta in slice_best[:3]:
             res = minimize(
                 manifold.error,
                 np.array([theta_p, phi_p, eta]),
@@ -442,19 +447,16 @@ def sg_gate_search(
     enc: Encoding,
     restarts: int = 8,
     seed: int = DEFAULT_SEED,
-    coarse_resolution: float = 0.1,
 ) -> GateSearchResult:
     """Multi-start derivative-free search over (theta', phi', eta).
 
-    One start comes from a coarse grid scan; the rest are seeded uniform
-    draws.  The lowest error wins, the earliest start on ties, so the
+    One start comes from a grid scan at spacing 0.1; the rest are seeded
+    uniform draws.  The lowest error wins, the earliest start on ties, so the
     result is deterministic given the seed.
     """
     target = np.asarray(target, dtype=np.complex128)
     manifold = _RotationManifold(enc, target)
-    coarse = grid_error_floor(
-        target, enc, resolution=coarse_resolution, polish=False
-    )
+    coarse = grid_error_floor(target, enc, resolution=0.1, polish=False)
     rng = SplitMix64(seed)
     starts = [np.array(coarse.params)]
     for _ in range(max(0, restarts - 1)):
@@ -514,15 +516,7 @@ class _MeshManifold(_Manifold):
         self.codes_conj = codes.conj()
         self.g_conj = np.asarray(target, dtype=np.complex128).conj()
         self.d = self.g_conj.shape[0]
-        self.blocks = []
-        for pair in _MESH_PAIRS:
-            jy = j_operator(basis, "y", pair).to_dense()
-            wy, vy = np.linalg.eigh(jy)
-            mz = np.array(
-                [(occ[pair[0]] - occ[pair[1]]) / 2.0
-                 for occ in basis.occupations]
-            )
-            self.blocks.append((wy, vy, mz))
+        self.blocks = [_pair_eig(basis, pair) for pair in _MESH_PAIRS]
         self.occ_matrix = np.array(basis.occupations, dtype=float)
 
     def unitary(self, params: Sequence[float]) -> np.ndarray:

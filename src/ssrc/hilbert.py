@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -52,39 +53,40 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Basis of K-mode occupation vectors with fixed total photon number."""
+    """K-mode occupations with total N; only (K, N) is stored."""
 
     num_modes: int
     total_photons: int
-    occupations: tuple[tuple[int, ...], ...] = field(repr=False)
-    _index: dict[tuple[int, ...], int] = field(repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
-        return len(self.occupations)
+        return math.comb(self.total_photons + self.num_modes - 1,
+                         self.num_modes - 1)
+
+    @cached_property
+    def occupations(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_compositions(self.total_photons, self.num_modes))
 
     def index_of(self, occupation: Sequence[int]) -> int:
         key = tuple(int(n) for n in occupation)
-        try:
-            return self._index[key]
-        except KeyError:
+        if (len(key) != self.num_modes or min(key) < 0
+                or sum(key) != self.total_photons):
             raise InvalidOccupationError(
                 f"occupation {key} is not in the (K={self.num_modes}, "
                 f"N={self.total_photons}) basis"
-            ) from None
+            )
+        # Occupations before ``key`` that first differ at mode m (v < n
+        # there) number C(left+rest, rest) - C(left-n+rest, rest).
+        index, left = 0, self.total_photons
+        for m, n in enumerate(key[:-1]):
+            rest = self.num_modes - 1 - m
+            index += (math.comb(left + rest, rest)
+                      - math.comb(left - n + rest, rest))
+            left -= n
+        return index
 
     def occupation_of(self, index: int) -> tuple[int, ...]:
         return self.occupations[index]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FockBasis)
-            and self.num_modes == other.num_modes
-            and self.total_photons == other.total_photons
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num_modes, self.total_photons))
 
 
 def make_basis(
@@ -97,14 +99,12 @@ def make_basis(
         raise ValueError("need at least one mode")
     if total_photons < 0:
         raise ValueError("total photon number must be non-negative")
-    dim = math.comb(total_photons + num_modes - 1, num_modes - 1)
-    if dim > dimension_cap:
+    basis = FockBasis(num_modes, total_photons)
+    if basis.dimension > dimension_cap:
         raise DimensionCapError(
-            f"basis dimension {dim} exceeds cap {dimension_cap}"
+            f"basis dimension {basis.dimension} exceeds cap {dimension_cap}"
         )
-    occs = tuple(_compositions(total_photons, num_modes))
-    index = {occ: i for i, occ in enumerate(occs)}
-    return FockBasis(num_modes, total_photons, occs, index)
+    return basis
 
 
 class State:

@@ -40,6 +40,12 @@ logger = logging.getLogger(__name__)
 #: Default bound on per-step amplitudes.
 SMALL_ANGLE_DEFAULT = 1e-2
 
+#: Leading coefficients below this are pre-rotated (two-mode) or rejected.
+C0_FLOOR = 1e-6
+
+#: Largest N the complexity probe plans at.
+PROBE_N_MAX = 32
+
 
 class ZeroLeadingCoefficientError(ValueError):
     """Target's reference-state amplitude is below the configured floor."""
@@ -135,10 +141,14 @@ def _generator_matrix(
     return mat
 
 
-def _step_unitary(basis: FockBasis, step: PlanStep) -> np.ndarray:
-    b = _generator_matrix(basis, step.pairs)
-    gen = step.amplitude * b - np.conj(step.amplitude) * b.conj().T
-    return expm(gen)
+def _step_exp(rho: complex, b: np.ndarray) -> np.ndarray:
+    """exp(rho B - conj(rho) B†)."""
+    return expm(rho * b - np.conj(rho) * b.conj().T)
+
+
+def _amplitudes(sig: np.ndarray) -> np.ndarray:
+    """Complex step amplitudes from interleaved (re, im) solver parameters."""
+    return sig[0::2] + 1j * sig[1::2]
 
 
 def execute_plan(plan: SynthesisPlan, initial: State) -> ExecutionResult:
@@ -148,7 +158,7 @@ def execute_plan(plan: SynthesisPlan, initial: State) -> ExecutionResult:
     basis = initial.basis
     vec = np.asarray(initial.amplitudes)
     for step in plan.steps:
-        u = _step_unitary(basis, step)
+        u = _step_exp(step.amplitude, _generator_matrix(basis, step.pairs))
         vec = np.linalg.matrix_power(u, step.repetitions) @ vec
     result = State(basis, vec, check_drift=True)
     return ExecutionResult(result, fidelity(result, plan.target))
@@ -195,17 +205,15 @@ class _ProductSolver:
 
     def apply(self, sig: np.ndarray, u: np.ndarray) -> np.ndarray:
         v = u
-        for i, p in enumerate(self.gens):
-            rho = sig[2 * i] + 1j * sig[2 * i + 1]
-            v = expm(rho * p - np.conj(rho) * p.conj().T) @ v
+        for rho, p in zip(_amplitudes(sig), self.gens):
+            v = _step_exp(rho, p) @ v
         return v
 
     def _resid_jac(self, sig, u, t):
         d = len(u)
         units, fre, fim = [], [], []
-        for i, p in enumerate(self.gens):
+        for rho, p in zip(_amplitudes(sig), self.gens):
             m = p.conj().T
-            rho = sig[2 * i] + 1j * sig[2 * i + 1]
             a = rho * p - np.conj(rho) * m
             unit, fr = expm_frechet(a, p - m)
             _, fi = expm_frechet(a, 1j * (p + m))
@@ -315,6 +323,40 @@ class _ProductSolver:
         return best[1], best[0]
 
 
+def _with_touchup(
+    plan: SynthesisPlan,
+    start_occ: tuple[int, ...],
+    passes: int,
+    fidelity_goal: float | None,
+    touch_gens: Sequence[np.ndarray],
+    touch_pairs: Sequence[tuple[tuple[int, int], ...]],
+) -> SynthesisPlan:
+    """Append the solved touch-up sweep to a pass-1 plan.
+
+    With ``passes=1``, or when executing pass 1 from ``start_occ`` already
+    meets ``fidelity_goal``, the plan is returned unchanged.
+    """
+    if passes == 1:
+        return plan
+    pass1 = execute_plan(plan, basis_state(plan.target.basis, start_occ))
+    if fidelity_goal is not None and pass1.fidelity >= fidelity_goal:
+        return plan
+    sig, achieved = _ProductSolver(touch_gens).solve(
+        np.asarray(pass1.state.amplitudes), np.asarray(plan.target.amplitudes)
+    )
+    touch_steps = _steps_from_amplitudes(
+        _amplitudes(sig), touch_pairs, plan.small_angle, "touchup"
+    )
+    logger.debug(
+        "touch-up: pass1 fidelity %.6f, solver fidelity %.13f",
+        pass1.fidelity,
+        achieved,
+    )
+    return SynthesisPlan(
+        plan.steps + tuple(touch_steps), plan.target, plan.small_angle
+    )
+
+
 # ---------------------------------------------------------------------------
 # Two-mode planner
 
@@ -332,7 +374,6 @@ def plan_two_mode(
     small_angle: float = SMALL_ANGLE_DEFAULT,
     passes: int = 2,
     fidelity_goal: float | None = None,
-    c0_floor: float = 1e-6,
     c0_fallback: bool = True,
 ) -> SynthesisPlan:
     """Plan a ladder sweep steering |0, N⟩ to ``target`` on a two-mode basis.
@@ -343,7 +384,7 @@ def plan_two_mode(
     and touch-up steps (two per order plus a trailing order-1 pair,
     amplitudes solved exactly) are appended, unless ``fidelity_goal`` is
     already met.  A target whose
-    leading coefficient is below ``c0_floor`` is pre-rotated first and the
+    leading coefficient is below ``C0_FLOOR`` is pre-rotated first and the
     inverse rotation appended as a closing step (or rejected when
     ``c0_fallback`` is off).  For N = 1 the single step is the exact
     rotation onto the target, which first-order matching only approximates.
@@ -370,13 +411,13 @@ def plan_two_mode(
         steps = _steps_from_amplitudes([rho], [pair], small_angle, "match")
         return SynthesisPlan(tuple(steps), target, small_angle)
 
-    if abs(c[0]) < c0_floor:
+    if abs(c[0]) < C0_FLOOR:
         if not c0_fallback:
             raise ZeroLeadingCoefficientError(
-                f"|c_0| = {abs(c[0]):.3e} below floor {c0_floor:.1e}"
+                f"|c_0| = {abs(c[0]):.3e} below floor {C0_FLOOR:.1e}"
             )
         return _plan_with_prerotation(
-            target, small_angle, passes, fidelity_goal, c0_floor
+            target, small_angle, passes, fidelity_goal
         )
 
     rhos = [
@@ -385,39 +426,20 @@ def plan_two_mode(
     steps = _steps_from_amplitudes(
         rhos, [pair * k for k in range(1, n_tot + 1)], small_angle, "match"
     )
-    plan = SynthesisPlan(tuple(steps), target, small_angle)
-    if passes == 1:
-        return plan
-
-    start = basis_state(basis, (0,) * (basis.num_modes - 1) + (n_tot,))
-    pass1 = execute_plan(plan, start)
-    if fidelity_goal is not None and pass1.fidelity >= fidelity_goal:
-        return plan
-
     jp = _hop_csr(basis, 0, 1).toarray()
     # Two steps per order, plus a trailing order-1 pair: the highest-order
     # generator only rotates the {0, N} pair of levels, so without a final
     # full rotation block the sweep cannot re-register the intermediate
     # amplitudes (at N=2 this provably strands ~1/4 of random targets).
     touch_orders = [k for k in range(1, n_tot + 1) for _ in range(2)] + [1, 1]
-    gens = [np.linalg.matrix_power(jp, k) for k in touch_orders]
-    solver = _ProductSolver(gens)
-    sig, achieved = solver.solve(
-        np.asarray(pass1.state.amplitudes), c
-    )
-    touch_rhos = [sig[2 * i] + 1j * sig[2 * i + 1] for i in range(len(gens))]
-    touch_steps = _steps_from_amplitudes(
-        touch_rhos,
+    return _with_touchup(
+        SynthesisPlan(tuple(steps), target, small_angle),
+        (0, n_tot),
+        passes,
+        fidelity_goal,
+        [np.linalg.matrix_power(jp, k) for k in touch_orders],
         [pair * k for k in touch_orders],
-        small_angle,
-        "touchup",
     )
-    logger.debug(
-        "two-pass plan: pass1 fidelity %.6f, solver fidelity %.13f",
-        pass1.fidelity,
-        achieved,
-    )
-    return SynthesisPlan(tuple(steps) + tuple(touch_steps), target, small_angle)
 
 
 def _plan_with_prerotation(
@@ -425,7 +447,6 @@ def _plan_with_prerotation(
     small_angle: float,
     passes: int,
     fidelity_goal: float | None,
-    c0_floor: float,
 ) -> SynthesisPlan:
     """Handle |c_0| below floor: solve V† target, then append V."""
     basis = target.basis
@@ -434,15 +455,13 @@ def _plan_with_prerotation(
     jp = _hop_csr(basis, 0, 1).toarray()
     for _ in range(16):
         rho_v = 0.4 * rng.complex_normal()
-        v = expm(rho_v * jp - np.conj(rho_v) * jp.conj().T)
-        rotated = v.conj().T @ c
-        if abs(rotated[0]) >= max(c0_floor, 0.05):
+        rotated = _step_exp(rho_v, jp).conj().T @ c
+        if abs(rotated[0]) >= max(C0_FLOOR, 0.05):
             inner = plan_two_mode(
                 State(basis, rotated),
                 small_angle,
                 passes,
                 fidelity_goal,
-                c0_floor,
                 c0_fallback=False,
             )
             closing = _steps_from_amplitudes(
@@ -497,7 +516,6 @@ def plan_multimode(
     passes: int = 2,
     max_order: int = 2,
     fidelity_goal: float | None = None,
-    c0_floor: float = 1e-6,
 ) -> SynthesisPlan:
     """Plan a sweep steering |0,...,0,N⟩ to a multimode target.
 
@@ -505,7 +523,8 @@ def plan_multimode(
     ``max_order`` photons out of the last mode; pass 1 matches each
     supported amplitude ratio literally through the exact matrix element,
     and ``passes=2`` appends a solved touch-up sweep.  Targets with
-    support beyond ``max_order`` excitations are rejected.
+    support beyond ``max_order`` excitations, or whose |0,...,0,N⟩
+    amplitude is below ``C0_FLOOR``, are rejected.
     """
     basis = target.basis
     n_tot = basis.total_photons
@@ -516,9 +535,9 @@ def plan_multimode(
 
     start_occ = (0,) * last + (n_tot,)
     start_idx = basis.index_of(start_occ)
-    if abs(c[start_idx]) < c0_floor:
+    if abs(c[start_idx]) < C0_FLOOR:
         raise ZeroLeadingCoefficientError(
-            f"|c_(0,...,0,N)| = {abs(c[start_idx]):.3e} below floor {c0_floor:.1e}"
+            f"|c_(0,...,0,N)| = {abs(c[start_idx]):.3e} below floor {C0_FLOOR:.1e}"
         )
     for idx, occ in enumerate(basis.occupations):
         if n_tot - occ[last] > max_order and abs(c[idx]) > 1e-13:
@@ -533,36 +552,19 @@ def plan_multimode(
         element = mat[basis.index_of(occ), start_idx]
         rhos.append((c[basis.index_of(occ)] / c[start_idx]) / element)
     steps = _steps_from_amplitudes(rhos, pairs_list, small_angle, "match")
-    plan = SynthesisPlan(tuple(steps), target, small_angle)
-    if passes == 1:
-        return plan
-
-    start = basis_state(basis, start_occ)
-    pass1 = execute_plan(plan, start)
-    if fidelity_goal is not None and pass1.fidelity >= fidelity_goal:
-        return plan
-
     # Doubled generator sweep plus trailing first-order steps for final
     # re-registration (mirrors the two-mode touch-up structure).
     first_order = [
         (g, p) for g, p in zip(gens, pairs_list) if len(p) == 1
     ]
-    touch_gens = gens + gens + [g for g, _ in first_order]
-    touch_pairs = pairs_list + pairs_list + [p for _, p in first_order]
-    solver = _ProductSolver(touch_gens)
-    sig, achieved = solver.solve(np.asarray(pass1.state.amplitudes), c)
-    touch_rhos = [
-        sig[2 * i] + 1j * sig[2 * i + 1] for i in range(len(touch_gens))
-    ]
-    touch_steps = _steps_from_amplitudes(
-        touch_rhos, touch_pairs, small_angle, "touchup"
+    return _with_touchup(
+        SynthesisPlan(tuple(steps), target, small_angle),
+        start_occ,
+        passes,
+        fidelity_goal,
+        gens + gens + [g for g, _ in first_order],
+        pairs_list + pairs_list + [p for _, p in first_order],
     )
-    logger.debug(
-        "multimode plan: pass1 fidelity %.6f, solver fidelity %.13f",
-        pass1.fidelity,
-        achieved,
-    )
-    return SynthesisPlan(tuple(steps) + tuple(touch_steps), target, small_angle)
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +615,9 @@ def synthesis_complexity_probe(
     """
     rows = []
     for n_idx, n_tot in enumerate(n_list):
-        if n_tot > 32:
-            raise ValueError("probe is desk-scale: N must be <= 32")
+        if n_tot > PROBE_N_MAX:
+            raise ValueError(
+                f"probe is desk-scale: N must be <= {PROBE_N_MAX}")
         basis = make_basis(2, n_tot)
         steps_counts, reps_counts, fids = [], [], []
         for t_idx, target in enumerate(

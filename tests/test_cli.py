@@ -1,10 +1,14 @@
 import json
 import math
+import pathlib
+import tempfile
 import textwrap
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssrc import __version__
 from ssrc.cli import (
@@ -348,6 +352,78 @@ class TestLoadConfig:
                 theta = 0.2
                 n_list = -5
                 """),
+            ("n_max must be >= 0", """
+                [experiment]
+                name = commutator
+                [parameters]
+                n_list = 100
+                n_max = -1
+                """),
+            ("n_max must be >= 0", """
+                [experiment]
+                name = commutator
+                [parameters]
+                n_list = 0, 100
+                n_max = -1
+                """),
+            ("n_max must be >= 0", """
+                [experiment]
+                name = convergence-squeezed
+                [parameters]
+                r = 0.5
+                n_list = 50
+                n_max = -1
+                """),
+            ("n_max must be >= 0", """
+                [experiment]
+                name = convergence-squeezed
+                [parameters]
+                r = 0
+                n_list = 50
+                n_max = -1
+                """),
+            ("N=0 must be >= 1", """
+                [experiment]
+                name = convergence-squeezed
+                [parameters]
+                r = 0.5
+                n_list = 0, 6, 18, 32
+                n_max = 0
+                """),
+            ("small_angle must lie in (0, 1]", """
+                [experiment]
+                name = synthesis-complexity
+                [parameters]
+                n_list = 2
+                small_angle = 0
+                """),
+            ("N=40 exceeds the probe's limit 32", """
+                [experiment]
+                name = synthesis-complexity
+                [parameters]
+                n_list = 40
+                """),
+            ("N grid must be strictly increasing", """
+                [experiment]
+                name = synthesis-complexity
+                [parameters]
+                n_list = 1, 1
+                """),
+            ("|alpha|^2 = inf must be < min N", """
+                [experiment]
+                name = convergence-coherent
+                [parameters]
+                alpha = 1e300
+                n_list = 100
+                """),
+            ("|beta|^2 = inf must be < min N", """
+                [experiment]
+                name = overlap
+                [parameters]
+                alpha = 1.0
+                beta = 1e300
+                n_list = 100
+                """),
         ]
         for fragment, body in cases:
             path = write_ini(tmp_path, body)
@@ -545,6 +621,34 @@ class TestMain:
         assert "exceeds the largest occupation" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("n_list, n_max, message", [
+        # The window misses the displaced state's mass.
+        ("100, 200", 5, "finite-N side has 4.813e-01 mass outside n_max=5"),
+        # The double-precision series overflow (n! beyond 170!).
+        ("200, 300", 180, "OverflowError"),
+    ])
+    def test_library_rejects_run_exit_2(self, tmp_path, capsys, n_list,
+                                        n_max, message):
+        path = write_ini(
+            tmp_path,
+            f"""
+            [experiment]
+            name = convergence-displacement
+            [parameters]
+            alpha = 2.0
+            k = 2
+            n_list = {n_list}
+            n_max = {n_max}
+            """,
+        )
+        assert main(["validate", "--config", str(path)]) == 0
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.ini"
         assert main(["run", "--config", str(missing)]) == 2
@@ -595,3 +699,61 @@ class TestRegistry:
             assert callable(spec.check), name
             for key in spec.defaults:
                 assert key in spec.params, (name, key)
+
+
+# Numbers for generated configs: half in range for most parameters, half
+# 0, negative or out of range.
+_INTS = st.sampled_from([0, 1, 2, 3, 5, 40]) | st.sampled_from(
+    [-2, -1, 180, 250])
+_FLOATS = st.sampled_from([1e-3, 0.2, 0.5, 0.99, 1.0]) | st.sampled_from(
+    [-1.0, 0.0, 2.0, 3.5, 30.0, 1e300])
+
+
+def _grid(max_n: int):
+    """Any list in -2..max_n, or (so that runs happen) an increasing one."""
+    return st.one_of(
+        st.lists(st.integers(-2, max_n), max_size=4),
+        st.lists(st.integers(1, max_n), min_size=1, max_size=4,
+                 unique=True).map(sorted),
+    ).map(lambda ns: ", ".join(map(str, ns)))
+
+
+_GENERATED = {
+    "convergence-coherent": {"alpha": _FLOATS, "n_list": _grid(200),
+                             "n_max": _INTS},
+    "convergence-displacement": {"alpha": _FLOATS, "k": _INTS,
+                                 "n_list": _grid(200), "n_max": _INTS},
+    "convergence-squeezed": {"r": _FLOATS, "phi": _FLOATS,
+                             "n_list": _grid(200), "n_max": _INTS},
+    "commutator": {"n_list": _grid(200), "n_max": _INTS},
+    "phase-locking": {"theta": _FLOATS, "n_list": _grid(200)},
+    "overlap": {"alpha": _FLOATS, "beta": _FLOATS, "n_list": _grid(200)},
+    "synthesis-complexity": {
+        "n_list": _grid(4), "fidelity_target": _FLOATS,
+        "small_angle": _FLOATS, "targets_per_n": st.integers(-1, 3)},
+}
+
+
+@st.composite
+def _generated_config(draw):
+    name = draw(st.sampled_from(sorted(_GENERATED)))
+    lines = [f"{key} = {draw(strategy)}"
+             for key, strategy in _GENERATED[name].items()]
+    return f"[experiment]\nname = {name}\n[parameters]\n" + "\n".join(lines)
+
+
+class TestGeneratedConfigs:
+    @settings(max_examples=300, deadline=None)
+    @given(_generated_config())
+    def test_validate_rejects_or_run_completes(self, text):
+        """Each config fails validate (1), fails run (2) or writes its data
+        file; none raises."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "config.ini"
+            path.write_text(text + "\n", encoding="utf-8")
+            if main(["validate", "--config", str(path)]) == 1:
+                return
+            out_dir = pathlib.Path(tmp) / "out"
+            code = main(["run", "--config", str(path), "--out", str(out_dir)])
+            assert code in (0, 2), text
+            assert (code == 0) == any(out_dir.glob("*.csv")), text

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -45,7 +46,7 @@ class TestBasis:
         assert len(set(basis.occupations)) == basis.dimension
 
     @given(
-        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=1, max_value=5),
         st.integers(min_value=0, max_value=8),
     )
     def test_index_bijection(self, modes, n):
@@ -62,6 +63,8 @@ class TestBasis:
             basis.index_of((4, -1))
         with pytest.raises(InvalidOccupationError):
             basis.index_of((1, 1, 1))
+        with pytest.raises(InvalidOccupationError):
+            make_basis(3, 2).index_of((3, 0, -1))
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
@@ -75,6 +78,17 @@ class TestBasis:
         a, b = make_basis(3, 4), make_basis(3, 4)
         assert a == b and hash(a) == hash(b)
         assert a != make_basis(2, 4)
+        assert len(a.occupations) == 15 and "occupations" in vars(a)
+        fresh = make_basis(3, 4)
+        assert "occupations" not in vars(fresh)
+        assert a == fresh and hash(a) == hash(fresh)
+
+    def test_basis_is_its_two_numbers(self):
+        basis = make_basis(2, 10**6)
+        assert dataclasses.astuple(basis) == (2, 10**6)
+        assert basis.dimension == 10**6 + 1
+        assert basis.index_of((7, 10**6 - 7)) == 7
+        assert "occupations" not in vars(basis)
 
 
 class TestState:
