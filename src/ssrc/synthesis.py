@@ -7,8 +7,11 @@ increasing number of photons out of the reference mode (``J+^k`` on a mode
 pair; products of first-order hops in the multimode case).  The first pass
 chooses each amplitude by literal first-order matching of the target
 amplitude ratios; an optional second pass re-measures the residual and
-appends touch-up steps whose amplitudes are solved exactly (damped
-Gauss-Newton with analytic derivatives of the step exponentials).
+appends touch-up steps whose amplitudes are solved exactly: damped
+Gauss-Newton on generators scaled to unit spectral norm, with each step's
+unitary and derivatives taken from one eigendecomposition per generator
+per solve.  Executing a plan uses ``scipy.linalg.expm``, independently of
+the solver.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
+from scipy.linalg import expm
 
 from .hilbert import (
     BasisMismatchError,
@@ -190,53 +193,104 @@ def _vec_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return abs(np.vdot(a, b)) ** 2
 
 
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return stack.conj().transpose(0, 2, 1)
+
+
 class _ProductSolver:
     """Solve prod_i exp(rho_i P_i - conj(rho_i) P_i†) u ≈ t (up to phase).
 
-    Damped Gauss-Newton on the phase-projected residual (I - t t†) v with
-    analytic Jacobian columns from the Fréchet derivative of each step
-    exponential; falls back to geodesic target continuation and then
-    deterministic perturbed restarts.
+    Every generator P_i must raise the grade ``q`` (photons out of the
+    reference mode) by exactly its order; it is then scaled to unit
+    spectral norm (``scale`` holds the norms, so the solved amplitudes
+    divided by ``scale`` are those of the raw generators), and the
+    Hermitian H0_i = -i(P_i - P_i†) is diagonalised once, batched over the
+    stack.  For rho = |rho| e^{i theta}, D = diag(e^{i theta q / order})
+    gives D P D† = e^{i theta} P, so the step generator is
+    i |rho| D H0 D†: its eigenvalues are |rho| w0 and its eigenvectors
+    D V0.  The step unitary and its derivatives in Re rho and Im rho
+    (Daleckii-Krein divided differences, Higham 2008, §3.2) follow from that
+    decomposition with no matrix exponential.
+
+    Damped Gauss-Newton on the phase-projected residual (I - t t†) v;
+    falls back to geodesic target continuation and then deterministic
+    perturbed restarts.
     """
 
-    def __init__(self, generators: Sequence[np.ndarray]):
-        self.gens = [np.asarray(p, dtype=np.complex128) for p in generators]
-        self.m = len(self.gens)
+    def __init__(
+        self,
+        generators: Sequence[np.ndarray],
+        grade: Sequence[int],
+        orders: Sequence[int],
+    ):
+        d = len(grade)
+        p = np.asarray(generators, dtype=np.complex128).reshape(-1, d, d)
+        grade = np.asarray(grade, dtype=float)
+        orders = np.asarray(orders, dtype=float)
+        raised = grade[:, None] - grade[None, :]
+        if np.any((p != 0) & (raised != orders[:, None, None])):
+            raise ValueError("generator does not raise the grade by its order")
+        self.m = len(p)
+        self.scale = np.linalg.norm(p, 2, axis=(1, 2))
+        p = p / self.scale[:, None, None]
+        self.w0, self.v0 = np.linalg.eigh(-1j * (p - _dagger(p)))
+        self.b0 = _dagger(self.v0) @ p @ self.v0
+        self.b0h = _dagger(self.b0)
+        self.half_gap = 0.5 * (self.w0[:, :, None] - self.w0[:, None, :])
+        self.q = grade / orders[:, None]
+
+    def _spectra(self, sig):
+        """Per step: eigenvectors V, |rho| and e^{-i theta}."""
+        rho = _amplitudes(sig)
+        theta = np.angle(rho)
+        vecs = np.exp(1j * theta[:, None] * self.q)[:, :, None] * self.v0
+        return vecs, np.abs(rho), np.exp(-1j * theta)
+
+    @staticmethod
+    def _shifts(w):
+        """e^{iw} - 1, exactly 0 where w is 0."""
+        return 2j * np.sin(0.5 * w) * np.exp(0.5j * w)
 
     def apply(self, sig: np.ndarray, u: np.ndarray) -> np.ndarray:
+        vecs, mag, _ = self._spectra(sig)
         v = u
-        for rho, p in zip(_amplitudes(sig), self.gens):
-            v = _step_exp(rho, p) @ v
+        for vk, ck in zip(vecs, self._shifts(mag[:, None] * self.w0)):
+            v = v + vk @ (ck * (vk.conj().T @ v))
         return v
 
     def _resid_jac(self, sig, u, t):
         d = len(u)
-        units, fre, fim = [], [], []
-        for rho, p in zip(_amplitudes(sig), self.gens):
-            m = p.conj().T
-            a = rho * p - np.conj(rho) * m
-            unit, fr = expm_frechet(a, p - m)
-            _, fi = expm_frechet(a, 1j * (p + m))
-            units.append(unit)
-            fre.append(fr)
-            fim.append(fi)
-        pre = [u]
-        for unit in units:
-            pre.append(unit @ pre[-1])
-        v = pre[-1]
-        suf = [np.eye(d, dtype=complex)]
-        for unit in reversed(units):
-            suf.append(suf[-1] @ unit)
-        suf = suf[::-1]
-        proj = np.eye(d, dtype=complex) - np.outer(t, t.conj())
-        r = proj @ v
-        jac = np.empty((2 * d, 2 * self.m))
-        for i in range(self.m):
-            cr = proj @ (suf[i + 1] @ (fre[i] @ pre[i]))
-            ci = proj @ (suf[i + 1] @ (fim[i] @ pre[i]))
-            jac[:d, 2 * i], jac[d:, 2 * i] = cr.real, cr.imag
-            jac[:d, 2 * i + 1], jac[d:, 2 * i + 1] = ci.real, ci.imag
-        return np.concatenate([r.real, r.imag]), jac, v
+        vecs, mag, back = self._spectra(sig)
+        w = mag[:, None] * self.w0
+        vh = _dagger(vecs)
+        units = (vecs * self._shifts(w)[:, None, :]) @ vh
+        units[:, range(d), range(d)] += 1.0
+        pre = np.empty((self.m + 1, d), dtype=np.complex128)
+        pre[0] = u
+        for i, unit in enumerate(units):
+            np.matmul(unit, pre[i], out=pre[i + 1])
+        proj = np.eye(d) - np.outer(t, t.conj())
+        # left[i] = proj @ units[m-1] @ ... @ units[i+1]
+        left = np.empty_like(units)
+        left[self.m - 1:] = proj  # empty slice when there are no steps
+        for i in range(self.m - 1, 0, -1):
+            np.matmul(left[i], units[i], out=left[i - 1])
+        # Daleckii-Krein: dU(E) = V (Phi o V†EV) V† with
+        # Phi = diag(h) S diag(h), h = e^{iw/2}, S_jk = sinc((w_j - w_k)/2),
+        # V†EV = back B0 - conj(back) B0† (Re rho), i(... + ...) (Im rho).
+        x = mag[:, None, None] * self.half_gap
+        sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
+        half = np.exp(0.5j * w)
+        hy = half[:, :, None] * (vh @ pre[:-1, :, None])
+        zp = back[:, None] * half * ((sinc * self.b0) @ hy)[..., 0]
+        zm = back.conj()[:, None] * half * ((sinc * self.b0h) @ hy)[..., 0]
+        dirs = np.stack([zp - zm, 1j * (zp + zm)], axis=-1)
+        cols = (left @ (vecs @ dirs)).transpose(1, 0, 2)
+        cols = cols.reshape(d, 2 * self.m)
+        r = proj @ pre[-1]
+        jac = np.concatenate([cols.real, cols.imag])
+        return np.concatenate([r.real, r.imag]), jac, pre[-1]
 
     def _lm(self, sig0, u, t, tol=1e-13, maxit=200):
         sig = sig0.copy()
@@ -334,18 +388,28 @@ def _with_touchup(
     """Append the solved touch-up sweep to a pass-1 plan.
 
     With ``passes=1``, or when executing pass 1 from ``start_occ`` already
-    meets ``fidelity_goal``, the plan is returned unchanged.
+    meets ``fidelity_goal``, the plan is returned unchanged.  The solver
+    works on unit-norm generators; its amplitudes are divided by the norms
+    of ``touch_gens`` before they become steps.
     """
     if passes == 1:
         return plan
-    pass1 = execute_plan(plan, basis_state(plan.target.basis, start_occ))
+    basis = plan.target.basis
+    pass1 = execute_plan(plan, basis_state(basis, start_occ))
     if fidelity_goal is not None and pass1.fidelity >= fidelity_goal:
         return plan
-    sig, achieved = _ProductSolver(touch_gens).solve(
+    last = basis.num_modes - 1
+    solver = _ProductSolver(
+        touch_gens,
+        [basis.total_photons - occ[last] for occ in basis.occupations],
+        [len(pairs) for pairs in touch_pairs],
+    )
+    sig, achieved = solver.solve(
         np.asarray(pass1.state.amplitudes), np.asarray(plan.target.amplitudes)
     )
     touch_steps = _steps_from_amplitudes(
-        _amplitudes(sig), touch_pairs, plan.small_angle, "touchup"
+        _amplitudes(sig) / solver.scale, touch_pairs, plan.small_angle,
+        "touchup",
     )
     logger.debug(
         "touch-up: pass1 fidelity %.6f, solver fidelity %.13f",

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm_frechet
 
 from ssrc.hilbert import (
     BasisMismatchError,
@@ -12,6 +14,7 @@ from ssrc.hilbert import (
     random_state,
 )
 from ssrc.prng import SplitMix64
+from ssrc.schwinger import _hop_csr
 from ssrc.synthesis import (
     SynthesisPlan,
     TargetOrderError,
@@ -22,6 +25,7 @@ from ssrc.synthesis import (
     plan_two_mode,
     random_support_target,
     synthesis_complexity_probe,
+    _ProductSolver,
 )
 
 
@@ -175,6 +179,109 @@ class TestEmptyPlan:
         plan = plan_two_mode(basis_state(make_basis(2, 2), (0, 2)))
         with pytest.raises(BasisMismatchError):
             execute_plan(plan, basis_state(make_basis(2, 3), (0, 3)))
+
+
+def _touch_solver(n):
+    """The two-mode planner's touch-up generators on N photons."""
+    jp = _hop_csr(make_basis(2, n), 0, 1).toarray()
+    orders = [k for k in range(1, n + 1) for _ in range(2)] + [1, 1]
+    gens = [np.linalg.matrix_power(jp, k) for k in orders]
+    return gens, _ProductSolver(gens, range(n + 1), orders)
+
+
+def _frechet_resid_jac(gens, sig, u, t):
+    """Residual, Jacobian and product vector from scipy's expm_frechet."""
+    d = len(u)
+    units, derivs = [], []
+    for rho, p in zip(sig[0::2] + 1j * sig[1::2], gens):
+        a = rho * p - np.conj(rho) * p.conj().T
+        unit, d_re = expm_frechet(a, p - p.conj().T)
+        _, d_im = expm_frechet(a, 1j * (p + p.conj().T))
+        units.append(unit)
+        derivs.append((d_re, d_im))
+    pre = [u]
+    for unit in units:
+        pre.append(unit @ pre[-1])
+    proj = np.eye(d) - np.outer(t, t.conj())
+    cols = []
+    for i, pair in enumerate(derivs):
+        after = proj
+        for unit in units[i + 1:][::-1]:
+            after = after @ unit
+        cols.extend(after @ (deriv @ pre[i]) for deriv in pair)
+    jac = np.array(cols).T
+    r = proj @ pre[-1]
+    return (
+        np.concatenate([r.real, r.imag]),
+        np.concatenate([jac.real, jac.imag]),
+        pre[-1],
+    )
+
+
+class TestProductSolver:
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_resid_jac_matches_frechet_and_differences(self, n):
+        gens, solver = _touch_solver(n)
+        rng = np.random.default_rng(n)
+        sig = rng.normal(size=2 * solver.m)
+        sig[::3] = 0.0
+        sig[1:4] = 0.0  # the first two steps have amplitude exactly 0
+        u, t = (random_state(make_basis(2, n), seed).amplitudes
+                for seed in (n, n + 100))
+        u, t = np.asarray(u), np.asarray(t)
+        r, jac, v = solver._resid_jac(sig, u, t)
+        unit_gens = [g / c for g, c in zip(gens, solver.scale)]
+        r_ref, jac_ref, v_ref = _frechet_resid_jac(unit_gens, sig, u, t)
+        scale = np.abs(jac_ref).max()
+        assert np.abs(jac - jac_ref).max() <= 1e-12 * scale
+        assert np.abs(r - r_ref).max() <= 1e-12
+        assert np.abs(v - v_ref).max() <= 1e-12
+        assert np.abs(solver.apply(sig, u) - v).max() <= 1e-12
+        # Seven-point central differences (error O(h^6)) of the projected
+        # product.
+        proj = np.eye(len(u)) - np.outer(t, t.conj())
+        h = 5e-3
+        weights = {-3: -1, -2: 9, -1: -45, 1: 45, 2: -9, 3: 1}
+        diff = np.empty_like(jac)
+        for j in range(len(sig)):
+            e = np.zeros_like(sig)
+            e[j] = h
+            col = sum(
+                c * (proj @ solver.apply(sig + k * e, u))
+                for k, c in weights.items()
+            ) / (60 * h)
+            diff[:, j] = np.concatenate([col.real, col.imag])
+        assert np.abs(jac - diff).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_zero_amplitudes_leave_u_exactly(self, n):
+        _, solver = _touch_solver(n)
+        u = np.asarray(random_state(make_basis(2, n), n).amplitudes)
+        sig = np.zeros(2 * solver.m)
+        _, _, v = solver._resid_jac(sig, u, u)
+        assert np.array_equal(v, u)
+        assert np.array_equal(solver.apply(sig, u), u)
+
+    def test_rejects_generator_mixing_orders(self):
+        jp = _hop_csr(make_basis(2, 3), 0, 1).toarray()
+        with pytest.raises(ValueError):
+            _ProductSolver([jp, jp + jp @ jp], range(4), [1, 1])
+
+    @pytest.mark.parametrize("n", [32, 48])
+    def test_large_n_plan_executes_to_goal(self, n, caplog):
+        # Raw J+^k generators span ~30 decades of norm at N = 32; unscaled,
+        # the solver returned cancelling steps of |rho| ~ 1e10.
+        basis = make_basis(2, n)
+        (target,) = bench_targets(basis, 1, 12345)
+        with warnings.catch_warnings(record=True) as caught, \
+                caplog.at_level("WARNING", logger="ssrc.hilbert"):
+            warnings.simplefilter("always")
+            plan = plan_two_mode(target)
+            result = execute_plan(plan, basis_state(basis, (0, n)))
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        assert not caplog.records
+        assert result.fidelity >= 1 - 1e-10
+        assert plan.total_repetitions <= n / plan.small_angle
 
 
 class TestMultimode:
