@@ -126,15 +126,21 @@ def _increasing_check(n_list: list[int]) -> list[str]:
     return []
 
 
-def _amplitude_check(p: dict, names: tuple[str, ...]) -> list[str]:
-    """Each named amplitude must satisfy the library's |a|^2 < min N."""
+def _amplitude_check(p: dict, names: tuple[str, ...],
+                     vacuum_ok: bool = False) -> list[str]:
+    """Each named amplitude must satisfy the library's |a|^2 < min N.
+
+    With ``vacuum_ok``, a zero amplitude also passes at min N = 0, where
+    the coherent construction returns the vacuum.
+    """
     if not p["n_list"]:
         return []
     bound = min(p["n_list"])
     # abs(a) * abs(a) is inf for a huge amplitude; abs(a) ** 2 would raise.
     mod2 = {name: abs(p[name]) * abs(p[name]) for name in names}
     return [f"|{name}|^2 = {mod2[name]:.4g} must be < min N = {bound}"
-            for name in names if mod2[name] >= bound]
+            for name in names if mod2[name] >= bound
+            and not (vacuum_ok and mod2[name] == 0 and bound == 0)]
 
 
 def _window_check(n_list: list[int], n_max: int, factor: int = 1) -> list[str]:
@@ -167,9 +173,9 @@ def _run_coherent(p: dict, seed: int):
     )
 
 
-def _check_coherent(p: dict) -> list[str]:
+def _check_coherent(p: dict, vacuum_ok: bool = True) -> list[str]:
     out = _cap_check(p["n_list"], 2, 1) + _increasing_check(p["n_list"])
-    out += _amplitude_check(p, ("alpha",))
+    out += _amplitude_check(p, ("alpha",), vacuum_ok)
     return out + _window_check(p["n_list"], p["n_max"])
 
 
@@ -182,7 +188,8 @@ def _run_displacement(p: dict, seed: int):
 
 
 def _check_displacement(p: dict) -> list[str]:
-    out = _check_coherent(p)
+    # displacement_residual rejects |alpha|^2 = N = 0
+    out = _check_coherent(p, vacuum_ok=False)
     if not 0 <= p["k"] <= p["n_max"]:
         out.append(f"need 0 <= k <= n_max, got k={p['k']} n_max={p['n_max']}")
     return out
@@ -364,9 +371,7 @@ def _run_encoding_feasibility(p: dict, seed: int):
     rows, reports = [], []
     for n in p["n_list"]:
         enc = encodings.fock_encoding(make_basis(2, n))
-        floor = encodings.grid_error_floor(
-            target, enc, resolution=p["resolution"]
-        )
+        floor = encodings.fock_pair_floor(target, n)
         search = encodings.sg_gate_search(
             target,
             enc,
@@ -375,7 +380,7 @@ def _run_encoding_feasibility(p: dict, seed: int):
         )
         reports.append(
             encodings.feasibility_report(enc, p["target"], search, floor))
-        rows.append([n, p["target"], search.error, floor.error,
+        rows.append([n, p["target"], search.error, floor,
                      search.leakage, search.restarts])
     cols = ["n", "target", "best_error", "certified_floor", "leakage",
             "restarts"]
@@ -391,6 +396,8 @@ def _check_encoding_feasibility(p: dict) -> list[str]:
         out.append(str(exc))
     if p["restarts"] < 1:
         out.append("restarts must be >= 1")
+    # The floor is closed-form and no longer scans; resolution is still
+    # checked so that configs written for the scan stay valid.
     if not 0 < p["resolution"] <= 0.5:
         out.append("resolution must lie in (0, 0.5]")
     return out

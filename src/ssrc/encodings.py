@@ -4,10 +4,14 @@ Two orthonormal states of a fixed-photon-number mode pair define a
 logical qubit.  A physical unitary acts on it through its 2x2 projection
 onto the code space; this module measures how well pair rotations
 R(theta', phi') e^{i eta Jz} R(theta', phi')^dagger -- alone, or meshed
-across four modes -- realize target logical gates.  Error floors are
-certified by dense grid scans that are independent of the local searches,
-providing the numerical evidence that rotation-only gate sets stop being
-universal beyond one photon.
+across four modes -- realize target logical gates.  For the Fock-pair
+encoding the smallest reachable error has a proven closed form
+(``fock_pair_floor``): it is zero for every unitary target at one photon
+and positive for most targets beyond, which is the evidence that
+rotation-only gate sets stop being universal beyond one photon.  For other
+encodings a dense grid scan (``grid_error_floor``) and BFGS searches on the
+analytic gradient of the error give the best points found; every evaluated
+point only bounds the minimum from above.
 """
 
 from __future__ import annotations
@@ -232,6 +236,53 @@ def cnot_gate() -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Proven floor of the Fock-pair encoding
+
+
+def fock_pair_floor(target: np.ndarray, n_photons: int) -> float:
+    """Smallest gate error any passive pair map reaches on {|0,N>, |N,0>}.
+
+    For N >= 2 the floor is 1 - max(|G00|+|G11|, |G01|+|G10|)/2, and for
+    N = 1 (dual rail) it is 1 - (s1+s2)/2 with s1, s2 the singular values
+    of G, which is 0 for a unitary target.
+
+    Proof.  A passive pair map is the Schwinger image of some u in U(2),
+    a^dagger -> u00 a^dagger + u10 b^dagger and
+    b^dagger -> u01 a^dagger + u11 b^dagger.  Expanding
+    (u00 a^dagger + u10 b^dagger)^N |0> / sqrt(N!) shows that only the
+    k = N and k = 0 terms reach the code space, so the logical matrix has
+    |A00| = |A11| = |u00|^N and |A01| = |A10| = |u01|^N (|u00| = |u11| and
+    |u01| = |u10| hold for every unitary u).  Hence
+    |tr(G^dagger A)| <= (|G00|+|G11|) |u00|^N + (|G01|+|G10|) |u01|^N
+    <= max(|G00|+|G11|, |G01|+|G10|) (|u00|^N + |u01|^N),
+    and for N >= 2, |u00|^N + |u01|^N <= |u00|^2 + |u01|^2 = 1.  A diagonal
+    u = diag(e^{ia}, e^{ib}) gives A = diag(e^{iNb}, e^{iNa}); choosing the
+    phases so that both terms of tr(G^dagger A) are real and positive
+    reaches |G00|+|G11|, and an antidiagonal u with matched phases reaches
+    |G01|+|G10|.  At N = 1, A is u itself up to the order of the code
+    states, so A ranges over all of U(2), and the largest |tr(G^dagger A)|
+    over unitaries is s1 + s2 (von Neumann's trace inequality, reached at
+    the polar factor of G).  The rotation manifold of ``sg_gate_search``
+    holds every element of SU(2), and a global phase leaves |tr| unchanged,
+    so the floor is also the minimum over that manifold.
+
+    Evaluated in double precision, the value can differ from the exact
+    floor by a few units in the last place.
+    """
+    g = np.asarray(target, dtype=np.complex128)
+    if g.shape != (2, 2):
+        raise ValueError(f"target must be 2x2, got shape {g.shape}")
+    if n_photons < 1:
+        raise ValueError(f"need at least one photon, got N = {n_photons}")
+    if n_photons == 1:
+        best = float(np.sum(np.linalg.svd(g, compute_uv=False)))
+    else:
+        mag = np.abs(g)
+        best = max(mag[0, 0] + mag[1, 1], mag[0, 1] + mag[1, 0])
+    return float(_error_from_trace(best, 2))
+
+
+# ---------------------------------------------------------------------------
 # Rotation-manifold gate search
 
 
@@ -262,15 +313,30 @@ def _pair_eig(
 
 
 class _Manifold:
-    """Gate error and leakage of a parameterized logical matrix.
+    """Gate error, its gradient and leakage of a parameterized logical matrix.
 
-    Subclasses supply ``logical(params)``, the conjugated target
-    ``g_conj`` and its dimension ``d``.
+    Subclasses supply ``logical(params)``, ``trace_and_grad(params)`` (the
+    trace t = tr(G^dagger A) and its derivatives by each parameter), the
+    conjugated target ``g_conj`` and its dimension ``d``.
     """
 
     def error(self, params: Sequence[float]) -> float:
         a = self.logical(params)
         return _error_from_trace(complex(np.sum(self.g_conj * a)), self.d)
+
+    def value_and_grad(
+        self, params: Sequence[float]
+    ) -> tuple[float, np.ndarray]:
+        """E = 1 - |t|/d and its gradient -Re(conj(t) dt)/(|t| d).
+
+        E is not clipped at 0 here, so line searches see a smooth function;
+        ``error`` is the reported value.
+        """
+        t, dt = self.trace_and_grad(np.asarray(params, dtype=float))
+        mod = abs(t)
+        if mod == 0.0:
+            return 1.0, np.zeros(len(dt))
+        return 1.0 - mod / self.d, -np.real(np.conj(t) * dt) / (mod * self.d)
 
     def leakage(self, params: Sequence[float]) -> float:
         a = self.logical(params)
@@ -288,9 +354,14 @@ class _RotationManifold(_Manifold):
 
     def __init__(self, enc: Encoding, target: np.ndarray):
         self.wy, self.vy, self.m = _pair_eig(enc.basis, (0, 1))
+        self.jy = (self.vy * self.wy) @ self.vy.conj().T
         self.codes_conj = enc.code_vectors().conj()
         self.g_conj = np.asarray(target, dtype=np.complex128).conj()
         self.d = self.g_conj.shape[0]
+        # t = tr(G^dagger A) = tr(M U) for the physical unitary U
+        self.m_trace = (
+            self.codes_conj.conj().T @ self.g_conj.T @ self.codes_conj
+        )
 
     def y_matrix(self, theta_p: float) -> np.ndarray:
         return (self.vy * np.exp(1j * theta_p * self.wy)) @ self.vy.conj().T
@@ -324,6 +395,29 @@ class _RotationManifold(_Manifold):
                 a[i, j] = np.sum(rows[i][0] * eta_ph * rows[j][0].conj())
         return a
 
+    def trace_and_grad(self, params: np.ndarray) -> tuple[complex, np.ndarray]:
+        """t and dt/d(theta', phi', eta) for U = D Y E Y^dagger D^dagger.
+
+        D = e^{i phi' Jz}, Y = e^{i theta' Jy} and E = e^{i eta Jz} with
+        diagonal e = diag(E).  Write Mt = D^dagger M D and
+        z(X) = diag(Y^dagger X Y).  Then t = z(Mt) . e; dY/dtheta' = i Jy Y
+        gives dt = i z([Mt, Jy]) . e; dD/dphi' = i diag(m) D gives
+        dt = i z([Mt, diag(m)]) . e; and dt/deta = i z(Mt) . (m e).
+        """
+        theta_p, phi_p, eta = params
+        y = self.y_matrix(theta_p)
+        d_ph = np.exp(1j * phi_p * self.m)
+        e_ph = np.exp(1j * eta * self.m)
+        mt = d_ph.conj()[:, None] * self.m_trace * d_ph[None, :]
+        gens = np.stack([
+            mt,
+            mt @ self.jy - self.jy @ mt,
+            mt * (self.m[None, :] - self.m[:, None]),
+        ])
+        z = np.einsum("ak,xab,bk->xk", y.conj(), gens, y)
+        grad = 1j * np.array([z[1] @ e_ph, z[2] @ e_ph, z[0] @ (self.m * e_ph)])
+        return complex(z[0] @ e_ph), grad
+
 
 @dataclass(frozen=True)
 class GateSearchResult:
@@ -340,7 +434,12 @@ class GateSearchResult:
 
 @dataclass(frozen=True)
 class GridFloor:
-    """Certified lower envelope from a dense scan plus local polish."""
+    """Best rotation-manifold point of a dense scan plus local polish.
+
+    Every evaluated point bounds the manifold minimum from above, so
+    ``error`` is an upper bound on it, not a certificate; for the Fock-pair
+    encoding ``fock_pair_floor`` gives the proven value.
+    """
 
     error: float
     params: tuple[float, float, float]
@@ -365,12 +464,14 @@ def grid_error_floor(
     resolution: float = 1e-2,
     polish: bool = True,
 ) -> GridFloor:
-    """Dense scan of the rotation manifold, then derivative-free polish.
+    """Dense scan of the rotation manifold, then BFGS polish.
 
     Scans theta' in [0, pi], phi' and eta in [0, 2 pi) at the given
     spacing, evaluating the exact logical error at every node, and
-    polishes the best three theta' slices so the reported floor is a
-    conservative (lower) estimate of the true manifold minimum.
+    polishes the best node of the best three theta' slices with BFGS on the
+    analytic gradient.  Each evaluated point is reachable, so the result
+    bounds the manifold minimum from above; a finer grid and the polish
+    only lower it.
     """
     manifold = _RotationManifold(enc, target)
     thetas, phis, etas = _grid_axes(resolution)
@@ -390,19 +491,10 @@ def grid_error_floor(
     best_params = tuple(slice_best[0][1:])
     if polish:
         for _, theta_p, phi_p, eta in slice_best[:3]:
-            res = minimize(
-                manifold.error,
-                np.array([theta_p, phi_p, eta]),
-                method="Nelder-Mead",
-                options={
-                    "xatol": 1e-12,
-                    "fatol": 1e-14,
-                    "maxiter": 2000,
-                },
-            )
-            if res.fun < best_error:
-                best_error = float(res.fun)
-                best_params = tuple(float(v) for v in res.x)
+            x, err, _ = _descend(manifold, np.array([theta_p, phi_p, eta]))
+            if err < best_error:
+                best_error = err
+                best_params = tuple(float(v) for v in x)
     return GridFloor(
         best_error,
         best_params,  # type: ignore[arg-type]
@@ -412,30 +504,42 @@ def grid_error_floor(
     )
 
 
+def _descend(
+    manifold: _Manifold, start: np.ndarray
+) -> tuple[np.ndarray, float, int]:
+    """BFGS on the analytic gradient from one start.
+
+    Returns the end point, its error re-evaluated by ``manifold.error``
+    (the same kernel as every reported error) and the iteration count.
+    """
+    res = minimize(
+        manifold.value_and_grad, start, jac=True, method="BFGS",
+        options={"gtol": 1e-10},
+    )
+    return res.x, manifold.error(res.x), int(res.nit)
+
+
 def _multistart(
     manifold: _Manifold,
     target: np.ndarray,
     starts: list[np.ndarray],
     seed: int,
-    options: dict,
 ) -> GateSearchResult:
-    """Nelder-Mead from each start in order; keep the lowest error.
+    """BFGS from each start in order; keep the lowest error.
 
     Ties go to the earliest start.  ``iterations`` sums over all starts.
     """
-    best, iterations = None, 0
+    best_x, best_error, iterations = None, math.inf, 0
     for start in starts:
-        res = minimize(
-            manifold.error, start, method="Nelder-Mead", options=options
-        )
-        iterations += int(res.nit)
-        if best is None or float(res.fun) < float(best.fun):
-            best = res
+        x, err, nit = _descend(manifold, start)
+        iterations += nit
+        if err < best_error:
+            best_x, best_error = x, err
     return GateSearchResult(
         np.asarray(target, dtype=np.complex128),
-        tuple(float(v) for v in best.x),
-        float(best.fun),
-        manifold.leakage(best.x),
+        tuple(float(v) for v in best_x),
+        best_error,
+        manifold.leakage(best_x),
         len(starts),
         iterations,
         seed,
@@ -448,7 +552,7 @@ def sg_gate_search(
     restarts: int = 8,
     seed: int = DEFAULT_SEED,
 ) -> GateSearchResult:
-    """Multi-start derivative-free search over (theta', phi', eta).
+    """Multi-start BFGS search over (theta', phi', eta).
 
     One start comes from a grid scan at spacing 0.1; the rest are seeded
     uniform draws.  The lowest error wins, the earliest start on ties, so the
@@ -469,10 +573,7 @@ def sg_gate_search(
                 ]
             )
         )
-    return _multistart(
-        manifold, target, starts, seed,
-        {"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-    )
+    return _multistart(manifold, target, starts, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +618,7 @@ class _MeshManifold(_Manifold):
         self.g_conj = np.asarray(target, dtype=np.complex128).conj()
         self.d = self.g_conj.shape[0]
         self.blocks = [_pair_eig(basis, pair) for pair in _MESH_PAIRS]
+        self.jys = [(vy * wy) @ vy.conj().T for wy, vy, _ in self.blocks]
         self.occ_matrix = np.array(basis.occupations, dtype=float)
 
     def unitary(self, params: Sequence[float]) -> np.ndarray:
@@ -531,6 +633,42 @@ class _MeshManifold(_Manifold):
     def logical(self, params: Sequence[float]) -> np.ndarray:
         u = self.unitary(params)
         return self.codes_conj @ u @ self.codes_conj.conj().T
+
+    def trace_and_grad(self, params: np.ndarray) -> tuple[complex, np.ndarray]:
+        """t = tr(Q P S_6 ... S_1 C) and its 16 derivatives.
+
+        C holds the code columns, Q = G^dagger-weighted code rows, P the
+        output phases and S_k = D_k Y_k the k-th pair rotation.  A forward
+        sweep stores X_k = S_k ... S_1 C, a backward sweep carries
+        R_k = Q P S_6 ... S_{k+1}, and t = tr(R_k X_k) for every k.  Since
+        dS_k/dtheta_k = i (D_k Jy_k D_k^dagger) S_k and
+        dS_k/dphi_k = i diag(mz_k) S_k, each derivative is i tr(R_k H X_k)
+        with H the matching generator; output phase j contributes
+        i tr(Q diag(occ_j) P X_6).
+        """
+        steps, dphases, xs = [], [], []
+        x = self.codes_conj.conj().T
+        for k, (wy, vy, mz) in enumerate(self.blocks):
+            theta, phi = params[2 * k], params[2 * k + 1]
+            dph = np.exp(1j * phi * mz)
+            step = dph[:, None] * ((vy * np.exp(1j * theta * wy)) @ vy.conj().T)
+            x = step @ x
+            steps.append(step)
+            dphases.append(dph)
+            xs.append(x)
+        out_ph = np.exp(1j * (self.occ_matrix @ params[12:16]))
+        r = (self.g_conj.T @ self.codes_conj) * out_ph[None, :]
+        per_mode = np.sum(r.T * x, axis=1)
+        grad = np.empty(16, dtype=np.complex128)
+        grad[12:16] = 1j * (self.occ_matrix.T @ per_mode)
+        for k in range(len(self.blocks) - 1, -1, -1):
+            xr = xs[k] @ r
+            dph = dphases[k]
+            h = self.jys[k] * np.outer(dph, dph.conj())
+            grad[2 * k] = 1j * np.sum(h * xr.T)
+            grad[2 * k + 1] = 1j * np.dot(self.blocks[k][2], np.diag(xr))
+            r = r @ steps[k]
+        return complex(np.sum(per_mode)), grad
 
 
 def cnot_search(
@@ -547,6 +685,12 @@ def cnot_search(
     (16 parameters), which parameterizes the full 4-mode linear-optics
     group; the logical space is the tensor product of the two encodings'
     code pairs inside the fixed-total-photon sector.
+
+    The first start is every parameter at 1e-3: the all-zero point is
+    stationary for CNOT (at N = 1 and 2 its error is 0.5 with a zero
+    gradient to rounding), so a gradient search started there would not
+    move.  The other starts are seeded uniform draws.  The result is a
+    search result, an upper bound on the mesh minimum, not a certificate.
     """
     if isinstance(enc_pair, Encoding):
         enc_a = enc_b = enc_pair
@@ -559,7 +703,7 @@ def cnot_search(
         target = cnot_gate()
     manifold = _MeshManifold(basis, codes, target)
     rng = SplitMix64(seed)
-    starts = [np.zeros(16)]
+    starts = [np.full(16, 1e-3)]
     for _ in range(max(0, restarts - 1)):
         draw = [rng.uniform() for _ in range(16)]
         start = np.empty(16)
@@ -569,10 +713,7 @@ def cnot_search(
         for k in range(12, 16):
             start[k] = draw[k] * 2.0 * math.pi
         starts.append(start)
-    return _multistart(
-        manifold, target, starts, seed,
-        {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 8000, "maxfev": 12000},
-    )
+    return _multistart(manifold, target, starts, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -619,15 +760,15 @@ def feasibility_report(
     enc: Encoding,
     target_label: str,
     search: GateSearchResult,
-    floor: GridFloor | None = None,
+    floor: float | None = None,
 ) -> dict:
-    """JSON-ready summary of a gate-feasibility certification."""
+    """JSON-ready summary of a gate search and, if given, its proven floor."""
     return {
         "encoding": enc.label,
         "N": enc.basis.total_photons,
         "target_gate": target_label,
         "best_error": search.error,
-        "certified_floor": None if floor is None else floor.error,
+        "certified_floor": floor,
         "restarts": search.restarts,
         "seed": search.seed,
     }

@@ -424,6 +424,16 @@ class TestLoadConfig:
                 beta = 1e300
                 n_list = 100
                 """),
+            # displacement_residual rejects the vacuum at N = 0
+            ("|alpha|^2 = 0 must be < min N = 0", """
+                [experiment]
+                name = convergence-displacement
+                [parameters]
+                alpha = 0
+                k = 0
+                n_list = 0
+                n_max = 0
+                """),
         ]
         for fragment, body in cases:
             path = write_ini(tmp_path, body)
@@ -432,6 +442,17 @@ class TestLoadConfig:
             assert any(
                 fragment in v for v in err.value.violations
             ), f"missing {fragment!r} in {err.value.violations}"
+        # coherent_window_fidelity(0, 0, 0) is 1.0, so the vacuum at N = 0
+        # must validate
+        vacuum = write_ini(tmp_path, """
+            [experiment]
+            name = convergence-coherent
+            [parameters]
+            alpha = 0
+            n_list = 0, 4
+            n_max = 0
+            """)
+        assert load_config(vacuum).parameters["alpha"] == 0
 
     def test_unknown_format(self, tmp_path):
         path = write_ini(

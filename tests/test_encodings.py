@@ -15,6 +15,7 @@ from ssrc.encodings import (
     coherent_like_encoding,
     feasibility_report,
     fock_encoding,
+    fock_pair_floor,
     gate_error,
     grid_error_floor,
     hadamard_gate,
@@ -29,12 +30,22 @@ from ssrc.encodings import (
     sg_manifold_unitary,
     t_gate,
 )
+from ssrc.encodings import _composite_codes, _MeshManifold, _RotationManifold
 from ssrc.hilbert import DimensionCapError, State, make_basis
 from ssrc.schwinger import exp_unitary, j_operator, rotation
 
 FIXTURES = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "oracles.json").read_text()
 )
+
+FLOOR_TARGETS = {
+    "hadamard": hadamard_gate(),
+    "t_hadamard": t_gate() @ hadamard_gate(),
+    "ry0.7": r_y(0.7),
+    "ry2.2": r_y(2.2),
+    "rz1.1": r_z(1.1),
+    "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+}
 
 
 class TestEncodingConstruction:
@@ -179,6 +190,12 @@ class TestDualRailUniversality:
         assert res.error <= 1e-8
 
 
+# Searches and scans land a few ulps below the exact floor (at most 1.6e-15
+# below it at N = 5); 1e-14 is that rounding allowance, not a tolerance on
+# the floor.
+ROUNDING = 1e-14
+
+
 class TestGateFloors:
     @pytest.mark.parametrize("n", [2, 3])
     def test_hadamard_floor_matches_fixture(self, n):
@@ -187,17 +204,15 @@ class TestGateFloors:
             hadamard_gate(), enc, resolution=0.05, polish=True
         )
         want = FIXTURES["gate_floors"]["hadamard"][str(n)]
-        # A coarser grid cannot go below the finely-polished floor by
-        # more than polish slack, and must stay near it from above.
-        assert floor.error >= want - 1e-9
-        assert floor.error <= want + 5e-3
+        assert abs(fock_pair_floor(hadamard_gate(), n) - want) <= 1e-12
+        assert abs(floor.error - want) <= 1e-12
 
     def test_search_never_beats_certified_floor(self):
         n = 2
         enc = fock_encoding(make_basis(2, n))
-        want = FIXTURES["gate_floors"]["hadamard"][str(n)]
+        floor = fock_pair_floor(hadamard_gate(), n)
         res = sg_gate_search(hadamard_gate(), enc, restarts=4, seed=5)
-        assert res.error >= want - 1e-4
+        assert res.error >= floor - ROUNDING
         assert res.error > 0.05
 
     def test_t_then_hadamard_floor(self):
@@ -205,7 +220,35 @@ class TestGateFloors:
         target = hadamard_gate() @ t_gate()
         res = sg_gate_search(target, enc, restarts=4, seed=19)
         want = FIXTURES["gate_floors"]["t_hadamard_n3"]
-        assert res.error >= want - 1e-4
+        floor = fock_pair_floor(target, 3)
+        assert abs(floor - want) <= 1e-12
+        assert res.error >= floor - ROUNDING
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("name", sorted(FLOOR_TARGETS))
+    def test_proven_floor_below_search(self, name, n):
+        target = FLOOR_TARGETS[name]
+        enc = fock_encoding(make_basis(2, n))
+        res = sg_gate_search(target, enc, restarts=4, seed=n)
+        assert fock_pair_floor(target, n) <= res.error + ROUNDING
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("name", sorted(FLOOR_TARGETS))
+    def test_polished_scan_reaches_proven_floor(self, name, n):
+        target = FLOOR_TARGETS[name]
+        enc = fock_encoding(make_basis(2, n))
+        scan = grid_error_floor(target, enc, resolution=0.05, polish=True)
+        assert abs(scan.error - fock_pair_floor(target, n)) <= 1e-12
+
+    def test_dual_rail_floor_is_zero_for_unitaries(self):
+        for target in FLOOR_TARGETS.values():
+            assert fock_pair_floor(target, 1) <= ROUNDING
+
+    def test_floor_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="at least one photon"):
+            fock_pair_floor(hadamard_gate(), 0)
+        with pytest.raises(ValueError, match="must be 2x2"):
+            fock_pair_floor(np.eye(3), 2)
 
     def test_grid_floor_polish_only_improves(self):
         enc = fock_encoding(make_basis(2, 2))
@@ -217,6 +260,48 @@ class TestGateFloors:
         )
         assert polished.error <= rough.error + 1e-15
         assert rough.grid_error == rough.error
+
+
+def _central_differences(f, x, h=1e-6):
+    grad = np.empty(len(x))
+    for i in range(len(x)):
+        step = np.zeros(len(x))
+        step[i] = h
+        grad[i] = (f(x + step)[0] - f(x - step)[0]) / (2 * h)
+    return grad
+
+
+class TestAnalyticGradients:
+    # Central differences at h = 1e-6 carry about 1e-10 of rounding error.
+    FD_TOL = 1e-8
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rotation_manifold(self, n):
+        enc = fock_encoding(make_basis(2, n))
+        rng = np.random.default_rng(100 + n)
+        for target in (hadamard_gate(), t_gate() @ hadamard_gate()):
+            manifold = _RotationManifold(enc, target)
+            for _ in range(3):
+                x = rng.uniform(0.0, 2.0 * math.pi, 3)
+                value, grad = manifold.value_and_grad(x)
+                assert abs(value - manifold.error(x)) <= 1e-14
+                want = _central_differences(manifold.value_and_grad, x)
+                assert np.max(np.abs(grad - want)) <= self.FD_TOL
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_mesh_manifold(self, n):
+        enc = fock_encoding(make_basis(2, n))
+        basis = make_basis(4, 2 * n)
+        manifold = _MeshManifold(
+            basis, _composite_codes(enc, enc, basis), cnot_gate()
+        )
+        rng = np.random.default_rng(200 + n)
+        for _ in range(2):
+            x = rng.uniform(0.0, 2.0 * math.pi, 16)
+            value, grad = manifold.value_and_grad(x)
+            assert abs(value - manifold.error(x)) <= 1e-14
+            want = _central_differences(manifold.value_and_grad, x)
+            assert np.max(np.abs(grad - want)) <= self.FD_TOL
 
 
 class TestCnot:
@@ -231,6 +316,15 @@ class TestCnot:
         want = FIXTURES["gate_floors"]["cnot"]["1"]
         assert res.error >= want - 1e-4
         assert res.error > 0.05
+
+    def test_single_restart_moves_off_its_start(self):
+        # The all-zero mesh is stationary for CNOT; the first start is
+        # offset from it, so even one restart must descend.
+        enc = fock_encoding(make_basis(2, 1))
+        res = cnot_search(enc, restarts=1, seed=1)
+        assert res.iterations > 0
+        assert np.max(np.abs(np.array(res.params) - 1e-3)) > 1e-2
+        assert res.error < 0.5 - 1e-3
 
     def test_dimension_cap(self):
         enc = fock_encoding(make_basis(2, 2))
@@ -253,13 +347,13 @@ class TestFeasibilityReport:
     def test_report_fields(self):
         enc = fock_encoding(make_basis(2, 2))
         search = sg_gate_search(hadamard_gate(), enc, restarts=1, seed=2)
-        floor = grid_error_floor(hadamard_gate(), enc, resolution=0.1)
+        floor = fock_pair_floor(hadamard_gate(), 2)
         report = feasibility_report(enc, "hadamard", search, floor)
         assert report["encoding"] == "fock-N2"
         assert report["N"] == 2
         assert report["target_gate"] == "hadamard"
         assert report["best_error"] == search.error
-        assert report["certified_floor"] == floor.error
+        assert report["certified_floor"] == floor
         assert report["restarts"] == 1
         json.dumps(report)  # must be serializable as-is
 

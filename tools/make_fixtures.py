@@ -2,9 +2,13 @@
 
 Every numeric reference the test suite compares against is computed here
 from first principles: closed-form series are evaluated with mpmath at 40
-significant digits (far beyond double precision), and optimization floors
-come from the dense-grid certification oracle.  Values are frozen as
-25-digit decimal strings so regeneration is reproducible and diffable.
+significant digits (far beyond double precision), and the Hadamard and
+T-then-Hadamard gate floors come from the proven Fock-pair closed form
+(``ssrc.encodings.fock_pair_floor``) evaluated in mpmath.  Series values are
+frozen as 25-digit decimal strings so regeneration is reproducible and
+diffable; the gate floors are stored as the nearest doubles.  The CNOT
+entries are search results, not certificates: they are recorded once from
+``cnot_search`` and kept as found when the file already holds them.
 
 Run from the repository root:
 
@@ -211,31 +215,41 @@ def overlap_fixture() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Certified gate-error floors (dense grid + polish; double precision)
+# Gate-error floors: the proven Fock-pair closed form (N >= 2) in mpmath;
+# CNOT search results
 
 
-def gate_floor_fixture() -> dict:
-    hadamard = {}
-    for n in (2, 3, 4):
-        enc = en.fock_encoding(make_basis(2, n))
-        floor = en.grid_error_floor(
-            en.hadamard_gate(), enc, resolution=1e-2
-        )
-        hadamard[str(n)] = floor.error
-    enc3 = en.fock_encoding(make_basis(2, 3))
-    th_floor = en.grid_error_floor(
-        en.t_gate() @ en.hadamard_gate(), enc3, resolution=1e-2
-    )
+def fock_pair_floor_mp(g: mp.matrix) -> mp.mpf:
+    """1 - max(|G00|+|G11|, |G01|+|G10|)/2, the N >= 2 floor."""
+    diag = abs(g[0, 0]) + abs(g[1, 1])
+    anti = abs(g[0, 1]) + abs(g[1, 0])
+    return 1 - max(diag, anti) / 2
+
+
+def cnot_fixture() -> dict:
+    path = OUT / "oracles.json"
+    if path.exists():
+        old = json.loads(path.read_text())["gate_floors"]
+        if "cnot" in old:
+            return {k: old[k] for k in ("cnot", "cnot_restarts")}
     dual = en.fock_encoding(make_basis(2, 1))
     cnot1 = en.cnot_search(dual, restarts=16)
     enc2 = en.fock_encoding(make_basis(2, 2))
     cnot2 = en.cnot_search(enc2, restarts=8)
     return {
-        "resolution": 1e-2,
-        "hadamard": hadamard,
-        "t_hadamard_n3": th_floor.error,
         "cnot": {"1": cnot1.error, "2": cnot2.error},
         "cnot_restarts": {"1": 16, "2": 8},
+    }
+
+
+def gate_floor_fixture() -> dict:
+    hadamard = mp.matrix([[1, 1], [1, -1]]) / mp.sqrt(2)
+    t_gate = mp.diag([1, mp.expjpi(mp.mpf(1) / 4)])
+    h_floor = float(fock_pair_floor_mp(hadamard))
+    return {
+        "hadamard": {str(n): h_floor for n in (2, 3, 4)},
+        "t_hadamard_n3": float(fock_pair_floor_mp(t_gate * hadamard)),
+        **cnot_fixture(),
     }
 
 
