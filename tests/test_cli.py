@@ -32,6 +32,10 @@ def write_ini(tmp_path, body, name="config.ini"):
     return path
 
 
+ORACLES = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "oracles.json").read_text()
+)
+
 PHASE_LOCKING = """
     [experiment]
     name = phase-locking
@@ -642,17 +646,30 @@ class TestMain:
         assert "exceeds the largest occupation" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @staticmethod
+    def _validate_then_run(tmp_path, body):
+        """Exit codes of ``validate`` and ``run`` on one config."""
+        path = write_ini(tmp_path, body)
+        out_dir = tmp_path / "out"
+        return (main(["validate", "--config", str(path)]),
+                main(["run", "--config", str(path), "--out", str(out_dir)]),
+                out_dir)
+
+    def _assert_run_exit_2(self, tmp_path, capsys, body, message):
+        codes = self._validate_then_run(tmp_path, body)
+        assert codes[:2] == (0, 2)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not codes[2].exists()
+
     @pytest.mark.parametrize("n_list, n_max, message", [
         # The window misses the displaced state's mass.
         ("100, 200", 5, "finite-N side has 4.813e-01 mass outside n_max=5"),
-        # The double-precision series overflow (n! beyond 170!).
-        ("200, 300", 180, "OverflowError"),
     ])
     def test_library_rejects_run_exit_2(self, tmp_path, capsys, n_list,
                                         n_max, message):
-        path = write_ini(
-            tmp_path,
-            f"""
+        self._assert_run_exit_2(tmp_path, capsys, f"""
             [experiment]
             name = convergence-displacement
             [parameters]
@@ -660,15 +677,53 @@ class TestMain:
             k = 2
             n_list = {n_list}
             n_max = {n_max}
-            """,
-        )
-        assert main(["validate", "--config", str(path)]) == 0
-        out_dir = tmp_path / "out"
-        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-        assert "Traceback" not in err
-        assert not out_dir.exists()
+            """, message)
+
+    def test_squeezed_overflow_run_exit_2(self, tmp_path, capsys):
+        # cosh(800) in the truncated squeezed reference overflows a double.
+        self._assert_run_exit_2(tmp_path, capsys, """
+            [experiment]
+            name = convergence-squeezed
+            [parameters]
+            r = 800
+            n_list = 10
+            n_max = 4
+            """, "OverflowError")
+
+    def test_displacement_beyond_float_factorials_runs(self, tmp_path):
+        # n_max = 180 > 170 once overflowed the double-precision factorial
+        # series; the window now runs and matches the mpmath oracle.
+        codes = self._validate_then_run(tmp_path, """
+            [experiment]
+            name = convergence-displacement
+            [parameters]
+            alpha = 2.0
+            k = 2
+            n_list = 200, 300
+            n_max = 180
+            """)
+        assert codes[:2] == (0, 0)
+        rows = (codes[2] / "convergence-displacement.csv").read_text()
+        got = [float(line.split(",")[1]) for line in rows.splitlines()[1:]]
+        want = [float(case["residual"])
+                for case in ORACLES["displacement"]["large"]
+                if (case["alpha"], case["k"], case["n_max"]) == (2.0, 2, 180)]
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_displacement_zero_alpha_residual_zero(self, tmp_path):
+        codes = self._validate_then_run(tmp_path, """
+            [experiment]
+            name = convergence-displacement
+            [parameters]
+            alpha = 0
+            k = 3
+            n_list = 10, 20
+            n_max = 6
+            """)
+        assert codes[:2] == (0, 0)
+        rows = (codes[2] / "convergence-displacement.csv").read_text()
+        assert [float(line.split(",")[1])
+                for line in rows.splitlines()[1:]] == [0.0, 0.0]
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.ini"

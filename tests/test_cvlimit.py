@@ -84,15 +84,13 @@ class TestCoherent:
                 assert abs(wrapped) < 1e-10
 
     def test_fixture_infidelities(self):
-        # The fidelity itself is computed to machine precision; comparing
-        # infidelities near 1e-9 therefore carries ~1e-16/1e-9 relative
-        # cancellation noise, hence the 1e-7 relative gate.
+        # The fidelity is computed to machine precision, so the infidelity
+        # (down to 1.5e-13 at N = 901,042) is pinned in absolute terms.
         fix = FIXTURES["coherent"]
         alpha, n_max = fix["alpha"], fix["n_max"]
         for row in fix["grid"]:
             got = 1.0 - coherent_window_fidelity(alpha, row["n"], n_max)
-            want = float(row["infidelity"])
-            assert abs(got - want) <= 1e-7 * want
+            assert abs(got - float(row["infidelity"])) <= 1e-14
 
     def test_truncated_reference_tail(self):
         # n_max = 10 keeps the Poisson tail above double roundoff; at
@@ -128,9 +126,9 @@ class TestDisplacement:
             j_operator(basis, "z"), -phi
         )
         moved = u.apply(basis_state(basis, (k, n - k)))
-        from ssrc.cvlimit import _ssrc_displaced_window
+        from ssrc.cvlimit import _displaced_window
 
-        window = _ssrc_displaced_window(alpha, k, n, n_max)
+        window = _displaced_window(alpha, k, n_max, n)
         got = np.asarray(moved.amplitudes)[: n_max + 1]
         # Global phase of the unitary column is fixed by construction.
         assert np.max(np.abs(window - got)) < 1e-12
@@ -140,8 +138,48 @@ class TestDisplacement:
         alpha, k, n_max = fix["alpha"], fix["k"], fix["n_max"]
         for row in fix["grid"]:
             got = displacement_residual(alpha, k, row["n"], n_max)
-            want = float(row["residual"])
-            assert abs(got - want) <= 1e-8 * want
+            assert abs(got - float(row["residual"])) <= 1e-15
+
+    def test_large_window_fixtures(self):
+        # Windows beyond 170! and powers beyond double range, and one
+        # where the explicit alternating series loses every digit.
+        for case in FIXTURES["displacement"]["large"]:
+            got = displacement_residual(case["alpha"], case["k"], case["n"],
+                                        case["n_max"])
+            assert got == pytest.approx(float(case["residual"]), rel=1e-13,
+                                        abs=0)
+
+    def test_zero_alpha_is_the_fock_state(self):
+        for n_tot in (7, 1000):
+            assert displacement_residual(0.0, 3, n_tot, 6) == 0.0
+        window = displaced_fock_window(0j, 2, 5)
+        assert np.array_equal(window, np.eye(6)[2])
+
+    @given(
+        st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=1.6)),
+        st.floats(min_value=-math.pi, max_value=math.pi),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=5, max_value=30),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_windows_match_rotation_and_expm(self, mag, ang, k, n):
+        from scipy.linalg import expm
+
+        from ssrc.cvlimit import _displaced_window
+
+        alpha = mag * complex(math.cos(ang), math.sin(ang))
+        basis = make_basis(2, n)
+        theta = 2.0 * math.asin(abs(alpha) / math.sqrt(n))
+        u = rotation(basis, theta, ang) @ exp_unitary(
+            j_operator(basis, "z"), -ang
+        )
+        column = np.asarray(u.apply(basis_state(basis, (k, n - k))).amplitudes)
+        window = _displaced_window(alpha, k, n, n)
+        assert np.max(np.abs(window - column)) < 1e-12
+        a = np.diag(np.sqrt(np.arange(1, 60)), 1)
+        d = expm(alpha * a.conj().T - np.conj(alpha) * a)
+        assert np.max(np.abs(displaced_fock_window(alpha, k, 12)
+                             - d[:13, k])) < 1e-13
 
     def test_window_too_small(self):
         with pytest.raises(WindowTooSmallError):
@@ -196,12 +234,80 @@ class TestSqueezed:
         got = squeezed_window_fidelity(
             fix["r"], fix["phi"], fix["n_pairs"], fix["n_max"]
         )
-        assert abs(got - float(fix["fidelity"])) <= 1e-8
+        assert abs(got - float(fix["fidelity"])) <= 1e-14
+
+    def test_large_fixture_infidelities(self):
+        # The oracle sums all N + 1 weights; the library stops at its
+        # proven truncation bound.
+        for case in FIXTURES["squeezed"]["large"]:
+            got = 1.0 - squeezed_window_fidelity(
+                case["r"], 0.0, case["n_pairs"], case["n_max"])
+            assert abs(got - float(case["infidelity"])) <= 1e-14
 
     def test_reference_even_support(self):
         ref = truncated_squeezed_reference(0.5, 0.0, 11)
         assert np.all(ref.coefficients[1::2] == 0)
         assert abs(np.linalg.norm(ref.coefficients) - 1.0) < 1e-12
+
+
+class TestWindows:
+    """Window quantities cost O(window) and agree with the full states."""
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 1000, 100_003])
+    def test_coherent_window_is_full_prefix(self, n):
+        from ssrc.cvlimit import _coherent_amplitudes
+
+        for alpha in (0.0, 0.3, 0.9 - 0.4j, -0.7j):
+            full = np.asarray(coherent_from_rotation(alpha, n).amplitudes)
+            for n_max in (0, 1, 5, 24, 30):
+                if n_max > n:
+                    continue
+                window = _coherent_amplitudes(alpha, n, n_max)
+                assert np.array_equal(window, full[: n_max + 1])
+                ref = truncated_coherent_reference(alpha, n_max)
+                want = min(1.0, abs(np.vdot(ref.coefficients,
+                                            full[: n_max + 1])) ** 2)
+                assert coherent_window_fidelity(alpha, n, n_max) == want
+
+    @pytest.mark.parametrize("r, n", [(0.0, 7), (0.5, 1), (0.5, 9),
+                                      (0.8, 5000), (3.0, 4000)])
+    def test_squeezed_window_matches_full_state(self, r, n):
+        from ssrc.cvlimit import _squeezed_amplitudes
+
+        full = np.asarray(squeezed_from_rotation(r, 0.4, n).amplitudes)
+        for n_max in sorted({0, 1, 2, 7, 20, 2 * n} & set(range(2 * n + 1))):
+            window = _squeezed_amplitudes(r, 0.4, n, n_max // 2)
+            assert np.max(np.abs(window - full[: n_max + 1: 2])) <= 1e-15
+
+    @pytest.mark.parametrize("n, n_max", [(1, 0), (2, 1), (50, 10),
+                                          (10_000, 25)])
+    def test_commutator_matches_full_matrices(self, n, n_max):
+        basis = make_basis(2, n)
+        q0 = quadrature_operator(basis, 0.0).matrix
+        q1 = quadrature_operator(basis, math.pi / 2).matrix
+        comm = (q0 @ q1 - q1 @ q0).tocsr()
+        sector = comm[: n_max + 1, : n_max + 1].toarray()
+        sector -= 1j * np.eye(n_max + 1)
+        assert commutator_residual(n, n_max) == float(np.max(np.abs(sector)))
+
+    def test_windows_build_no_basis(self, monkeypatch):
+        import ssrc.cvlimit as cvlimit
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("make_basis called")
+
+        monkeypatch.setattr(cvlimit, "make_basis", refuse)
+        assert 0 < coherent_window_fidelity(1.1 + 0.2j, 901_042, 30) <= 1
+        assert 0 < squeezed_window_fidelity(0.7, 0.3, 489_285, 20) <= 1
+        assert 0 < displacement_residual(1.2, 6, 99_000, 60) < 1e-3
+
+    def test_windows_reject_out_of_range(self):
+        with pytest.raises(ValueError):
+            coherent_window_fidelity(0.5, 4, 5)
+        with pytest.raises(ValueError):
+            squeezed_window_fidelity(0.5, 0.0, 2, 5)
+        with pytest.raises(ValueError):
+            commutator_residual(10, -1)
 
 
 class TestQuadratures:

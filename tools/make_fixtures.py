@@ -75,7 +75,7 @@ def coherent_amp(alpha: mp.mpf, n: int, k: int) -> mp.mpf:
 def coherent_fixture() -> dict:
     alpha, n_max = mp.mpf(1), 30
     grid = []
-    for n in (100, 316, 1000, 3162, 10000):
+    for n in (100, 316, 1000, 3162, 10000, 901042):
         ref = [
             mp.e ** (-alpha**2 / 2) * alpha**k / mp.sqrt(mp.factorial(k))
             for k in range(n_max + 1)
@@ -92,50 +92,65 @@ def coherent_fixture() -> dict:
 # Displacement residual (window l2 distance, both sides renormalized)
 
 
+def displacement_residual_mp(alpha: mp.mpf, k: int, n: int,
+                             n_max: int) -> mp.mpf:
+    finite = []
+    for m in range(n_max + 1):
+        pref = mp.sqrt(
+            mp.factorial(m)
+            * mp.factorial(n - m)
+            / (mp.factorial(k) * mp.factorial(n - k))
+        )
+        tot = mp.mpf(0)
+        for l in range(max(0, k + m - n), min(k, m) + 1):
+            tot += (
+                mp.binomial(k, l)
+                * mp.binomial(n - k, m - l)
+                * (-alpha) ** (k - l)
+                * alpha ** (m - l)
+                * n ** (-mp.mpf(k + m - 2 * l) / 2)
+                * (1 - alpha**2 / n) ** (mp.mpf(n - k - m + 2 * l) / 2)
+            )
+        finite.append(pref * tot)
+    exact = []
+    for m in range(n_max + 1):
+        tot = mp.mpf(0)
+        for l in range(min(k, m) + 1):
+            tot += (
+                (-alpha) ** (k - l)
+                * alpha ** (m - l)
+                / (mp.factorial(k - l) * mp.factorial(m - l))
+                * mp.sqrt(mp.factorial(k) * mp.factorial(m))
+                / mp.factorial(l)
+            )
+        exact.append(mp.e ** (-alpha**2 / 2) * tot)
+    fin_norm = mp.sqrt(mp.fsum(v**2 for v in finite))
+    ex_norm = mp.sqrt(mp.fsum(v**2 for v in exact))
+    return mp.sqrt(
+        mp.fsum(
+            (a / fin_norm - b / ex_norm) ** 2 for a, b in zip(finite, exact)
+        )
+    )
+
+
 def displacement_fixture() -> dict:
     alpha, k, n_max = mp.mpf(1), 2, 40
-    grid = []
-    for n in (1000, 10000, 100000):
-        finite = []
-        for m in range(n_max + 1):
-            pref = mp.sqrt(
-                mp.factorial(m)
-                * mp.factorial(n - m)
-                / (mp.factorial(k) * mp.factorial(n - k))
-            )
-            tot = mp.mpf(0)
-            for l in range(max(0, k + m - n), min(k, m) + 1):
-                tot += (
-                    mp.binomial(k, l)
-                    * mp.binomial(n - k, m - l)
-                    * (-alpha) ** (k - l)
-                    * alpha ** (m - l)
-                    * n ** (-mp.mpf(k + m - 2 * l) / 2)
-                    * (1 - alpha**2 / n) ** (mp.mpf(n - k - m + 2 * l) / 2)
-                )
-            finite.append(pref * tot)
-        exact = []
-        for m in range(n_max + 1):
-            tot = mp.mpf(0)
-            for l in range(min(k, m) + 1):
-                tot += (
-                    (-alpha) ** (k - l)
-                    * alpha ** (m - l)
-                    / (mp.factorial(k - l) * mp.factorial(m - l))
-                    * mp.sqrt(mp.factorial(k) * mp.factorial(m))
-                    / mp.factorial(l)
-                )
-            exact.append(mp.e ** (-alpha**2 / 2) * tot)
-        fin_norm = mp.sqrt(mp.fsum(v**2 for v in finite))
-        ex_norm = mp.sqrt(mp.fsum(v**2 for v in exact))
-        resid = mp.sqrt(
-            mp.fsum(
-                (a / fin_norm - b / ex_norm) ** 2
-                for a, b in zip(finite, exact)
-            )
-        )
-        grid.append({"n": n, "residual": s(resid)})
-    return {"alpha": 1.0, "k": k, "n_max": n_max, "grid": grid}
+    grid = [
+        {"n": n, "residual": s(displacement_residual_mp(alpha, k, n, n_max))}
+        for n in (1000, 10000, 100000)
+    ]
+    # Windows beyond 170! or double-range powers, and one (|alpha| = 4,
+    # k = 40) where the alternating series cancels about 20 digits, hence
+    # 60-digit arithmetic.
+    large = []
+    with mp.workdps(60):
+        for a, kk, n, nm in ((0.5, 100, 1000, 120), (2.0, 2, 200, 180),
+                             (2.0, 2, 300, 180), (4.0, 40, 5000, 160)):
+            resid = displacement_residual_mp(mp.mpf(a), kk, n, nm)
+            large.append({"alpha": a, "k": kk, "n": n, "n_max": nm,
+                          "residual": s(resid)})
+    return {"alpha": 1.0, "k": k, "n_max": n_max, "grid": grid,
+            "large": large}
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +205,54 @@ def squeezed_fixture() -> dict:
         "n_max": n_max,
         "fidelity": s(fid),
         "log_norm_grid": log_grid,
+        "large": [squeezed_large_fixture(rr, 489285, n_max)
+                  for rr in ("0.5", "0.8")],
     }
+
+
+def squeezed_weight(t2: mp.mpf, n: int, k: int) -> mp.mpf:
+    """|a_k|^2 / |a_0|^2 = C(N,k)^2 tanh^{2k} r (2k)! (2(N-k))! / (2N)!."""
+    return (
+        mp.binomial(n, k) ** 2
+        * t2**k
+        * mp.factorial(2 * k)
+        * mp.factorial(2 * (n - k))
+        / mp.factorial(2 * n)
+    )
+
+
+def squeezed_large_fixture(r: str, n: int, n_max: int) -> dict:
+    """Window infidelity at large N with all N + 1 weights summed.
+
+    The weights are accumulated through the exact ratio
+    w_{k+1}/w_k = t^2 (2k+1)(N-k) / ((k+1)(2N-2k-1)), which is checked
+    against the defining formula every 50,000 steps and at k = N.
+    """
+    t2 = mp.tanh(mp.mpf(r)) ** 2
+    k_max = n_max // 2
+    w, total, window = mp.mpf(1), mp.mpf(0), []
+    for k in range(n + 1):
+        if k % 50000 == 0 or k == n:
+            want = squeezed_weight(t2, n, k)
+            assert abs(w - want) <= mp.mpf(10) ** -30 * want, (r, k)
+        if k <= k_max:
+            window.append(w)
+        total += w
+        w *= t2 * (2 * k + 1) * (n - k) / ((k + 1) * (2 * n - 2 * k - 1))
+    ref = [
+        mp.tanh(mp.mpf(r)) ** k
+        * mp.sqrt(mp.factorial(2 * k))
+        / (2**k * mp.factorial(k))
+        for k in range(k_max + 1)
+    ]
+    ref_norm = mp.sqrt(mp.fsum(v**2 for v in ref))
+    fid = (
+        mp.fsum(mp.sqrt(wk / total) * (b / ref_norm)
+                for wk, b in zip(window, ref))
+        ** 2
+    )
+    return {"r": float(r), "n_pairs": n, "n_max": n_max,
+            "infidelity": s(1 - fid)}
 
 
 # ---------------------------------------------------------------------------
