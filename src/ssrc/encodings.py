@@ -306,9 +306,7 @@ def _pair_eig(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenpairs (w, V) of Jy on a mode pair, and the diagonal mz of Jz."""
     w, v = np.linalg.eigh(j_operator(basis, "y", pair).to_dense())
-    mz = np.array(
-        [(occ[pair[0]] - occ[pair[1]]) / 2.0 for occ in basis.occupations]
-    )
+    mz = j_operator(basis, "z", pair).matrix.diagonal().real
     return w, v, mz
 
 
@@ -596,17 +594,17 @@ def _composite_codes(
     sub_a, sub_b = enc_a.basis, enc_b.basis
     amps_a = enc_a.code_vectors()
     amps_b = enc_b.code_vectors()
-    codes = np.zeros((4, basis.dimension), dtype=np.complex128)
-    for idx, occ in enumerate(basis.occupations):
-        front, back = occ[:2], occ[2:]
-        if sum(front) != sub_a.total_photons:
-            continue
-        ia = sub_a.index_of(front)
-        ib = sub_b.index_of(back)
-        for x in range(2):
-            for y in range(2):
-                codes[2 * x + y, idx] = amps_a[x, ia] * amps_b[y, ib]
-    return codes
+    occ = basis.occupations
+    live = np.flatnonzero(occ[:, :2].sum(axis=1) == sub_a.total_photons)
+    ia = sub_a.rank(occ[live, :2])
+    ib = sub_b.rank(occ[live, 2:])
+    x, y = amps_a[:, None, ia], amps_b[None, :, ib]
+    # Real arithmetic: a SIMD complex product may fuse multiply-adds and
+    # so change the last bits from one CPU to another.
+    codes = np.zeros((2, 2, basis.dimension), dtype=np.complex128)
+    codes.real[:, :, live] = x.real * y.real - x.imag * y.imag
+    codes.imag[:, :, live] = x.real * y.imag + x.imag * y.real
+    return codes.reshape(4, basis.dimension)
 
 
 class _MeshManifold(_Manifold):
@@ -619,7 +617,7 @@ class _MeshManifold(_Manifold):
         self.d = self.g_conj.shape[0]
         self.blocks = [_pair_eig(basis, pair) for pair in _MESH_PAIRS]
         self.jys = [(vy * wy) @ vy.conj().T for wy, vy, _ in self.blocks]
-        self.occ_matrix = np.array(basis.occupations, dtype=float)
+        self.occ_matrix = basis.occupations.astype(float)
 
     def unitary(self, params: Sequence[float]) -> np.ndarray:
         u = np.eye(self.dim, dtype=np.complex128)

@@ -3,8 +3,10 @@
 A ``FockBasis`` enumerates all K-mode occupation vectors ``(n_1, ..., n_K)``
 with ``sum(n_i) = N`` in ascending lexicographic order, so for two modes the
 basis index equals the first mode's occupation: index ``n`` is
-``|n>_a |N-n>_b``.  An ``State`` is a normalized complex amplitude vector
-over such a basis.
+``|n>_a |N-n>_b``.  Its ``occupations`` table (one row per index) and its
+``rank`` (rows to indices) are the one map between the two; other modules
+work on whole columns of the table.  A ``State`` is a normalized complex
+amplitude vector over such a basis.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,14 +43,12 @@ class BasisMismatchError(ValueError):
     """Operands live on different bases."""
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Yield occupation vectors summing to ``total`` in ascending lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _comb(x: np.ndarray, r: int) -> np.ndarray:
+    """C(x + r, r) elementwise, exact in the dtype of ``x``."""
+    c = np.ones_like(x)
+    for t in range(1, r + 1):
+        c = c * (x + t) // t  # C(x+t, t), an integer at every step
+    return c
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,42 @@ class FockBasis:
                          self.num_modes - 1)
 
     @cached_property
-    def occupations(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(_compositions(self.total_photons, self.num_modes))
+    def occupations(self) -> np.ndarray:
+        """Read-only (dimension, K) table; row ``i`` is state ``i``."""
+        # Expand every prefix by each value its next mode can take, in
+        # ascending order; the last mode takes what is left.
+        left = np.array([self.total_photons], dtype=np.int64)
+        cols: list[np.ndarray] = []
+        for _ in range(self.num_modes - 1):
+            counts = left + 1
+            parent = np.repeat(np.arange(len(left)), counts)
+            value = np.arange(len(parent)) - np.repeat(
+                np.cumsum(counts) - counts, counts)
+            cols = [col[parent] for col in cols] + [value]
+            left = left[parent] - value
+        table = np.column_stack(cols + [left])
+        table.flags.writeable = False
+        return table
+
+    def rank(self, rows: np.ndarray) -> np.ndarray:
+        """Basis indices of valid occupation rows, shape (M, K).
+
+        Occupations before a row that first differ from it at mode m (a
+        smaller value there) number C(left+rest, rest) - C(left-n+rest,
+        rest), with ``left`` the photons not in modes before m and ``rest``
+        the modes after it.  Sums run in int64 while K times the dimension
+        fits, else in exact Python integers.
+        """
+        exact = (np.int64 if self.num_modes * self.dimension < 1 << 63
+                 else object)
+        rows = np.asarray(rows).astype(exact)
+        index = np.zeros(len(rows), dtype=exact)
+        left = np.full(len(rows), self.total_photons, dtype=exact)
+        for m in range(self.num_modes - 1):
+            rest = self.num_modes - 1 - m
+            index += _comb(left, rest) - _comb(left - rows[:, m], rest)
+            left -= rows[:, m]
+        return index
 
     def index_of(self, occupation: Sequence[int]) -> int:
         key = tuple(int(n) for n in occupation)
@@ -75,18 +109,10 @@ class FockBasis:
                 f"occupation {key} is not in the (K={self.num_modes}, "
                 f"N={self.total_photons}) basis"
             )
-        # Occupations before ``key`` that first differ at mode m (v < n
-        # there) number C(left+rest, rest) - C(left-n+rest, rest).
-        index, left = 0, self.total_photons
-        for m, n in enumerate(key[:-1]):
-            rest = self.num_modes - 1 - m
-            index += (math.comb(left + rest, rest)
-                      - math.comb(left - n + rest, rest))
-            left -= n
-        return index
+        return int(self.rank(np.array([key], dtype=object))[0])
 
     def occupation_of(self, index: int) -> tuple[int, ...]:
-        return self.occupations[index]
+        return tuple(int(n) for n in self.occupations[index])
 
 
 def make_basis(
@@ -133,6 +159,8 @@ class State:
         norm = float(np.linalg.norm(amps))
         if norm < 1e-300:
             raise ValueError("cannot normalize a zero amplitude vector")
+        if not math.isfinite(norm):
+            raise ValueError(f"amplitude vector has norm {norm}")
         if check_drift and abs(norm - 1.0) > NORM_DRIFT_WARN:
             logger.warning("normalization drift %.3e corrected", abs(norm - 1.0))
         if abs(norm - 1.0) > 1e-12:

@@ -118,22 +118,6 @@ class SparseOperator(LinearOp):
     def dagger(self) -> "SparseOperator":
         return SparseOperator(self.basis, self.matrix.getH(), self.hermitian_flag)
 
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self.basis, self.matrix + other.matrix)
-
-    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self.basis, self.matrix - other.matrix)
-
-    def __mul__(self, scalar: complex) -> "SparseOperator":
-        return SparseOperator(self.basis, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def max_abs(self) -> float:
-        if self.matrix.count_nonzero() == 0:
-            return 0.0
-        return float(abs(self.matrix).max())
-
     def to_json(self) -> str:
         triplets = [
             [r, c, v.real, v.imag] for r, c, v in self.entries()
@@ -209,20 +193,14 @@ def _check_pair(basis: FockBasis, mode_pair: tuple[int, int]) -> tuple[int, int]
 @lru_cache(maxsize=None)
 def _hop_csr(basis: FockBasis, i: int, j: int) -> sp.csr_matrix:
     """Sparse matrix of a_i† a_j (moves one photon from mode j to mode i)."""
-    rows, cols, vals = [], [], []
-    for col, occ in enumerate(basis.occupations):
-        nj = occ[j]
-        if nj == 0:
-            continue
-        new = list(occ)
-        new[i] += 1
-        new[j] -= 1
-        rows.append(basis.index_of(new))
-        cols.append(col)
-        vals.append(math.sqrt((occ[i] + 1) * nj))
+    cols = np.flatnonzero(basis.occupations[:, j])
+    new = basis.occupations[cols]
+    vals = np.sqrt((new[:, i] + 1) * new[:, j]).astype(np.complex128)
+    new[:, i] += 1
+    new[:, j] -= 1
     dim = basis.dimension
     return sp.coo_matrix(
-        (np.array(vals, dtype=np.complex128), (rows, cols)), shape=(dim, dim)
+        (vals, (basis.rank(new), cols)), shape=(dim, dim)
     ).tocsr()
 
 
@@ -241,11 +219,10 @@ def j_operator(
     if axis == "-":
         return SparseOperator(basis, _hop_csr(basis, j, i))
     if axis == "z":
-        diag = np.array(
-            [(occ[i] - occ[j]) / 2.0 for occ in basis.occupations],
-            dtype=np.complex128,
+        occ = basis.occupations
+        return SparseOperator(
+            basis, sp.diags((occ[:, i] - occ[:, j]) / 2.0), hermitian=True
         )
-        return SparseOperator(basis, sp.diags(diag), hermitian=True)
     plus = _hop_csr(basis, i, j)
     minus = _hop_csr(basis, j, i)
     if axis == "x":
@@ -341,18 +318,13 @@ def relative_phase_op(
     """
     i, j = _check_pair(basis, mode_pair)
     dim = basis.dimension
-    rows = np.empty(dim, dtype=int)
-    for col, occ in enumerate(basis.occupations):
-        new = list(occ)
-        if occ[j] > 0:
-            new[i] += 1
-            new[j] -= 1
-        else:
-            new[j] = occ[i]
-            new[i] = 0
-        rows[col] = basis.index_of(new)
+    occ = basis.occupations
+    hop = occ[:, j] > 0
+    new = occ.copy()
+    new[:, i] = np.where(hop, occ[:, i] + 1, 0)
+    new[:, j] = np.where(hop, occ[:, j] - 1, occ[:, i])
     mat = sp.coo_matrix(
-        (np.ones(dim, dtype=np.complex128), (rows, np.arange(dim))),
+        (np.ones(dim, dtype=np.complex128), (basis.rank(new), np.arange(dim))),
         shape=(dim, dim),
     )
     return SparseOperator(basis, mat)
@@ -390,11 +362,15 @@ def majorana_to_state(spec: MajoranaSpec, basis: FockBasis) -> State:
             [math.cos(theta / 2), cmath.exp(1j * phi) * math.sin(theta / 2)]
         )
         poly = np.convolve(poly, factor)
-    # poly[n] multiplies (a†)^n (b†)^(N-n)|vac> = sqrt(n!(N-n)!) |n, N-n>
+    # poly[n] multiplies (a†)^n (b†)^(N-n)|vac> = sqrt(n!(N-n)!) |n, N-n>;
+    # the common factor 1/sqrt(N!) keeps the amplitudes, poly[n]/sqrt(C(N,n)),
+    # within double range at large N.
+    log_fact = math.lgamma(n_tot + 1)
     amps = np.array(
         [
             poly[n]
-            * math.exp(0.5 * (math.lgamma(n + 1) + math.lgamma(n_tot - n + 1)))
+            * math.exp(0.5 * (math.lgamma(n + 1) + math.lgamma(n_tot - n + 1)
+                              - log_fact))
             for n in range(n_tot + 1)
         ],
         dtype=np.complex128,

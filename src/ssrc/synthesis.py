@@ -398,10 +398,9 @@ def _with_touchup(
     pass1 = execute_plan(plan, basis_state(basis, start_occ))
     if fidelity_goal is not None and pass1.fidelity >= fidelity_goal:
         return plan
-    last = basis.num_modes - 1
     solver = _ProductSolver(
         touch_gens,
-        [basis.total_photons - occ[last] for occ in basis.occupations],
+        _raised(basis),
         [len(pairs) for pairs in touch_pairs],
     )
     sig, achieved = solver.solve(
@@ -543,35 +542,29 @@ def _plan_with_prerotation(
 # Multimode planner
 
 
-def _support_occupations(
-    basis: FockBasis, max_order: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """Occupations with 1..max_order photons out of the last mode, with order;
-    sorted by (order, occupation)."""
-    last = basis.num_modes - 1
-    n_tot = basis.total_photons
-    occs = [
-        (occ, n_tot - occ[last])
-        for occ in basis.occupations
-        if 1 <= n_tot - occ[last] <= max_order
-    ]
-    occs.sort(key=lambda t: (t[1], t[0]))
-    return occs
+def _raised(basis: FockBasis) -> np.ndarray:
+    """Photons out of the last (reference) mode, per basis state."""
+    return basis.total_photons - basis.occupations[:, -1]
 
 
 def _multimode_generators(
     basis: FockBasis, max_order: int
-) -> tuple[list[tuple[tuple[int, int], ...]], list[tuple[int, ...]]]:
-    """Pairs tuples (one hop per raised photon) and their target occupations."""
+) -> tuple[list[tuple[tuple[int, int], ...]], np.ndarray]:
+    """Pairs tuples (one hop per raised photon) for every state with
+    1..max_order photons out of the last mode, and those states' indices;
+    sorted by (order, occupation)."""
+    order = _raised(basis)
+    support = np.flatnonzero((order >= 1) & (order <= max_order))
+    # Indices ascend with the occupation, so a stable sort by order
+    # leaves ties in occupation order.
+    support = support[np.argsort(order[support], kind="stable")]
     last = basis.num_modes - 1
-    pairs_list, occ_list = [], []
-    for occ, _order in _support_occupations(basis, max_order):
-        pairs = []
-        for mode in range(last):
-            pairs.extend([(mode, last)] * occ[mode])
-        pairs_list.append(tuple(pairs))
-        occ_list.append(occ)
-    return pairs_list, occ_list
+    pairs_list = [
+        tuple((mode, last) for mode in range(last)
+              for _ in range(basis.occupations[idx, mode]))
+        for idx in support
+    ]
+    return pairs_list, support
 
 
 def plan_multimode(
@@ -603,18 +596,21 @@ def plan_multimode(
         raise ZeroLeadingCoefficientError(
             f"|c_(0,...,0,N)| = {abs(c[start_idx]):.3e} below floor {C0_FLOOR:.1e}"
         )
-    for idx, occ in enumerate(basis.occupations):
-        if n_tot - occ[last] > max_order and abs(c[idx]) > 1e-13:
-            raise TargetOrderError(
-                f"target has support at {occ}, beyond max_order={max_order}"
-            )
+    beyond = np.flatnonzero(
+        (_raised(basis) > max_order) & (np.abs(c) > 1e-13)
+    )
+    if beyond.size:
+        raise TargetOrderError(
+            f"target has support at {basis.occupation_of(beyond[0])}, "
+            f"beyond max_order={max_order}"
+        )
 
-    pairs_list, occ_list = _multimode_generators(basis, max_order)
+    pairs_list, support = _multimode_generators(basis, max_order)
     gens = [_generator_matrix(basis, pairs) for pairs in pairs_list]
-    rhos = []
-    for mat, occ in zip(gens, occ_list):
-        element = mat[basis.index_of(occ), start_idx]
-        rhos.append((c[basis.index_of(occ)] / c[start_idx]) / element)
+    rhos = [
+        (c[idx] / c[start_idx]) / mat[idx, start_idx]
+        for mat, idx in zip(gens, support)
+    ]
     steps = _steps_from_amplitudes(rhos, pairs_list, small_angle, "match")
     # Doubled generator sweep plus trailing first-order steps for final
     # re-registration (mirrors the two-mode touch-up structure).
@@ -646,12 +642,9 @@ def random_support_target(
 ) -> State:
     """Random multimode target supported on ≤ max_order raised photons."""
     rng = SplitMix64(seed)
-    last = basis.num_modes - 1
-    n_tot = basis.total_photons
     amps = np.zeros(basis.dimension, dtype=np.complex128)
-    for idx, occ in enumerate(basis.occupations):
-        if n_tot - occ[last] <= max_order:
-            amps[idx] = rng.complex_normal()
+    for idx in np.flatnonzero(_raised(basis) <= max_order):
+        amps[idx] = rng.complex_normal()
     return State(basis, amps)
 
 

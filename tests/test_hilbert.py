@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -31,19 +32,19 @@ class TestBasis:
 
     def test_two_mode_ordering_is_first_mode_ascending(self):
         basis = make_basis(2, 4)
-        assert basis.occupations == (
-            (0, 4), (1, 3), (2, 2), (3, 1), (4, 0),
-        )
+        assert basis.occupations.tolist() == [
+            [0, 4], [1, 3], [2, 2], [3, 1], [4, 0],
+        ]
 
     def test_first_entry_concentrates_photons_in_last_mode(self):
         for modes in (2, 3, 4):
             basis = make_basis(modes, 5)
-            assert basis.occupations[0] == (0,) * (modes - 1) + (5,)
+            assert basis.occupations[0].tolist() == [0] * (modes - 1) + [5]
 
     def test_occupations_sum_to_total(self):
         basis = make_basis(4, 6)
         assert all(sum(occ) == 6 for occ in basis.occupations)
-        assert len(set(basis.occupations)) == basis.dimension
+        assert len(set(map(tuple, basis.occupations.tolist()))) == basis.dimension
 
     @given(
         st.integers(min_value=1, max_value=5),
@@ -51,9 +52,9 @@ class TestBasis:
     )
     def test_index_bijection(self, modes, n):
         basis = make_basis(modes, n)
-        for idx, occ in enumerate(basis.occupations):
+        for idx, occ in enumerate(basis.occupations.tolist()):
             assert basis.index_of(occ) == idx
-            assert basis.occupation_of(idx) == occ
+            assert basis.occupation_of(idx) == tuple(occ)
 
     def test_index_of_rejects_bad_occupations(self):
         basis = make_basis(2, 3)
@@ -90,6 +91,27 @@ class TestBasis:
         assert basis.index_of((7, 10**6 - 7)) == 7
         assert "occupations" not in vars(basis)
 
+    def test_index_of_exact_beyond_int64(self):
+        # The dimension exceeds 2**63: ranking in int64 would wrap.
+        basis = make_basis(40, 400, dimension_cap=10**80)
+        assert basis.dimension > 2**63
+        assert basis.index_of((400,) + (0,) * 39) == basis.dimension - 1
+        assert basis.index_of((0,) * 39 + (400,)) == 0
+        assert "occupations" not in vars(basis)
+
+    @pytest.mark.parametrize("modes, n", [(1, 3), (2, 9), (3, 6), (5, 4)])
+    def test_rank_inverts_the_table(self, modes, n):
+        basis = make_basis(modes, n)
+        table = basis.occupations
+        assert not table.flags.writeable
+        assert table.tolist() == sorted(
+            list(occ) for occ in itertools.product(range(n + 1), repeat=modes)
+            if sum(occ) == n
+        )
+        assert np.array_equal(basis.rank(table), np.arange(basis.dimension))
+        assert np.array_equal(basis.rank(table[::-1]),
+                              np.arange(basis.dimension)[::-1])
+
 
 class TestState:
     def test_normalization(self):
@@ -102,6 +124,14 @@ class TestState:
         basis = make_basis(2, 2)
         with pytest.raises(ValueError):
             State(basis, np.zeros(3))
+
+    def test_non_finite_norm_rejected(self):
+        basis = make_basis(2, 2)
+        with pytest.raises(ValueError, match="norm"), \
+                np.errstate(over="ignore"):
+            State(basis, np.array([1e200, 1e200, 0.0]))
+        with pytest.raises(ValueError, match="norm"):
+            State(basis, np.array([np.nan, 1.0, 0.0]))
 
     def test_amplitudes_read_only(self):
         state = basis_state(make_basis(2, 2), (1, 1))

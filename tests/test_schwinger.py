@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssrc.cvlimit import coherent_from_rotation
 from ssrc.hilbert import basis_state, fidelity, make_basis, random_state
 from ssrc.prng import SplitMix64
 from ssrc.schwinger import (
+    DENSE_EXP_LIMIT,
+    ComposedOp,
     InvalidModePairError,
+    LazyExpUnitary,
     MajoranaSpec,
     NonHermitianGeneratorError,
     SparseOperator,
@@ -77,6 +81,33 @@ class TestAlgebra:
         with pytest.raises(InvalidModePairError):
             j_operator(basis, "x", mode_pair=(0, 3))
 
+    @pytest.mark.parametrize("modes, n", [(2, 5), (3, 4), (4, 3)])
+    def test_hops_and_shift_match_per_state_reference(self, modes, n):
+        # One occupation at a time, through index_of: the reference for
+        # the array expressions over the occupation table.
+        basis = make_basis(modes, n)
+        occupations = basis.occupations.tolist()
+        for i in range(modes):
+            for j in range(modes):
+                if i == j:
+                    continue
+                hop = np.zeros((basis.dimension,) * 2)
+                shift = np.zeros((basis.dimension,) * 2)
+                for col, occ in enumerate(occupations):
+                    new = list(occ)
+                    if occ[j] > 0:
+                        new[i] += 1
+                        new[j] -= 1
+                        hop[basis.index_of(new), col] = math.sqrt(
+                            (occ[i] + 1) * occ[j])
+                    else:
+                        new[i], new[j] = 0, occ[i]
+                    shift[basis.index_of(new), col] = 1.0
+                assert np.array_equal(
+                    _dense(j_operator(basis, "+", (i, j))), hop)
+                assert np.array_equal(
+                    _dense(relative_phase_op(basis, (i, j))), shift)
+
     def test_axis_generator_normalizes_direction(self):
         basis = make_basis(2, 3)
         g1 = _dense(axis_generator(basis, (0.0, 0.0, 2.0)))
@@ -133,6 +164,20 @@ class TestExpUnitary:
         )
         assert np.max(np.abs(np.asarray(rotated.amplitudes) - expect)) < 1e-12
 
+    def test_action_only_path_above_dense_limit(self):
+        n, theta = DENSE_EXP_LIMIT, 0.3
+        basis = make_basis(2, n)
+        op = rotation(basis, theta, 1.1)
+        assert isinstance(op, ComposedOp)
+        assert all(isinstance(f, LazyExpUnitary) for f in op.factors)
+        start = basis_state(basis, (0, n))
+        rotated = op.apply(start)
+        expect = coherent_from_rotation(math.sqrt(n) * math.sin(theta / 2), n)
+        assert np.max(np.abs(np.abs(rotated.amplitudes)
+                             - np.abs(expect.amplitudes))) < 1e-11
+        back = op.dagger().apply(rotated)
+        assert np.max(np.abs(back.amplitudes - start.amplitudes)) < 1e-10
+
     def test_pi_rotation_moves_all_photons(self):
         basis = make_basis(2, 5)
         flipped = rotation(basis, math.pi, 0.0).apply(
@@ -185,6 +230,20 @@ class TestMajorana:
             basis_state(basis, (0, n))
         )
         assert fidelity(state, reference) > 1 - 1e-12
+
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_coincident_points_at_large_n(self, n):
+        # sqrt(n!(N-n)!) alone overflows the norm (N = 200) or exp (N = 400).
+        theta, phi = 1.0, 0.6
+        basis = make_basis(2, n)
+        state = majorana_to_state(MajoranaSpec(points=((theta, phi),) * n),
+                                  basis)
+        reference = rotation(basis, theta, phi).apply(
+            basis_state(basis, (0, n))
+        )
+        assert fidelity(state, reference) > 1 - 1e-12
+        assert np.max(np.abs(np.abs(state.amplitudes)
+                             - np.abs(reference.amplitudes))) < 1e-12
 
     def test_all_poles(self):
         basis = make_basis(2, 3)

@@ -13,6 +13,7 @@ from ssrc.hilbert import (
     make_basis,
     random_state,
 )
+from ssrc import synthesis
 from ssrc.prng import SplitMix64
 from ssrc.schwinger import _hop_csr
 from ssrc.synthesis import (
@@ -261,6 +262,38 @@ class TestProductSolver:
         _, _, v = solver._resid_jac(sig, u, u)
         assert np.array_equal(v, u)
         assert np.array_equal(solver.apply(sig, u), u)
+
+    @pytest.mark.parametrize("n, amps, restarts", [
+        (5, {0: 0.1, 2: 1.0}, False),  # rescued by the continuation
+        (4, {0: 0.01, 2: 1.0, 4: 1.0}, True),  # rescued by the restarts
+    ])
+    def test_fallbacks_reach_goal(self, n, amps, restarts, monkeypatch):
+        lm_fidelities, seeds = [], []
+        lm = _ProductSolver._lm
+
+        def recording_lm(self, sig0, u, t, **kwargs):
+            out = lm(self, sig0, u, t, **kwargs)
+            lm_fidelities.append(abs(np.vdot(out[2], t)) ** 2)
+            return out
+
+        class RecordingRng(SplitMix64):
+            def __init__(self, seed):
+                seeds.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(_ProductSolver, "_lm", recording_lm)
+        monkeypatch.setattr(synthesis, "SplitMix64", RecordingRng)
+        basis = make_basis(2, n)
+        c = np.zeros(n + 1)
+        for k, value in amps.items():
+            c[k] = value
+        target = State(basis, c)
+        plan = plan_two_mode(target, small_angle=1e-2, passes=2)
+        result = execute_plan(plan, basis_state(basis, (0, n)))
+        # Gauss-Newton from zero falls short, so a fallback did the work.
+        assert lm_fidelities[0] < 0.95
+        assert any(seed >= 7000 for seed in seeds) == restarts
+        assert result.fidelity >= 1 - 1e-10
 
     def test_rejects_generator_mixing_orders(self):
         jp = _hop_csr(make_basis(2, 3), 0, 1).toarray()

@@ -1,0 +1,146 @@
+"""Print the median CPU time of the library's kernels.
+
+Planner: ``plan_two_mode`` with the default settings (two passes,
+``small_angle`` 1e-2) on ``bench_targets(make_basis(2, N), 1, 12345)`` at
+N = 8, 16 and 24, with the executed fidelity and the plan's total
+repetitions.
+
+Gate searches: ``sg_gate_search`` on the Hadamard target for the Fock-pair
+encoding at N = 1 to 4 (8 restarts), ``cnot_search`` at N = 1 and 2
+(8 restarts), and ``grid_error_floor`` on the Hadamard target at
+resolution 1e-2 and N = 3, all at the default seed, with the error found.
+
+CV limit: the four kernels that dominate the ``cv`` benchmark workload, at
+that workload's largest sizes, with their values:
+
+- ``coherent_window_fidelity(1.0, 901042, 30)``
+- ``squeezed_window_fidelity(0.5, 0.3, 489285, 20)``
+- ``displacement_residual(1.0, 6, 100000, 60)``
+- ``commutator_residual(78753, 10)``, once cold (the first call in the
+  process builds the basis and the hop matrices) and then warm
+
+Every timed row is the median of five runs (the cold row is one run).  A
+header gives ``nproc``, the Python, NumPy, SciPy and BLAS versions and the
+thread environment variables, so two runs can be compared on one machine.
+Only public API is used, so the script runs unchanged on older commits.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 tools/kernel_times.py
+"""
+
+import os
+import platform
+import statistics
+import time
+
+import numpy as np
+import scipy
+
+from ssrc.cvlimit import (
+    coherent_window_fidelity,
+    commutator_residual,
+    displacement_residual,
+    squeezed_window_fidelity,
+)
+from ssrc.encodings import (
+    cnot_search,
+    fock_encoding,
+    grid_error_floor,
+    hadamard_gate,
+    sg_gate_search,
+)
+from ssrc.hilbert import basis_state, make_basis
+from ssrc.synthesis import bench_targets, execute_plan, plan_two_mode
+
+REPEATS = 5
+RESTARTS = 8
+SEED = 12345
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+CV_KERNELS = (
+    ("coherent N=901042", coherent_window_fidelity, (1.0, 901042, 30)),
+    ("squeezed N=489285", squeezed_window_fidelity, (0.5, 0.3, 489285, 20)),
+    ("displacement N=1e5", displacement_residual, (1.0, 6, 100000, 60)),
+    ("commutator N=78753", commutator_residual, (78753, 10)),
+)
+
+
+def _blas(config) -> str:
+    blas = config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']}"
+
+
+def _time(run, repeats=REPEATS):
+    """Process CPU times of ``repeats`` calls, and the last call's value."""
+    times = []
+    for _ in range(repeats):
+        start = time.process_time()
+        value = run()
+        times.append(time.process_time() - start)
+    return times, value
+
+
+def _seconds(times) -> str:
+    return (f"median {statistics.median(times):8.4f} s CPU "
+            f"(min {min(times):.4f}, max {max(times):.4f}, {len(times)} runs)")
+
+
+def _millis(times) -> str:
+    return (f"median {1e3 * statistics.median(times):9.3f} ms CPU "
+            f"(min {1e3 * min(times):.3f}, max {1e3 * max(times):.3f}, "
+            f"{len(times)} runs)")
+
+
+def plan_rows() -> None:
+    for n in (8, 16, 24):
+        basis = make_basis(2, n)
+        (target,) = bench_targets(basis, 1, SEED)
+        times, plan = _time(lambda: plan_two_mode(target))
+        result = execute_plan(plan, basis_state(basis, (0, n)))
+        print(f"N={n:3d}  {_seconds(times)}"
+              f"  fidelity {result.fidelity:.16f}"
+              f"  total_repetitions {plan.total_repetitions}", flush=True)
+
+
+def gate_rows() -> None:
+    hadamard = hadamard_gate()
+    runs = []
+    for n in (1, 2, 3, 4):
+        enc = fock_encoding(make_basis(2, n))
+        runs.append((f"sg_gate_search hadamard N={n}", lambda enc=enc:
+                     sg_gate_search(hadamard, enc, restarts=RESTARTS).error))
+    for n in (1, 2):
+        enc = fock_encoding(make_basis(2, n))
+        runs.append((f"cnot_search N={n}", lambda enc=enc:
+                     cnot_search(enc, restarts=RESTARTS).error))
+    enc = fock_encoding(make_basis(2, 3))
+    runs.append(("grid_error_floor hadamard N=3 h=1e-2", lambda:
+                 grid_error_floor(hadamard, enc, resolution=1e-2).error))
+    for label, run in runs:
+        times, error = _time(run)
+        print(f"{label:34s} {_seconds(times)}  error {error!r}", flush=True)
+
+
+def cv_rows() -> None:
+    name, kernel, args = CV_KERNELS[-1]
+    times, value = _time(lambda: kernel(*args), repeats=1)
+    print(f"{name + ' cold':25s} {_millis(times)}  value {value:.16e}",
+          flush=True)
+    for name, kernel, args in CV_KERNELS:
+        times, value = _time(lambda: kernel(*args))
+        print(f"{name:25s} {_millis(times)}  value {value:.16e}", flush=True)
+
+
+def main() -> None:
+    print(f"nproc {os.cpu_count()}; Python {platform.python_version()}; "
+          f"NumPy {np.__version__} ({_blas(np.show_config)}); "
+          f"SciPy {scipy.__version__} ({_blas(scipy.show_config)})")
+    print("; ".join(f"{name}={os.environ.get(name, 'unset')}"
+                    for name in THREAD_VARS))
+    plan_rows()
+    gate_rows()
+    cv_rows()
+
+
+if __name__ == "__main__":
+    main()
