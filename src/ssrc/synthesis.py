@@ -12,6 +12,16 @@ Gauss-Newton on generators scaled to unit spectral norm, with each step's
 unitary and derivatives taken from one eigendecomposition per generator
 per solve.  Executing a plan uses ``scipy.linalg.expm``, independently of
 the solver.
+
+Each piece of that arithmetic runs once per target.  A plan builds each
+dense generator once (every prefix of a hop product is shared), and the
+two-pass planner executes pass 1 once and continues the same vector
+through the touch-up steps.  The returned plan records that vector
+privately, so ``execute_plan`` from the planner's own start state reuses it
+instead of executing every step again; any other initial state, a
+one-pass plan, and a plan read back with ``SynthesisPlan.from_json`` are
+executed step by step.  The reused vector is the one a full execution
+computes, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,8 +30,8 @@ import cmath
 import json
 import logging
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -79,11 +89,20 @@ class PlanStep:
 
 @dataclass(frozen=True)
 class SynthesisPlan:
-    """Ordered steps steering the reference state to ``target``."""
+    """Ordered steps steering the reference state to ``target``.
+
+    ``_executed`` is ``(initial, final)`` when the planner has already
+    executed every step from the amplitude vector ``initial``: ``final`` is
+    the unnormalised vector after the last step.  It is neither compared
+    nor serialised.
+    """
 
     steps: tuple[PlanStep, ...]
     target: State
     small_angle: float
+    _executed: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def total_repetitions(self) -> int:
@@ -135,12 +154,28 @@ class ExecutionResult:
 
 
 def _generator_matrix(
-    basis: FockBasis, pairs: Sequence[tuple[int, int]]
+    basis: FockBasis,
+    pairs: tuple[tuple[int, int], ...],
+    memo: dict[tuple[tuple[int, int], ...], np.ndarray],
 ) -> np.ndarray:
-    """Dense matrix of the product of raising hops a_i† a_j over ``pairs``."""
-    mat = np.eye(basis.dimension, dtype=np.complex128)
-    for i, j in pairs:
+    """Dense matrix of the product of raising hops a_i† a_j over ``pairs``.
+
+    ``memo`` maps pairs tuples to their matrices.  The longest prefix of
+    ``pairs`` found there is extended one hop at a time, and every new
+    prefix is stored, so one memo per plan builds each generator once with
+    the arithmetic of the plain product from the identity.
+    """
+    done = len(pairs)
+    while done and pairs[:done] not in memo:
+        done -= 1
+    if done:
+        mat = memo[pairs[:done]]
+    else:
+        mat = np.eye(basis.dimension, dtype=np.complex128)
+    for n in range(done, len(pairs)):
+        i, j = pairs[n]
         mat = _hop_csr(basis, i, j).toarray() @ mat
+        memo[pairs[:n + 1]] = mat
     return mat
 
 
@@ -154,15 +189,36 @@ def _amplitudes(sig: np.ndarray) -> np.ndarray:
     return sig[0::2] + 1j * sig[1::2]
 
 
+def _run_steps(
+    basis: FockBasis,
+    steps: Sequence[PlanStep],
+    vec: np.ndarray,
+    memo: dict[tuple[tuple[int, int], ...], np.ndarray],
+) -> np.ndarray:
+    """Apply each step's unitary ``repetitions`` times to ``vec``."""
+    for step in steps:
+        b = _generator_matrix(basis, step.pairs, memo)
+        vec = np.linalg.matrix_power(
+            _step_exp(step.amplitude, b), step.repetitions) @ vec
+    return vec
+
+
 def execute_plan(plan: SynthesisPlan, initial: State) -> ExecutionResult:
-    """Apply every step exactly; report fidelity against the plan target."""
+    """Apply every step exactly; report fidelity against the plan target.
+
+    When the planner already executed the plan from exactly these
+    amplitudes (same bytes), its final vector is reused; otherwise every
+    step is executed.  The result is the same bits either way.
+    """
     if initial.basis != plan.target.basis:
         raise BasisMismatchError("plan target and initial state bases differ")
     basis = initial.basis
     vec = np.asarray(initial.amplitudes)
-    for step in plan.steps:
-        u = _step_exp(step.amplitude, _generator_matrix(basis, step.pairs))
-        vec = np.linalg.matrix_power(u, step.repetitions) @ vec
+    if (plan._executed is not None
+            and plan._executed[0].tobytes() == vec.tobytes()):
+        vec = plan._executed[1]
+    else:
+        vec = _run_steps(basis, plan.steps, vec, {})
     result = State(basis, vec, check_drift=True)
     return ExecutionResult(result, fidelity(result, plan.target))
 
@@ -196,6 +252,22 @@ def _vec_fidelity(a: np.ndarray, b: np.ndarray) -> float:
 def _dagger(stack: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix in a stack."""
     return stack.conj().transpose(0, 2, 1)
+
+
+class _Point(NamedTuple):
+    """One solver iterate: residual ``r``, product vector ``v``, and the
+    arrays ``_ProductSolver._jacobian`` reuses."""
+
+    r: np.ndarray
+    v: np.ndarray
+    vecs: np.ndarray
+    mag: np.ndarray
+    back: np.ndarray
+    w: np.ndarray
+    vh: np.ndarray
+    units: np.ndarray
+    pre: np.ndarray
+    proj: np.ndarray
 
 
 class _ProductSolver:
@@ -259,7 +331,8 @@ class _ProductSolver:
             v = v + vk @ (ck * (vk.conj().T @ v))
         return v
 
-    def _resid_jac(self, sig, u, t):
+    def _forward(self, sig, u, t) -> _Point:
+        """Step unitaries, prefix products and residual at ``sig``."""
         d = len(u)
         vecs, mag, back = self._spectra(sig)
         w = mag[:, None] * self.w0
@@ -271,7 +344,16 @@ class _ProductSolver:
         for i, unit in enumerate(units):
             np.matmul(unit, pre[i], out=pre[i + 1])
         proj = np.eye(d) - np.outer(t, t.conj())
-        # left[i] = proj @ units[m-1] @ ... @ units[i+1]
+        r = proj @ pre[-1]
+        return _Point(np.concatenate([r.real, r.imag]), pre[-1],
+                      vecs, mag, back, w, vh, units, pre, proj)
+
+    def _jacobian(self, point: _Point) -> np.ndarray:
+        """Jacobian of the residual, from the arrays of ``_forward``."""
+        vecs, mag, back, w, vh, units, pre, proj = point[2:]
+        d = pre.shape[1]
+        # left[i] = proj @ units[m-1] @ ... @ units[i+1].  Each product
+        # needs the next one, so the loop stays sequential.
         left = np.empty_like(units)
         left[self.m - 1:] = proj  # empty slice when there are no steps
         for i in range(self.m - 1, 0, -1):
@@ -288,18 +370,30 @@ class _ProductSolver:
         dirs = np.stack([zp - zm, 1j * (zp + zm)], axis=-1)
         cols = (left @ (vecs @ dirs)).transpose(1, 0, 2)
         cols = cols.reshape(d, 2 * self.m)
-        r = proj @ pre[-1]
-        jac = np.concatenate([cols.real, cols.imag])
-        return np.concatenate([r.real, r.imag]), jac, pre[-1]
+        return np.concatenate([cols.real, cols.imag])
+
+    def _resid_jac(self, sig, u, t):
+        """Residual, Jacobian and product vector at ``sig``."""
+        point = self._forward(sig, u, t)
+        return point.r, self._jacobian(point), point.v
 
     def _lm(self, sig0, u, t, tol=1e-13, maxit=200):
+        """Levenberg-Marquardt from ``sig0``.
+
+        Only the iterate at the top of an iteration gets a Jacobian: a
+        rejected trial, or the final accepted iterate, needs only its
+        residual.
+        """
         sig = sig0.copy()
         lam = 1e-3
-        r, jac, v = self._resid_jac(sig, u, t)
-        cost = r @ r
+        point = self._forward(sig, u, t)
+        cost = point.r @ point.r
+        v = point.v
         for _ in range(maxit):
+            jac = self._jacobian(point)
+            g = jac.T @ point.r
+            point = None  # release the forward arrays before the trials
             a = jac.T @ jac
-            g = jac.T @ r
             improved = False
             for _ in range(50):
                 try:
@@ -309,13 +403,14 @@ class _ProductSolver:
                 except np.linalg.LinAlgError:
                     lam *= 10
                     continue
-                r2, jac2, v2 = self._resid_jac(sig + step, u, t)
-                if r2 @ r2 < cost:
-                    sig, r, jac, v = sig + step, r2, jac2, v2
-                    cost = r2 @ r2
+                trial = self._forward(sig + step, u, t)
+                if trial.r @ trial.r < cost:
+                    sig, point, v = sig + step, trial, trial.v
+                    cost = trial.r @ trial.r
                     lam = max(lam * 0.3, 1e-12)
                     improved = True
                     break
+                del trial
                 lam *= 10
                 if lam > 1e12:
                     return sig, cost, v
@@ -384,27 +479,36 @@ def _with_touchup(
     fidelity_goal: float | None,
     touch_gens: Sequence[np.ndarray],
     touch_pairs: Sequence[tuple[tuple[int, int], ...]],
+    memo: dict[tuple[tuple[int, int], ...], np.ndarray],
 ) -> SynthesisPlan:
     """Append the solved touch-up sweep to a pass-1 plan.
 
-    With ``passes=1``, or when executing pass 1 from ``start_occ`` already
-    meets ``fidelity_goal``, the plan is returned unchanged.  The solver
-    works on unit-norm generators; its amplitudes are divided by the norms
-    of ``touch_gens`` before they become steps.
+    With ``passes=1`` the plan is returned unchanged and unexecuted.
+    Otherwise pass 1 is executed once from ``start_occ``, with its
+    generators taken from (and added to) ``memo``; when that already meets
+    ``fidelity_goal`` the steps are returned unchanged.  The solver works on
+    unit-norm generators; its amplitudes are divided by the norms of
+    ``touch_gens`` before they become steps, and the pass-1 vector is
+    continued through those steps.  Either way the returned plan records
+    the vector executed from ``start_occ``, which ``execute_plan`` reuses
+    for that start state.
     """
     if passes == 1:
         return plan
     basis = plan.target.basis
-    pass1 = execute_plan(plan, basis_state(basis, start_occ))
-    if fidelity_goal is not None and pass1.fidelity >= fidelity_goal:
-        return plan
+    start = np.asarray(basis_state(basis, start_occ).amplitudes)
+    vec = _run_steps(basis, plan.steps, start, memo)
+    pass1 = State(basis, vec, check_drift=True)
+    pass1_fidelity = fidelity(pass1, plan.target)
+    if fidelity_goal is not None and pass1_fidelity >= fidelity_goal:
+        return replace(plan, _executed=(start, vec))
     solver = _ProductSolver(
         touch_gens,
         _raised(basis),
         [len(pairs) for pairs in touch_pairs],
     )
     sig, achieved = solver.solve(
-        np.asarray(pass1.state.amplitudes), np.asarray(plan.target.amplitudes)
+        np.asarray(pass1.amplitudes), np.asarray(plan.target.amplitudes)
     )
     touch_steps = _steps_from_amplitudes(
         _amplitudes(sig) / solver.scale, touch_pairs, plan.small_angle,
@@ -412,11 +516,12 @@ def _with_touchup(
     )
     logger.debug(
         "touch-up: pass1 fidelity %.6f, solver fidelity %.13f",
-        pass1.fidelity,
+        pass1_fidelity,
         achieved,
     )
     return SynthesisPlan(
-        plan.steps + tuple(touch_steps), plan.target, plan.small_angle
+        plan.steps + tuple(touch_steps), plan.target, plan.small_angle,
+        (start, _run_steps(basis, touch_steps, vec, memo)),
     )
 
 
@@ -490,6 +595,7 @@ def plan_two_mode(
         rhos, [pair * k for k in range(1, n_tot + 1)], small_angle, "match"
     )
     jp = _hop_csr(basis, 0, 1).toarray()
+    powers = {k: np.linalg.matrix_power(jp, k) for k in range(1, n_tot + 1)}
     # Two steps per order, plus a trailing order-1 pair: the highest-order
     # generator only rotates the {0, N} pair of levels, so without a final
     # full rotation block the sweep cannot re-register the intermediate
@@ -500,8 +606,9 @@ def plan_two_mode(
         (0, n_tot),
         passes,
         fidelity_goal,
-        [np.linalg.matrix_power(jp, k) for k in touch_orders],
+        [powers[k] for k in touch_orders],
         [pair * k for k in touch_orders],
+        {},
     )
 
 
@@ -530,8 +637,12 @@ def _plan_with_prerotation(
             closing = _steps_from_amplitudes(
                 [rho_v], [((0, 1),)], small_angle, "closing"
             )
+            executed = inner._executed
+            if executed is not None:
+                start, vec = executed
+                executed = start, _run_steps(basis, closing, vec, {})
             return SynthesisPlan(
-                inner.steps + tuple(closing), target, small_angle
+                inner.steps + tuple(closing), target, small_angle, executed
             )
     raise ZeroLeadingCoefficientError(
         "could not find a pre-rotation giving a usable leading coefficient"
@@ -606,7 +717,8 @@ def plan_multimode(
         )
 
     pairs_list, support = _multimode_generators(basis, max_order)
-    gens = [_generator_matrix(basis, pairs) for pairs in pairs_list]
+    memo = {}
+    gens = [_generator_matrix(basis, pairs, memo) for pairs in pairs_list]
     rhos = [
         (c[idx] / c[start_idx]) / mat[idx, start_idx]
         for mat, idx in zip(gens, support)
@@ -624,6 +736,7 @@ def plan_multimode(
         fidelity_goal,
         gens + gens + [g for g, _ in first_order],
         pairs_list + pairs_list + [p for _, p in first_order],
+        memo,
     )
 
 

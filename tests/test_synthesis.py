@@ -1,9 +1,10 @@
+import hashlib
 import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import expm_frechet
+from scipy.linalg import expm, expm_frechet
 
 from ssrc.hilbert import (
     BasisMismatchError,
@@ -219,7 +220,81 @@ def _frechet_resid_jac(gens, sig, u, t):
     )
 
 
+def _eager_lm(solver, sig0, u, t, tol=1e-13, maxit=200):
+    """Levenberg-Marquardt that builds a Jacobian at every trial point."""
+    sig = sig0.copy()
+    lam = 1e-3
+    r, jac, v = solver._resid_jac(sig, u, t)
+    cost = r @ r
+    for _ in range(maxit):
+        a = jac.T @ jac
+        g = jac.T @ r
+        improved = False
+        for _ in range(50):
+            try:
+                step = np.linalg.solve(
+                    a + lam * np.diag(np.maximum(np.diag(a), 1e-12)), -g
+                )
+            except np.linalg.LinAlgError:
+                lam *= 10
+                continue
+            r2, jac2, v2 = solver._resid_jac(sig + step, u, t)
+            if r2 @ r2 < cost:
+                sig, r, jac, v = sig + step, r2, jac2, v2
+                cost = r2 @ r2
+                lam = max(lam * 0.3, 1e-12)
+                improved = True
+                break
+            lam *= 10
+            if lam > 1e12:
+                return sig, cost, v
+        if not improved or cost < tol * tol:
+            break
+    return sig, cost, v
+
+
 class TestProductSolver:
+    @pytest.mark.parametrize("n, amps", [
+        (4, None),
+        (8, None),
+        (4, {0: 0.01, 2: 1.0, 4: 1.0}),  # continuation, then restarts
+    ])
+    def test_lm_matches_eager_jacobian_reference(self, n, amps, monkeypatch):
+        # Replay every LM solve the planner makes (from zero, warm-started
+        # along the continuation, and from the perturbed restarts) through
+        # a reference that forms the Jacobian at every trial point.
+        calls, seeds = [], []
+        lm = _ProductSolver._lm
+
+        def recording_lm(self, sig0, u, t, **kwargs):
+            out = lm(self, sig0, u, t, **kwargs)
+            calls.append((self, sig0.copy(), u, t, out))
+            return out
+
+        class RecordingRng(SplitMix64):
+            def __init__(self, seed):
+                seeds.append(seed)
+                super().__init__(seed)
+
+        basis = make_basis(2, n)
+        if amps is None:
+            (target,) = bench_targets(basis, 1, 12345 + n)
+        else:
+            c = np.zeros(n + 1)
+            for k, value in amps.items():
+                c[k] = value
+            target = State(basis, c)
+        monkeypatch.setattr(_ProductSolver, "_lm", recording_lm)
+        monkeypatch.setattr(synthesis, "SplitMix64", RecordingRng)
+        plan_two_mode(target, small_angle=1e-2, passes=2)
+        assert calls
+        assert any(seed >= 7000 for seed in seeds) == (amps is not None)
+        for solver, sig0, u, t, (sig, cost, v) in calls:
+            ref_sig, ref_cost, ref_v = _eager_lm(solver, sig0, u, t)
+            assert sig.tobytes() == ref_sig.tobytes()
+            assert cost == ref_cost
+            assert v.tobytes() == ref_v.tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_resid_jac_matches_frechet_and_differences(self, n):
         gens, solver = _touch_solver(n)
@@ -377,6 +452,138 @@ class TestPlanSerialization:
             execute_plan(again, start).fidelity
             == execute_plan(plan, start).fidelity
         )
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _reference_execute(plan, initial):
+    """Every step of ``plan`` from ``initial``, built from scratch."""
+    basis = initial.basis
+    vec = np.asarray(initial.amplitudes)
+    for step in plan.steps:
+        b = np.eye(basis.dimension, dtype=np.complex128)
+        for i, j in step.pairs:
+            b = _hop_csr(basis, i, j).toarray() @ b
+        u = expm(step.amplitude * b - np.conj(step.amplitude) * b.conj().T)
+        vec = np.linalg.matrix_power(u, step.repetitions) @ vec
+    return State(basis, vec, check_drift=True)
+
+
+class TestGoldenPlans:
+    """sha256 of ``plan.to_json()`` and of the executed amplitudes' bytes.
+
+    Generated before the planner shared its pass-1 execution and
+    generators, with NumPy 2.4 and SciPy 1.17 on OpenBLAS 0.3.31; a change
+    that keeps the planner's arithmetic keeps these bytes.  N stays at 16
+    or below: at N = 24 the bytes already depend on the number of BLAS
+    threads.
+    """
+
+    TWO_MODE = {
+        2: ("38bc777e89023949f320d194af685a1229ddff6654e63b88dba201dd47d9a8f2",
+            "9a3957d7d4af62b1db834c91d830e8d157081b8fdd37a1511cea7de537ac031d"),
+        5: ("90bbd91616f433ef2a50f59ca6fb92d4becd2c69fe49b54472ae692796642d99",
+            "60bc4e825a138e178c2a293bc86483ff367e974f8a1ecdd0c90e2605c31d2819"),
+        8: ("4e262b22a1147cd21b95d688223e6ed9738f2dca30f32e3b8d5336b9261695a5",
+            "03318d6963656b0beda6aa9509aebd0787fb80877622d1565556e8544aaeecd4"),
+        12: ("a8a7a3e0ef7d922d442a596650cc68e934c7d0308e6e5d17521dfe0d27e49b9c",
+             "fa9f6e0c0ccf0c73c3eb378f54ae346b819eafceca4fcadd933929fc913db448"),
+        16: ("02e0fb20c97bc64cb67d02390f2b7ca693ec4a8b9712170c6e6b1c6becd0a423",
+             "5b4d3ca4d24b84127ab5bf60b080b3d4afee3e6ee755b2b7191eaf2e0486c534"),
+    }
+    MULTIMODE = (
+        "69399a12838ea505ae5baca787cd29552ed6fe1768d3283ec3b83243816704df",
+        "d1b069fa5fc0a6585190af2867d8c58981bc99777f63ae39335b6e2d53b527f6",
+    )
+
+    @pytest.mark.parametrize("n", sorted(TWO_MODE))
+    def test_two_mode(self, n):
+        basis = make_basis(2, n)
+        (target,) = bench_targets(basis, 1, 12345)
+        plan = plan_two_mode(target)
+        result = execute_plan(plan, basis_state(basis, (0, n)))
+        assert (
+            _sha256(plan.to_json().encode()),
+            _sha256(np.asarray(result.state.amplitudes).tobytes()),
+        ) == self.TWO_MODE[n]
+
+    def test_multimode(self):
+        basis = make_basis(3, 3)
+        plan = plan_multimode(random_support_target(basis, 2, 7))
+        result = execute_plan(plan, basis_state(basis, (0, 0, 3)))
+        assert (
+            _sha256(plan.to_json().encode()),
+            _sha256(np.asarray(result.state.amplitudes).tobytes()),
+        ) == self.MULTIMODE
+
+
+class TestSingleExecution:
+    """Planning plus executing computes each step's exponential once."""
+
+    @pytest.fixture
+    def expm_calls(self, monkeypatch):
+        calls = []
+
+        def counting_expm(a):
+            calls.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(synthesis, "expm", counting_expm)
+        return calls
+
+    def _check(self, plan, start, expm_calls):
+        result = execute_plan(plan, start)
+        assert len(expm_calls) == len(plan.steps)
+        reference = _reference_execute(plan, start)
+        assert (np.asarray(result.state.amplitudes).tobytes()
+                == np.asarray(reference.amplitudes).tobytes())
+        assert result.fidelity == fidelity(reference, plan.target)
+
+    def test_two_pass(self, expm_calls):
+        basis = make_basis(2, 6)
+        (target,) = bench_targets(basis, 1, 12345)
+        plan = plan_two_mode(target)
+        assert {s.stage for s in plan.steps} == {"match", "touchup"}
+        self._check(plan, basis_state(basis, (0, 6)), expm_calls)
+
+    def test_goal_short_circuit(self, expm_calls):
+        basis = make_basis(2, 6)
+        (target,) = bench_targets(basis, 1, 12345)
+        plan = plan_two_mode(target, small_angle=1e-3, fidelity_goal=0.1)
+        assert {s.stage for s in plan.steps} == {"match"}
+        self._check(plan, basis_state(basis, (0, 6)), expm_calls)
+
+    def test_multimode(self, expm_calls):
+        basis = make_basis(3, 3)
+        plan = plan_multimode(random_support_target(basis, 2, 7))
+        self._check(plan, basis_state(basis, (0, 0, 3)), expm_calls)
+
+    def test_prerotated_plan_continues_through_closing_step(self, expm_calls):
+        basis = make_basis(2, 3)
+        plan = plan_two_mode(basis_state(basis, (3, 0)))
+        assert plan.steps[-1].stage == "closing"
+        del expm_calls[:]  # the pre-rotation search evaluates candidates
+        start = basis_state(basis, (0, 3))
+        result = execute_plan(plan, start)
+        assert not expm_calls
+        assert (np.asarray(result.state.amplitudes).tobytes()
+                == np.asarray(_reference_execute(plan, start).amplitudes)
+                .tobytes())
+
+    @pytest.mark.parametrize("copy", ["from_json", "other_initial"])
+    def test_other_plans_execute_every_step(self, copy, expm_calls):
+        basis = make_basis(2, 6)
+        (target,) = bench_targets(basis, 1, 12345)
+        plan = plan_two_mode(target)
+        start = basis_state(basis, (0, 6))
+        if copy == "from_json":
+            plan = SynthesisPlan.from_json(plan.to_json())
+        else:
+            start = random_state(basis, 3)
+        del expm_calls[:]
+        self._check(plan, start, expm_calls)
 
 
 class TestComplexityProbe:

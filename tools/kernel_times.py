@@ -3,7 +3,8 @@
 Planner: ``plan_two_mode`` with the default settings (two passes,
 ``small_angle`` 1e-2) on ``bench_targets(make_basis(2, N), 1, 12345)`` at
 N = 8, 16 and 24, with the executed fidelity and the plan's total
-repetitions.
+repetitions; and, at each N, planning plus ``execute_plan`` from |0, N⟩,
+the work of one ``synthesis-bench`` target.
 
 Gate searches: ``sg_gate_search`` on the Hadamard target for the Fock-pair
 encoding at N = 1 to 4 (8 restarts), ``cnot_search`` at N = 1 and 2
@@ -95,11 +96,16 @@ def plan_rows() -> None:
     for n in (8, 16, 24):
         basis = make_basis(2, n)
         (target,) = bench_targets(basis, 1, SEED)
+        start = basis_state(basis, (0, n))
         times, plan = _time(lambda: plan_two_mode(target))
-        result = execute_plan(plan, basis_state(basis, (0, n)))
+        result = execute_plan(plan, start)
         print(f"N={n:3d}  {_seconds(times)}"
               f"  fidelity {result.fidelity:.16f}"
               f"  total_repetitions {plan.total_repetitions}", flush=True)
+        times, result = _time(
+            lambda: execute_plan(plan_two_mode(target), start))
+        print(f"N={n:3d} plan+execute  {_seconds(times)}"
+              f"  fidelity {result.fidelity:.16f}", flush=True)
 
 
 def gate_rows() -> None:
