@@ -30,8 +30,15 @@ from ssrc.encodings import (
     sg_manifold_unitary,
     t_gate,
 )
-from ssrc.encodings import _composite_codes, _MeshManifold, _RotationManifold
+from ssrc.encodings import (
+    _composite_codes,
+    _descend,
+    _MeshManifold,
+    _multistart,
+    _RotationManifold,
+)
 from ssrc.hilbert import DimensionCapError, State, make_basis
+from ssrc.prng import SplitMix64
 from ssrc.schwinger import exp_unitary, j_operator, rotation
 
 FIXTURES = json.loads(
@@ -290,11 +297,7 @@ class TestAnalyticGradients:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_mesh_manifold(self, n):
-        enc = fock_encoding(make_basis(2, n))
-        basis = make_basis(4, 2 * n)
-        manifold = _MeshManifold(
-            basis, _composite_codes(enc, enc, basis), cnot_gate()
-        )
+        manifold = _mesh_manifold(n)
         rng = np.random.default_rng(200 + n)
         for _ in range(2):
             x = rng.uniform(0.0, 2.0 * math.pi, 16)
@@ -302,6 +305,174 @@ class TestAnalyticGradients:
             assert abs(value - manifold.error(x)) <= 1e-14
             want = _central_differences(manifold.value_and_grad, x)
             assert np.max(np.abs(grad - want)) <= self.FD_TOL
+
+
+def _mesh_manifold(n):
+    enc = fock_encoding(make_basis(2, n))
+    basis = make_basis(4, 2 * n)
+    return _MeshManifold(basis, _composite_codes(enc, enc, basis), cnot_gate())
+
+
+def _scan_reference(target, enc, resolution):
+    """Unpolished grid scan, one theta' slice at a time.
+
+    Returns (grid_error, params) of the best node; written out in full so
+    that the blocked scan of ``grid_error_floor`` is checked against
+    independent per-slice code.
+    """
+    manifold = _RotationManifold(enc, target)
+    thetas = np.linspace(
+        0.0, math.pi, int(math.ceil(math.pi / resolution)) + 1
+    )
+    # phi' and eta share one grid, and so one table of phases.
+    phis = np.arange(0.0, 2.0 * math.pi, resolution)
+    phases = np.exp(1j * np.outer(phis, manifold.m))
+    best = []
+    for theta in thetas:
+        y = (manifold.vy * np.exp(1j * theta * manifold.wy)) @ (
+            manifold.vy.conj().T
+        )
+        rows = [(phases * ci[None, :]) @ y for ci in manifold.codes_conj]
+        w = np.zeros((len(phis), len(manifold.m)), dtype=np.complex128)
+        for i in range(manifold.d):
+            for j in range(manifold.d):
+                if manifold.g_conj[i, j] != 0:
+                    w += manifold.g_conj[i, j] * (rows[i] * rows[j].conj())
+        slab = np.abs(w @ phases.T)
+        ip, ie = divmod(int(np.argmax(slab)), slab.shape[1])
+        best.append((float(slab[ip, ie]), float(theta), float(phis[ip]),
+                     float(phis[ie])))
+    best.sort(key=lambda rec: -rec[0])
+    return max(0.0, 1.0 - best[0][0] / manifold.d), best[0][1:]
+
+
+class TestBatchedEvaluation:
+    """Batched objective rows, lockstep descents and the blocked scan
+    reproduce one-point code bit for bit."""
+
+    @staticmethod
+    def _assert_rows_match(manifold, xs):
+        values, grads = manifold.values_and_grads(xs)
+        assert values.shape == (len(xs),) and grads.shape == xs.shape
+        for k, x in enumerate(xs):
+            value, grad = manifold.value_and_grad(x)
+            assert value == values[k]
+            assert np.array_equal(grad, grads[k])
+        order = [3, 0, 4]
+        sub_values, sub_grads = manifold.values_and_grads(xs[order])
+        assert np.array_equal(sub_values, values[order])
+        assert np.array_equal(sub_grads, grads[order])
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_rotation_rows_match_one_row_calls(self, n):
+        enc = fock_encoding(make_basis(2, n))
+        rng = np.random.default_rng(300 + n)
+        for target in (hadamard_gate(), t_gate() @ hadamard_gate()):
+            manifold = _RotationManifold(enc, target)
+            self._assert_rows_match(
+                manifold, rng.uniform(0.0, 2.0 * math.pi, (7, 3))
+            )
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_mesh_rows_match_one_row_calls(self, n):
+        rng = np.random.default_rng(400 + n)
+        self._assert_rows_match(
+            _mesh_manifold(n), rng.uniform(0.0, 2.0 * math.pi, (5, 16))
+        )
+
+    @pytest.mark.parametrize("case", ["rotation", "mesh"])
+    def test_lockstep_descent_matches_single_starts(self, case):
+        rng = np.random.default_rng(500)
+        if case == "rotation":
+            enc = fock_encoding(make_basis(2, 3))
+            manifold = _RotationManifold(enc, hadamard_gate())
+            starts = rng.uniform(0.0, 2.0 * math.pi, (6, 3))
+        else:
+            manifold = _mesh_manifold(1)
+            starts = rng.uniform(0.0, 2.0 * math.pi, (3, 16))
+        ends, errors, iterations, evaluations = _descend(manifold, starts)
+        total = 0
+        for k, start in enumerate(starts):
+            end, err, nit, nev = _descend(manifold, start[None, :])
+            assert np.array_equal(end[0], ends[k])
+            assert err[0] == errors[k]
+            assert nit[0] == iterations[k]
+            total += nev
+        assert evaluations == total
+        # One row per start, then at least one trial per iteration.
+        assert evaluations >= len(starts) + int(iterations.sum())
+
+    def test_ties_go_to_earliest_start(self):
+        # Every start reaches the identity exactly (error 0.0) at a
+        # different point, so the winner shows which start was kept.
+        target = np.eye(2, dtype=np.complex128)
+        manifold = _RotationManifold(fock_encoding(make_basis(2, 2)), target)
+        starts = np.random.default_rng(3).uniform(0.0, 2.0 * math.pi, (4, 3))
+        ends, errors, _, _ = _descend(manifold, starts)
+        assert errors == [0.0] * 4
+        assert len({tuple(end) for end in ends}) == 4
+        res = _multistart(manifold, target, list(starts), seed=0)
+        assert res.params == tuple(float(v) for v in ends[0])
+
+    @pytest.mark.parametrize("resolution", [0.1, 0.05])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("name", ["hadamard", "t_hadamard"])
+    def test_blocked_scan_matches_slice_loop(self, name, n, resolution):
+        target = FLOOR_TARGETS[name]
+        enc = fock_encoding(make_basis(2, n))
+        scan = grid_error_floor(target, enc, resolution=resolution,
+                                polish=False)
+        grid_error, params = _scan_reference(target, enc, resolution)
+        assert scan.grid_error == grid_error
+        assert scan.error == grid_error
+        assert scan.params == params
+
+
+class TestSearchQuality:
+    # Every search must land within a rounding allowance below the proven
+    # floor and within 1e-12 above it.
+    ABOVE = 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_seeded_searches_reach_proven_floor(self, n):
+        rng = SplitMix64(0x5EA5C8).derive(n)
+        enc = fock_encoding(make_basis(2, n))
+        misses = []
+        for i in range(8):
+            targets = {
+                "hadamard": hadamard_gate(),
+                "t_hadamard": t_gate() @ hadamard_gate(),
+                "ry": r_y(2.0 * math.pi * rng.uniform()),
+            }
+            for name, target in targets.items():
+                res = sg_gate_search(target, enc, restarts=4 + i % 5,
+                                     seed=rng.next_u64())
+                gap = res.error - fock_pair_floor(target, n)
+                if not -ROUNDING <= gap <= self.ABOVE:
+                    misses.append(f"{name} #{i}: error - floor = {gap:.3e}")
+        assert not misses
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_descents_end_at_rounding_level(self, n):
+        # Near the minimum f changes only by rounding, where Armijo's test
+        # fails for every step; the approximate Wolfe test then accepts a
+        # step or the descent ends.  These searches take at most 23
+        # evaluations per restart.  Without that test the N = 1 r_y(1.0)
+        # search takes 45 per restart and the N = 3 one over 1,500.
+        enc = fock_encoding(make_basis(2, n))
+        for target in (hadamard_gate(), t_gate() @ hadamard_gate(), r_y(1.0)):
+            res = sg_gate_search(target, enc, restarts=8)
+            assert res.evaluations <= 40 * res.restarts
+
+    def test_cnot_five_restarts_reach_fixture(self):
+        enc = fock_encoding(make_basis(2, 1))
+        want = FIXTURES["gate_floors"]["cnot"]["1"]
+        misses = []
+        for seed in range(1, 31):
+            res = cnot_search(enc, restarts=5, seed=seed)
+            if abs(res.error - want) > 1e-6:
+                misses.append(f"seed {seed}: {res.error!r}")
+        assert not misses
 
 
 class TestCnot:

@@ -7,9 +7,12 @@ repetitions; and, at each N, planning plus ``execute_plan`` from |0, N⟩,
 the work of one ``synthesis-bench`` target.
 
 Gate searches: ``sg_gate_search`` on the Hadamard target for the Fock-pair
-encoding at N = 1 to 4 (8 restarts), ``cnot_search`` at N = 1 and 2
-(8 restarts), and ``grid_error_floor`` on the Hadamard target at
-resolution 1e-2 and N = 3, all at the default seed, with the error found.
+encoding at N = 1 to 4 (8 restarts) and ``cnot_search`` at N = 1 and 2
+(8 restarts), with the error found, the BFGS iterations summed over the
+restarts and the objective evaluations; and ``grid_error_floor`` on the
+Hadamard target at N = 3, as the unpolished 0.1 scan that seeds each
+``sg_gate_search`` and at resolution 1e-2 with polish, with the error
+found.  All run at the default seed.
 
 CV limit: the four kernels that dominate the ``cv`` benchmark workload, at
 that workload's largest sizes, with their values:
@@ -23,7 +26,8 @@ that workload's largest sizes, with their values:
 Every timed row is the median of five runs (the cold row is one run).  A
 header gives ``nproc``, the Python, NumPy, SciPy and BLAS versions and the
 thread environment variables, so two runs can be compared on one machine.
-Only public API is used, so the script runs unchanged on older commits.
+Only public API is used, so the script runs unchanged on older commits
+(which print ``evaluations n/a``).
 
 Run from the repository root:
 
@@ -108,23 +112,35 @@ def plan_rows() -> None:
               f"  fidelity {result.fidelity:.16f}", flush=True)
 
 
+def _search_note(res) -> str:
+    # ``evaluations`` is missing on commits older than the batched searches.
+    return (f"error {res.error!r}  iterations {res.iterations}"
+            f"  evaluations {getattr(res, 'evaluations', 'n/a')}")
+
+
 def gate_rows() -> None:
     hadamard = hadamard_gate()
     runs = []
     for n in (1, 2, 3, 4):
         enc = fock_encoding(make_basis(2, n))
-        runs.append((f"sg_gate_search hadamard N={n}", lambda enc=enc:
-                     sg_gate_search(hadamard, enc, restarts=RESTARTS).error))
+        runs.append((f"sg_gate_search hadamard N={n}", _search_note,
+                     lambda enc=enc: sg_gate_search(hadamard, enc,
+                                                    restarts=RESTARTS)))
     for n in (1, 2):
         enc = fock_encoding(make_basis(2, n))
-        runs.append((f"cnot_search N={n}", lambda enc=enc:
-                     cnot_search(enc, restarts=RESTARTS).error))
+        runs.append((f"cnot_search N={n}", _search_note,
+                     lambda enc=enc: cnot_search(enc, restarts=RESTARTS)))
     enc = fock_encoding(make_basis(2, 3))
-    runs.append(("grid_error_floor hadamard N=3 h=1e-2", lambda:
-                 grid_error_floor(hadamard, enc, resolution=1e-2).error))
-    for label, run in runs:
-        times, error = _time(run)
-        print(f"{label:34s} {_seconds(times)}  error {error!r}", flush=True)
+    for label, resolution, polish in (("h=0.1 no polish", 0.1, False),
+                                      ("h=1e-2", 1e-2, True)):
+        runs.append((f"grid_error_floor hadamard N=3 {label}",
+                     lambda res: f"error {res.error!r}",
+                     lambda resolution=resolution, polish=polish:
+                     grid_error_floor(hadamard, enc, resolution=resolution,
+                                      polish=polish)))
+    for label, note, run in runs:
+        times, result = _time(run)
+        print(f"{label:46s} {_seconds(times)}  {note(result)}", flush=True)
 
 
 def cv_rows() -> None:
