@@ -9,15 +9,15 @@ encoding the smallest reachable error has a proven closed form
 (``fock_pair_floor``): it is zero for every unitary target at one photon
 and positive for most targets beyond, which is the evidence that
 rotation-only gate sets stop being universal beyond one photon.  For other
-encodings a dense grid scan (``grid_error_floor``) and BFGS searches on the
-analytic gradient of the error give the best points found; every evaluated
-point only bounds the minimum from above.
+encodings, BFGS searches on the analytic gradient of the error give the
+best points found; every evaluated point only bounds the minimum from
+above.
 
-The searches evaluate many points per NumPy call: the scan takes blocks of
-theta' values at once, and all restarts of a search run one BFGS each in
-lockstep, with the trial points of each iteration evaluated as one batch.
-Batched arithmetic is row by row, so every restart ends on the same bits
-as it would alone.
+The searches evaluate many points per NumPy call: the coarse scan that
+gives a rotation search its first start takes blocks of theta' values at
+once, and all restarts of a search run one BFGS each in lockstep, with the
+trial points of each iteration evaluated as one batch.  Batched arithmetic
+is row by row, so every restart ends on the same bits as it would alone.
 """
 
 from __future__ import annotations
@@ -40,7 +40,13 @@ from .hilbert import (
     make_basis,
 )
 from .prng import DEFAULT_SEED, SplitMix64
-from .schwinger import LinearOp, SparseOperator, j_operator, relative_phase_op
+from .schwinger import (
+    LinearOp,
+    SparseOperator,
+    _hop_csr,
+    j_operator,
+    relative_phase_op,
+)
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -91,6 +97,14 @@ def identity_operator(basis: FockBasis) -> SparseOperator:
     )
 
 
+def _fock_pair(basis: FockBasis) -> tuple[State, State]:
+    """|N>_b = |0, N> and |N>_a = |N, 0> on a two-mode basis."""
+    if basis.num_modes != 2:
+        raise ValueError("qubit encodings are defined on two-mode bases")
+    n_tot = basis.total_photons
+    return basis_state(basis, (0, n_tot)), basis_state(basis, (n_tot, 0))
+
+
 def make_encoding(
     u0: LinearOp, u1: LinearOp, basis: FockBasis, label: str = "custom"
 ) -> Encoding:
@@ -98,12 +112,8 @@ def make_encoding(
 
     The images must come out orthogonal (within 1e-10) and unit norm.
     """
-    if basis.num_modes != 2:
-        raise ValueError("qubit encodings are defined on two-mode bases")
-    n_tot = basis.total_photons
-    seeds = (basis_state(basis, (0, n_tot)), basis_state(basis, (n_tot, 0)))
     images = []
-    for u, seed in zip((u0, u1), seeds):
+    for u, seed in zip((u0, u1), _fock_pair(basis)):
         vec = u.apply_vec(np.asarray(seed.amplitudes))
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > 1e-8:
@@ -117,10 +127,9 @@ def make_encoding(
 
 def fock_encoding(basis: FockBasis) -> Encoding:
     """Photon-number encoding {|N>_b, |N>_a}; dual-rail when N = 1."""
-    ident = identity_operator(basis)
     n_tot = basis.total_photons
     name = "dual-rail" if n_tot == 1 else f"fock-N{n_tot}"
-    return make_encoding(ident, ident, basis, label=name)
+    return Encoding(basis, _fock_pair(basis), name)
 
 
 def coherent_like_encoding(alpha: complex, n_photons: int) -> Encoding:
@@ -165,12 +174,15 @@ class LogicalProjection:
     leakage: float
 
 
+def _leakage(a: np.ndarray, d: int) -> float:
+    """Mean population a d x d logical matrix loses off the code space."""
+    return max(0.0, 1.0 - float(np.sum(np.abs(a) ** 2)) / d)
+
+
 def _project(unitary_cols: np.ndarray, codes: np.ndarray) -> LogicalProjection:
     """codes: (d x dim) rows; unitary_cols: (dim x d) columns U|j_L>."""
     a = codes.conj() @ unitary_cols
-    d = codes.shape[0]
-    leak = 1.0 - float(np.sum(np.abs(a) ** 2)) / d
-    return LogicalProjection(a, max(0.0, leak))
+    return LogicalProjection(a, _leakage(a, codes.shape[0]))
 
 
 def logical_gate_matrix(unitary: LinearOp, enc: Encoding) -> LogicalProjection:
@@ -309,10 +321,18 @@ def sg_manifold_unitary(
 def _pair_eig(
     basis: FockBasis, pair: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs (w, V) of Jy on a mode pair, and the diagonal mz of Jz."""
-    w, v = np.linalg.eigh(j_operator(basis, "y", pair).to_dense())
-    mz = j_operator(basis, "z", pair).matrix.diagonal().real
-    return w, v, mz
+    """Eigenpairs (w, V) of Jy on a mode pair, and the diagonal mz of Jz.
+
+    Jy = (P - P^T) / (2i) with P = a_i^dagger a_j real, so its real part is
+    exactly +0 and its imaginary part (P^T - P) / 2.
+    """
+    i, j = pair
+    hop = _hop_csr(basis, i, j).toarray().real
+    jy = np.zeros(hop.shape, dtype=np.complex128)
+    jy.imag = 0.5 * (hop.T - hop)
+    w, v = np.linalg.eigh(jy)
+    occ = basis.occupations
+    return w, v, (occ[:, i] - occ[:, j]) / 2.0
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -367,8 +387,7 @@ class _Manifold:
         return float(values[0]), grads[0]
 
     def leakage(self, params: Sequence[float]) -> float:
-        a = self.logical(params)
-        return max(0.0, 1.0 - float(np.sum(np.abs(a) ** 2)) / self.d)
+        return _leakage(self.logical(params), self.d)
 
 
 class _RotationManifold(_Manifold):
@@ -474,91 +493,33 @@ class GateSearchResult:
     evaluations: int
 
 
-@dataclass(frozen=True)
-class GridFloor:
-    """Best rotation-manifold point of a dense scan plus local polish.
-
-    Every evaluated point bounds the manifold minimum from above, so
-    ``error`` is an upper bound on it, not a certificate; for the Fock-pair
-    encoding ``fock_pair_floor`` gives the proven value.
-    """
-
-    error: float
-    params: tuple[float, float, float]
-    resolution: float
-    grid_shape: tuple[int, int, int]
-    grid_error: float
-
-
 # Largest (theta', phi', eta) block the scan evaluates at once, in complex
 # entries; one theta' slice is always whole, even when it is larger.
 _SCAN_BLOCK = 1 << 16
+_SEED_SPACING = 0.1
 
 
-def _grid_axes(
-    resolution: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    thetas = np.linspace(
-        0.0, math.pi, int(math.ceil(math.pi / resolution)) + 1
-    )
-    circ = np.arange(0.0, 2.0 * math.pi, resolution)
-    return thetas, circ, circ.copy()
+def _seed_scan(manifold: _RotationManifold) -> np.ndarray:
+    """Best node of a grid on the rotation manifold, as (theta', phi', eta).
 
-
-def grid_error_floor(
-    target: np.ndarray,
-    enc: Encoding,
-    resolution: float = 1e-2,
-    polish: bool = True,
-) -> GridFloor:
-    """Dense scan of the rotation manifold, then BFGS polish.
-
-    Scans theta' in [0, pi], phi' and eta in [0, 2 pi) at the given
-    spacing, evaluating the exact logical error at every node in blocks of
-    theta' values, and polishes the best node of the best three theta'
-    slices with BFGS on the analytic gradient (the three descents run in
-    lockstep).  Each evaluated point is reachable, so the result bounds the
-    manifold minimum from above; a finer grid and the polish only lower it.
+    theta' runs over [0, pi] and phi', eta over [0, 2 pi) at spacing 0.1;
+    the largest |tr(G^dagger A)| wins, the earliest theta' slice on ties.
     """
-    return _grid_floor(_RotationManifold(enc, target), resolution, polish)
-
-
-def _grid_floor(
-    manifold: _RotationManifold, resolution: float, polish: bool
-) -> GridFloor:
-    thetas, phis, etas = _grid_axes(resolution)
-    eta_phases = np.exp(1j * np.outer(etas, manifold.m))
-    block = max(1, _SCAN_BLOCK // (len(phis) * len(etas)))
-    slice_best: list[tuple[float, float, float, float]] = []
+    thetas = np.linspace(
+        0.0, math.pi, int(math.ceil(math.pi / _SEED_SPACING)) + 1
+    )
+    circ = np.arange(0.0, 2.0 * math.pi, _SEED_SPACING)
+    eta_phases = np.exp(1j * np.outer(circ, manifold.m))
+    block = max(1, _SCAN_BLOCK // (len(circ) * len(circ)))
+    best_trace, best = -1.0, None
     for lo in range(0, len(thetas), block):
         chunk = thetas[lo:lo + block]
-        slab = manifold.trace_slab(chunk, phis, eta_phases)
-        flat = slab.reshape(len(chunk), -1)
-        best = np.argmax(flat, axis=1)
-        for theta_p, row, k in zip(chunk, flat, best):
-            ip, ie = divmod(int(k), len(etas))
-            slice_best.append(
-                (float(row[k]), float(theta_p), float(phis[ip]),
-                 float(etas[ie]))
-            )
-    slice_best.sort(key=lambda rec: -rec[0])
-    grid_error = _error_from_trace(slice_best[0][0], manifold.d)
-    best_error = grid_error
-    best_params = tuple(slice_best[0][1:])
-    if polish:
-        starts = np.array([rec[1:] for rec in slice_best[:3]])
-        ends, errors, _, _ = _descend(manifold, starts)
-        for x, err in zip(ends, errors):
-            if err < best_error:
-                best_error = err
-                best_params = tuple(float(v) for v in x)
-    return GridFloor(
-        best_error,
-        best_params,  # type: ignore[arg-type]
-        resolution,
-        (len(thetas), len(phis), len(etas)),
-        grid_error,
-    )
+        slab = manifold.trace_slab(chunk, circ, eta_phases)
+        it, ip, ie = np.unravel_index(np.argmax(slab), slab.shape)
+        if slab[it, ip, ie] > best_trace:
+            best_trace = slab[it, ip, ie]
+            best = np.array([chunk[it], circ[ip], circ[ie]])
+    return best
 
 
 _GTOL = 1e-10  # stop once max |gradient| is this small
@@ -688,16 +649,15 @@ def sg_gate_search(
 ) -> GateSearchResult:
     """Multi-start BFGS search over (theta', phi', eta).
 
-    One start comes from a grid scan at spacing 0.1 on the search's own
-    manifold; the rest are seeded uniform draws.  All starts descend in
-    lockstep.  The lowest error wins, the earliest start on ties, so the
-    result is deterministic given the seed.
+    One start is the best node of a grid scan at spacing 0.1 on the
+    search's own manifold; the rest are seeded uniform draws.  All starts
+    descend in lockstep.  The lowest error wins, the earliest start on
+    ties, so the result is deterministic given the seed.
     """
     target = np.asarray(target, dtype=np.complex128)
     manifold = _RotationManifold(enc, target)
-    coarse = _grid_floor(manifold, resolution=0.1, polish=False)
     rng = SplitMix64(seed)
-    starts = [np.array(coarse.params)]
+    starts = [_seed_scan(manifold)]
     for _ in range(max(0, restarts - 1)):
         starts.append(
             np.array(

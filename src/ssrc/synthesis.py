@@ -324,13 +324,6 @@ class _ProductSolver:
         """e^{iw} - 1, exactly 0 where w is 0."""
         return 2j * np.sin(0.5 * w) * np.exp(0.5j * w)
 
-    def apply(self, sig: np.ndarray, u: np.ndarray) -> np.ndarray:
-        vecs, mag, _ = self._spectra(sig)
-        v = u
-        for vk, ck in zip(vecs, self._shifts(mag[:, None] * self.w0)):
-            v = v + vk @ (ck * (vk.conj().T @ v))
-        return v
-
     def _forward(self, sig, u, t) -> _Point:
         """Step unitaries, prefix products and residual at ``sig``."""
         d = len(u)
@@ -371,11 +364,6 @@ class _ProductSolver:
         cols = (left @ (vecs @ dirs)).transpose(1, 0, 2)
         cols = cols.reshape(d, 2 * self.m)
         return np.concatenate([cols.real, cols.imag])
-
-    def _resid_jac(self, sig, u, t):
-        """Residual, Jacobian and product vector at ``sig``."""
-        point = self._forward(sig, u, t)
-        return point.r, self._jacobian(point), point.v
 
     def _lm(self, sig0, u, t, tol=1e-13, maxit=200):
         """Levenberg-Marquardt from ``sig0``.
@@ -429,7 +417,7 @@ class _ProductSolver:
         overlap = np.vdot(u, t)
         t_aligned = t * (np.conj(overlap) / abs(overlap)) if abs(overlap) > 1e-12 else t
         omega = math.acos(min(1.0, abs(overlap)))
-        sig = np.zeros(2 * self.m)
+        sig, v = np.zeros(2 * self.m), u
         lam_, step_len = 0.0, 0.2
         while lam_ < 1.0:
             nxt = min(1.0, lam_ + step_len)
@@ -443,13 +431,12 @@ class _ProductSolver:
             tl = tl / np.linalg.norm(tl)
             sig2, cost2, v2 = self._lm(sig, u, tl)
             if cost2 < 1e-20 or _vec_fidelity(v2, tl) > goal:
-                sig, lam_ = sig2, nxt
+                sig, v, lam_ = sig2, v2, nxt
                 step_len = min(0.4, step_len * 1.5)
             else:
                 step_len *= 0.5
                 if step_len < 1e-4:
                     break
-        v = self.apply(sig, u)
         f = _vec_fidelity(v, t)
         if f > best[0]:
             best = (f, sig)
@@ -542,7 +529,6 @@ def plan_two_mode(
     small_angle: float = SMALL_ANGLE_DEFAULT,
     passes: int = 2,
     fidelity_goal: float | None = None,
-    c0_fallback: bool = True,
 ) -> SynthesisPlan:
     """Plan a ladder sweep steering |0, N⟩ to ``target`` on a two-mode basis.
 
@@ -551,11 +537,10 @@ def plan_two_mode(
     With ``passes=2`` (default) the executed pass-1 state is re-measured
     and touch-up steps (two per order plus a trailing order-1 pair,
     amplitudes solved exactly) are appended, unless ``fidelity_goal`` is
-    already met.  A target whose
-    leading coefficient is below ``C0_FLOOR`` is pre-rotated first and the
-    inverse rotation appended as a closing step (or rejected when
-    ``c0_fallback`` is off).  For N = 1 the single step is the exact
-    rotation onto the target, which first-order matching only approximates.
+    already met.  A target whose leading coefficient is below ``C0_FLOOR``
+    is pre-rotated first and the inverse rotation appended as a closing
+    step.  For N = 1 the single step is the exact rotation onto the target,
+    which first-order matching only approximates.
     """
     basis = target.basis
     if basis.num_modes != 2:
@@ -580,14 +565,26 @@ def plan_two_mode(
         return SynthesisPlan(tuple(steps), target, small_angle)
 
     if abs(c[0]) < C0_FLOOR:
-        if not c0_fallback:
-            raise ZeroLeadingCoefficientError(
-                f"|c_0| = {abs(c[0]):.3e} below floor {C0_FLOOR:.1e}"
-            )
         return _plan_with_prerotation(
             target, small_angle, passes, fidelity_goal
         )
+    return _plan_matched(target, small_angle, passes, fidelity_goal)
 
+
+def _plan_matched(
+    target: State,
+    small_angle: float,
+    passes: int,
+    fidelity_goal: float | None,
+) -> SynthesisPlan:
+    """Match every order's amplitude ratio, then append the touch-up sweep.
+
+    Needs N >= 2 and a leading coefficient of at least ``C0_FLOOR``.
+    """
+    basis = target.basis
+    n_tot = basis.total_photons
+    c = np.asarray(target.amplitudes)
+    pair = ((0, 1),)
     rhos = [
         (c[k] / c[0]) / _ladder_element(n_tot, k) for k in range(1, n_tot + 1)
     ]
@@ -627,12 +624,8 @@ def _plan_with_prerotation(
         rho_v = 0.4 * rng.complex_normal()
         rotated = _step_exp(rho_v, jp).conj().T @ c
         if abs(rotated[0]) >= max(C0_FLOOR, 0.05):
-            inner = plan_two_mode(
-                State(basis, rotated),
-                small_angle,
-                passes,
-                fidelity_goal,
-                c0_fallback=False,
+            inner = _plan_matched(
+                State(basis, rotated), small_angle, passes, fidelity_goal
             )
             closing = _steps_from_amplitudes(
                 [rho_v], [((0, 1),)], small_angle, "closing"

@@ -17,7 +17,6 @@ from ssrc.encodings import (
     fock_encoding,
     fock_pair_floor,
     gate_error,
-    grid_error_floor,
     hadamard_gate,
     identity_operator,
     logical_gate_matrix,
@@ -35,7 +34,9 @@ from ssrc.encodings import (
     _descend,
     _MeshManifold,
     _multistart,
+    _pair_eig,
     _RotationManifold,
+    _seed_scan,
 )
 from ssrc.hilbert import DimensionCapError, State, make_basis
 from ssrc.prng import SplitMix64
@@ -81,6 +82,17 @@ class TestEncodingConstruction:
         minus = State(basis, [1.0, 0.5])
         with pytest.raises(NonOrthogonalCodeStatesError):
             Encoding(basis, (plus, minus), "bad")
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_fock_encoding_matches_identity_images(self, n):
+        basis = make_basis(2, n)
+        ident = identity_operator(basis)
+        want = make_encoding(ident, ident, basis).code_vectors()
+        assert fock_encoding(basis).code_vectors().tobytes() == want.tobytes()
+
+    def test_fock_encoding_needs_two_modes(self):
+        with pytest.raises(ValueError, match="two-mode"):
+            fock_encoding(make_basis(3, 2))
 
     def test_code_vectors_shape(self):
         enc = fock_encoding(make_basis(2, 4))
@@ -154,6 +166,29 @@ class TestLogicalProjection:
         assert gate_error(identity_operator(basis), np.eye(2), enc) == 0.0
 
 
+class TestPairEig:
+    """``_pair_eig`` hands ``eigh`` the bytes of the operator-layer Jy,
+    signed zeros included, so the eigenvectors keep their bits."""
+
+    CASES = [(2, n, (0, 1)) for n in range(1, 7)] + [
+        (4, n, pair) for n in (2, 4) for pair in ((0, 1), (2, 3), (1, 2))
+    ]
+
+    @pytest.mark.parametrize(
+        "k, n, pair", CASES,
+        ids=[f"K{k}-N{n}-{i}{j}" for k, n, (i, j) in CASES],
+    )
+    def test_matches_j_operator(self, k, n, pair):
+        basis = make_basis(k, n)
+        w, v, mz = _pair_eig(basis, pair)
+        w_ref, v_ref = np.linalg.eigh(j_operator(basis, "y", pair).to_dense())
+        mz_ref = j_operator(basis, "z", pair).matrix.diagonal().real
+        assert w.tobytes() == w_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+        assert mz.dtype == mz_ref.dtype
+        assert mz.tobytes() == mz_ref.tobytes()
+
+
 class TestManifoldUnitary:
     def test_matches_closure_form(self):
         # The tilted-axis rotation must equal the explicit conjugation
@@ -197,7 +232,7 @@ class TestDualRailUniversality:
         assert res.error <= 1e-8
 
 
-# Searches and scans land a few ulps below the exact floor (at most 1.6e-15
+# Searches land a few ulps below the exact floor (at most 1.6e-15
 # below it at N = 5); 1e-14 is that rounding allowance, not a tolerance on
 # the floor.
 ROUNDING = 1e-14
@@ -206,13 +241,8 @@ ROUNDING = 1e-14
 class TestGateFloors:
     @pytest.mark.parametrize("n", [2, 3])
     def test_hadamard_floor_matches_fixture(self, n):
-        enc = fock_encoding(make_basis(2, n))
-        floor = grid_error_floor(
-            hadamard_gate(), enc, resolution=0.05, polish=True
-        )
         want = FIXTURES["gate_floors"]["hadamard"][str(n)]
         assert abs(fock_pair_floor(hadamard_gate(), n) - want) <= 1e-12
-        assert abs(floor.error - want) <= 1e-12
 
     def test_search_never_beats_certified_floor(self):
         n = 2
@@ -242,10 +272,12 @@ class TestGateFloors:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     @pytest.mark.parametrize("name", sorted(FLOOR_TARGETS))
     def test_polished_scan_reaches_proven_floor(self, name, n):
+        # With one restart the only start is the best node of the 0.1
+        # scan, so this is that node polished by BFGS.
         target = FLOOR_TARGETS[name]
         enc = fock_encoding(make_basis(2, n))
-        scan = grid_error_floor(target, enc, resolution=0.05, polish=True)
-        assert abs(scan.error - fock_pair_floor(target, n)) <= 1e-12
+        res = sg_gate_search(target, enc, restarts=1)
+        assert abs(res.error - fock_pair_floor(target, n)) <= 1e-12
 
     def test_dual_rail_floor_is_zero_for_unitaries(self):
         for target in FLOOR_TARGETS.values():
@@ -256,17 +288,6 @@ class TestGateFloors:
             fock_pair_floor(hadamard_gate(), 0)
         with pytest.raises(ValueError, match="must be 2x2"):
             fock_pair_floor(np.eye(3), 2)
-
-    def test_grid_floor_polish_only_improves(self):
-        enc = fock_encoding(make_basis(2, 2))
-        rough = grid_error_floor(
-            hadamard_gate(), enc, resolution=0.1, polish=False
-        )
-        polished = grid_error_floor(
-            hadamard_gate(), enc, resolution=0.1, polish=True
-        )
-        assert polished.error <= rough.error + 1e-15
-        assert rough.grid_error == rough.error
 
 
 def _central_differences(f, x, h=1e-6):
@@ -314,11 +335,11 @@ def _mesh_manifold(n):
 
 
 def _scan_reference(target, enc, resolution):
-    """Unpolished grid scan, one theta' slice at a time.
+    """Grid scan, one theta' slice at a time.
 
-    Returns (grid_error, params) of the best node; written out in full so
-    that the blocked scan of ``grid_error_floor`` is checked against
-    independent per-slice code.
+    Returns the (theta', phi', eta) of the best node; written out in full so
+    that the blocked scan of ``_seed_scan`` is checked against independent
+    per-slice code.
     """
     manifold = _RotationManifold(enc, target)
     thetas = np.linspace(
@@ -343,7 +364,7 @@ def _scan_reference(target, enc, resolution):
         best.append((float(slab[ip, ie]), float(theta), float(phis[ip]),
                      float(phis[ie])))
     best.sort(key=lambda rec: -rec[0])
-    return max(0.0, 1.0 - best[0][0] / manifold.d), best[0][1:]
+    return best[0][1:]
 
 
 class TestBatchedEvaluation:
@@ -414,18 +435,15 @@ class TestBatchedEvaluation:
         res = _multistart(manifold, target, list(starts), seed=0)
         assert res.params == tuple(float(v) for v in ends[0])
 
-    @pytest.mark.parametrize("resolution", [0.1, 0.05])
+    @pytest.mark.parametrize("resolution", [0.1])  # _seed_scan's spacing
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     @pytest.mark.parametrize("name", ["hadamard", "t_hadamard"])
     def test_blocked_scan_matches_slice_loop(self, name, n, resolution):
         target = FLOOR_TARGETS[name]
         enc = fock_encoding(make_basis(2, n))
-        scan = grid_error_floor(target, enc, resolution=resolution,
-                                polish=False)
-        grid_error, params = _scan_reference(target, enc, resolution)
-        assert scan.grid_error == grid_error
-        assert scan.error == grid_error
-        assert scan.params == params
+        start = _seed_scan(_RotationManifold(enc, target))
+        params = _scan_reference(target, enc, resolution)
+        assert start.tobytes() == np.array(params).tobytes()
 
 
 class TestSearchQuality:

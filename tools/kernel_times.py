@@ -9,10 +9,9 @@ the work of one ``synthesis-bench`` target.
 Gate searches: ``sg_gate_search`` on the Hadamard target for the Fock-pair
 encoding at N = 1 to 4 (8 restarts) and ``cnot_search`` at N = 1 and 2
 (8 restarts), with the error found, the BFGS iterations summed over the
-restarts and the objective evaluations; and ``grid_error_floor`` on the
-Hadamard target at N = 3, as the unpolished 0.1 scan that seeds each
-``sg_gate_search`` and at resolution 1e-2 with polish, with the error
-found.  All run at the default seed.
+restarts and the objective evaluations.  Each ``sg_gate_search`` time
+includes the 0.1 grid scan that gives its first start.  All run at the
+default seed.
 
 CV limit: the four kernels that dominate the ``cv`` benchmark workload, at
 that workload's largest sizes, with their values:
@@ -51,7 +50,6 @@ from ssrc.cvlimit import (
 from ssrc.encodings import (
     cnot_search,
     fock_encoding,
-    grid_error_floor,
     hadamard_gate,
     sg_gate_search,
 )
@@ -123,24 +121,17 @@ def gate_rows() -> None:
     runs = []
     for n in (1, 2, 3, 4):
         enc = fock_encoding(make_basis(2, n))
-        runs.append((f"sg_gate_search hadamard N={n}", _search_note,
+        runs.append((f"sg_gate_search hadamard N={n}",
                      lambda enc=enc: sg_gate_search(hadamard, enc,
                                                     restarts=RESTARTS)))
     for n in (1, 2):
         enc = fock_encoding(make_basis(2, n))
-        runs.append((f"cnot_search N={n}", _search_note,
+        runs.append((f"cnot_search N={n}",
                      lambda enc=enc: cnot_search(enc, restarts=RESTARTS)))
-    enc = fock_encoding(make_basis(2, 3))
-    for label, resolution, polish in (("h=0.1 no polish", 0.1, False),
-                                      ("h=1e-2", 1e-2, True)):
-        runs.append((f"grid_error_floor hadamard N=3 {label}",
-                     lambda res: f"error {res.error!r}",
-                     lambda resolution=resolution, polish=polish:
-                     grid_error_floor(hadamard, enc, resolution=resolution,
-                                      polish=polish)))
-    for label, note, run in runs:
+    for label, run in runs:
         times, result = _time(run)
-        print(f"{label:46s} {_seconds(times)}  {note(result)}", flush=True)
+        print(f"{label:46s} {_seconds(times)}  {_search_note(result)}",
+              flush=True)
 
 
 def cv_rows() -> None:
