@@ -509,6 +509,8 @@ def load_config(path: str | pathlib.Path) -> ExperimentConfig:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError([f"INI syntax error: {exc}"]) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read config: {exc}"]) from exc
 
     violations: list[str] = []
     if not parser.has_section("experiment"):

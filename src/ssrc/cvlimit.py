@@ -13,6 +13,9 @@ comparisons and the commutator residual) costs O(window), not O(N): it
 computes only the signal occupations n <= n_max, plus, for the squeezed
 normalization, as many weights as a proven tail bound needs.  Each full
 state is built by the same helper as its window, with the window set to N.
+Likewise a quadrature is a ``scipy.sparse`` CSR matrix built in closed form
+from the J+/J- entries, whole for ``quadrature_operator`` and as the
+leading block for the commutator residual; neither builds a basis.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import gammaln, logsumexp
 
 from .hilbert import FockBasis, State, inner_product, make_basis
-from .schwinger import SparseOperator, j_operator
+from .schwinger import j_operator
 
 
 class AmplitudeBoundError(ValueError):
@@ -404,32 +408,37 @@ def squeezed_window_fidelity(
 # Quadratures
 
 
-def _quadrature_matrix(
-    basis: FockBasis, phi: float, size: int | None = None
-):
-    """Sparse matrix of Q(N, phi) on ``basis``, or its leading size x size
-    block (the occupations n < size), sliced before any arithmetic."""
-    if basis.num_modes != 2:
-        raise ValueError("quadratures are defined on a two-mode basis")
-    n_tot = basis.total_photons
+def _quadrature_block(n_tot: int, phi: float, size: int) -> sp.csr_matrix:
+    """Leading size x size block of Q(N, phi): the occupations n < size.
+
+    J+ holds v_n = sqrt((n+1)(N-n)) at (n+1, n) and J- at (n, n+1), so
+    the block costs O(size) and builds no basis.  The bands are the bits
+    of (e^{-i phi} J- + e^{i phi} J+) / sqrt(2N) in sparse arithmetic;
+    row n holds the entry below the diagonal, then the one above.
+    """
     if n_tot < 1:
         raise ValueError("need at least one photon")
-    jp = j_operator(basis, "+").matrix
-    jm = j_operator(basis, "-").matrix
-    if size is not None:
-        jp, jm = jp[:size, :size], jm[:size, :size]
-    return (
-        cmath.exp(-1j * phi) * jm + cmath.exp(1j * phi) * jp
-    ) / math.sqrt(2.0 * n_tot)
+    n = np.arange(size - 1)
+    v = np.sqrt((n + 1) * (n_tot - n)).astype(np.complex128)
+    scale = 1 / math.sqrt(2.0 * n_tot)
+    data = np.empty(2 * (size - 1), dtype=np.complex128)
+    # "+ 0" and "* scale" repeat the sparse sum and scalar division.
+    data[0::2] = (v * cmath.exp(-1j * phi) + 0) * scale  # (n, n+1)
+    data[1::2] = (v * cmath.exp(1j * phi) + 0) * scale  # (n+1, n)
+    indices = np.empty_like(data, dtype=np.int32)
+    indices[0::2], indices[1::2] = n + 1, n
+    indptr = np.r_[0, np.arange(1, 2 * size - 2, 2), 2 * size - 2]
+    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
-def quadrature_operator(basis: FockBasis, phi: float) -> SparseOperator:
+def quadrature_operator(basis: FockBasis, phi: float) -> sp.csr_matrix:
     """Q(N, phi) = (e^{-i phi} A + e^{i phi} A†)/sqrt(2), A = J-/sqrt(N).
 
     Hermitian; Q(N, 0) = sqrt(2/N) Jx and Q(N, pi/2) = -sqrt(2/N) Jy.
     """
-    return SparseOperator(basis, _quadrature_matrix(basis, phi),
-                          hermitian=True)
+    if basis.num_modes != 2:
+        raise ValueError("quadratures are defined on a two-mode basis")
+    return _quadrature_block(basis.total_photons, phi, basis.dimension)
 
 
 def commutator_residual(n_photons: int, n_max: int) -> float:
@@ -443,9 +452,8 @@ def commutator_residual(n_photons: int, n_max: int) -> float:
     n_tot = int(n_photons)
     if not 0 <= n_max < n_tot:
         raise ValueError("need 0 <= n_max < N")
-    basis = make_basis(2, n_tot)
-    q0 = _quadrature_matrix(basis, 0.0, n_max + 2)
-    q1 = _quadrature_matrix(basis, math.pi / 2, n_max + 2)
+    q0 = _quadrature_block(n_tot, 0.0, n_max + 2)
+    q1 = _quadrature_block(n_tot, math.pi / 2, n_max + 2)
     comm = (q0 @ q1 - q1 @ q0).tocsr()
     sector = comm[: n_max + 1, : n_max + 1].toarray()
     sector -= 1j * np.eye(n_max + 1)
@@ -468,11 +476,11 @@ def uncertainty_check(state: State) -> UncertaintyRecord:
     vec = np.asarray(state.amplitudes)
     deltas = []
     for axis in "xy":
-        mat = j_operator(basis, axis).matrix
+        mat = j_operator(basis, axis)
         mean = float(np.vdot(vec, mat @ vec).real)
         second = float(np.vdot(mat @ vec, mat @ vec).real)
         deltas.append(math.sqrt(max(0.0, second - mean * mean)))
-    jz = j_operator(basis, "z").matrix
+    jz = j_operator(basis, "z")
     half_abs = 0.5 * abs(float(np.vdot(vec, jz @ vec).real))
     product = deltas[0] * deltas[1]
     return UncertaintyRecord(

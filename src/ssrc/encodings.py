@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cvlimit import coherent_from_rotation
 from .hilbert import (
@@ -41,11 +40,11 @@ from .hilbert import (
 )
 from .prng import DEFAULT_SEED, SplitMix64
 from .schwinger import (
-    LinearOp,
-    SparseOperator,
     _hop_csr,
+    exp_unitary,
     j_operator,
     relative_phase_op,
+    rotation,
 )
 
 ORTHOGONALITY_TOL = 1e-10
@@ -89,12 +88,12 @@ class Encoding:
         )
 
 
-def identity_operator(basis: FockBasis) -> SparseOperator:
-    return SparseOperator(
-        basis,
-        sp.identity(basis.dimension, dtype=np.complex128, format="csr"),
-        hermitian=True,
-    )
+def _check_shape(unitary, basis: FockBasis) -> None:
+    if unitary.shape != (basis.dimension, basis.dimension):
+        raise BasisMismatchError(
+            f"operator shape {unitary.shape} does not match basis "
+            f"dimension {basis.dimension}"
+        )
 
 
 def _fock_pair(basis: FockBasis) -> tuple[State, State]:
@@ -105,16 +104,16 @@ def _fock_pair(basis: FockBasis) -> tuple[State, State]:
     return basis_state(basis, (0, n_tot)), basis_state(basis, (n_tot, 0))
 
 
-def make_encoding(
-    u0: LinearOp, u1: LinearOp, basis: FockBasis, label: str = "custom"
-) -> Encoding:
+def make_encoding(u0, u1, basis: FockBasis, label: str = "custom") -> Encoding:
     """Encoding with |0_L> = U0 |N>_b and |1_L> = U1 |N>_a.
 
-    The images must come out orthogonal (within 1e-10) and unit norm.
+    U0 and U1 are matrices on ``basis``.  The images must come out
+    orthogonal (within 1e-10) and unit norm.
     """
     images = []
     for u, seed in zip((u0, u1), _fock_pair(basis)):
-        vec = u.apply_vec(np.asarray(seed.amplitudes))
+        _check_shape(u, basis)
+        vec = u @ seed.amplitudes
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > 1e-8:
             raise ValueError(
@@ -185,12 +184,11 @@ def _project(unitary_cols: np.ndarray, codes: np.ndarray) -> LogicalProjection:
     return LogicalProjection(a, _leakage(a, codes.shape[0]))
 
 
-def logical_gate_matrix(unitary: LinearOp, enc: Encoding) -> LogicalProjection:
+def logical_gate_matrix(unitary, enc: Encoding) -> LogicalProjection:
     """A_ij = <i_L| U |j_L> plus the mean population lost off the code space."""
-    if unitary.basis != enc.basis:
-        raise BasisMismatchError("operator basis differs from encoding basis")
+    _check_shape(unitary, enc.basis)
     codes = enc.code_vectors()
-    cols = np.stack([unitary.apply_vec(row) for row in codes], axis=1)
+    cols = np.stack([unitary @ row for row in codes], axis=1)
     return _project(cols, codes)
 
 
@@ -198,9 +196,7 @@ def _error_from_trace(trace: complex, d: int) -> float:
     return max(0.0, 1.0 - abs(trace) / d)
 
 
-def gate_error(
-    unitary: LinearOp, target: np.ndarray, enc: Encoding
-) -> float:
+def gate_error(unitary, target: np.ndarray, enc: Encoding) -> float:
     """E = 1 - |tr(G^dagger A)| / d; zero iff A equals G up to a phase.
 
     Invariant under global phases of both the physical unitary and the
@@ -309,13 +305,13 @@ def sg_manifold_unitary(
     phi_p: float,
     eta: float,
     mode_pair: tuple[int, int] = (0, 1),
-) -> LinearOp:
-    """Rotation about the tilted axis: R(theta',phi') e^{i eta Jz} R^dagger."""
-    from .schwinger import exp_unitary, rotation
-
+):
+    """Rotation about the tilted axis: R(theta',phi') e^{i eta Jz} R^dagger,
+    a matrix like ``rotation``'s."""
     rot = rotation(basis, theta_p, phi_p, mode_pair)
     core = exp_unitary(j_operator(basis, "z", mode_pair), eta)
-    return rot @ core @ rot.dagger()
+    rot_dag = rot.conj().T if isinstance(rot, np.ndarray) else rot.H
+    return rot @ core @ rot_dag
 
 
 def _pair_eig(
@@ -861,7 +857,7 @@ def prepare_register(
         for k in range(k_qubits - 1):
             shift = relative_phase_op(basis, (2 * k + 1, num_modes - 1))
             for _ in range(n_photons):
-                vec = shift.apply_vec(vec)
+                vec = shift @ vec
     target_occ = (0, n_photons) * k_qubits
     expected = np.asarray(basis_state(basis, target_occ).amplitudes)
     if not np.array_equal(vec, expected):

@@ -7,24 +7,26 @@ arbitrary mode pairs, exponentiates them into passive rotations and
 higher-power (interaction-like) unitaries, provides the cyclic relative-phase
 shift, and converts between amplitude vectors and their product-of-directions
 (point-on-sphere) factorization for two-mode states.
+
+Operators are plain matrices indexed by the basis: generators are
+``scipy.sparse`` CSR matrices, and unitaries are dense arrays up to
+``DENSE_EXP_LIMIT`` and action-only ``LinearOperator``s above it.  Apply one
+to a state with ``State(basis, u @ state.amplitudes, check_drift=True)``.
 """
 
 from __future__ import annotations
 
 import cmath
-import json
 import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse.linalg import expm_multiply
 
-from .hilbert import FockBasis, State, make_basis
+from .hilbert import FockBasis, State
 
 logger = logging.getLogger(__name__)
 
@@ -43,141 +45,6 @@ class InvalidModePairError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Linear maps
-
-
-class LinearOp:
-    """Linear map on a fixed basis; subclasses implement ``apply_vec``."""
-
-    basis: FockBasis
-
-    def apply_vec(self, vec: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def dagger(self) -> "LinearOp":
-        raise NotImplementedError
-
-    def apply(self, state: State) -> State:
-        """Apply to a state and renormalize (intended for unitaries;
-        norm drift beyond 1e-10 is logged).  Use ``apply_vec`` for raw
-        generator action."""
-        if state.basis != self.basis:
-            raise ValueError("operator and state bases differ")
-        return State(
-            self.basis,
-            self.apply_vec(np.asarray(state.amplitudes)),
-            check_drift=True,
-        )
-
-    def __matmul__(self, other: "LinearOp") -> "LinearOp":
-        if self.basis != other.basis:
-            raise ValueError("operator bases differ")
-        if isinstance(self, SparseOperator) and isinstance(other, SparseOperator):
-            return SparseOperator(self.basis, self.matrix @ other.matrix)
-        left = self.factors if isinstance(self, ComposedOp) else (self,)
-        right = other.factors if isinstance(other, ComposedOp) else (other,)
-        return ComposedOp(self.basis, left + right)
-
-
-class SparseOperator(LinearOp):
-    """Explicit sparse matrix on a ``FockBasis`` with a Hermitian flag."""
-
-    def __init__(
-        self,
-        basis: FockBasis,
-        matrix: sp.spmatrix | np.ndarray,
-        hermitian: bool = False,
-    ):
-        mat = sp.csr_matrix(matrix, dtype=np.complex128)
-        if mat.shape != (basis.dimension, basis.dimension):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match basis dimension "
-                f"{basis.dimension}"
-            )
-        if hermitian:
-            drift = abs(mat - mat.getH())
-            if drift.count_nonzero() and drift.max() > HERMITIAN_TOL:
-                raise NonHermitianGeneratorError(
-                    f"matrix deviates from Hermiticity by {drift.max():.3e}"
-                )
-        self.basis = basis
-        self.matrix = mat
-        self.hermitian_flag = hermitian
-
-    def entries(self) -> Iterator[tuple[int, int, complex]]:
-        coo = self.matrix.tocoo()
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            yield int(r), int(c), complex(v)
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def apply_vec(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
-    def dagger(self) -> "SparseOperator":
-        return SparseOperator(self.basis, self.matrix.getH(), self.hermitian_flag)
-
-    def to_json(self) -> str:
-        triplets = [
-            [r, c, v.real, v.imag] for r, c, v in self.entries()
-        ]
-        return json.dumps(
-            {
-                "modes": self.basis.num_modes,
-                "photons": self.basis.total_photons,
-                "entries": triplets,
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "SparseOperator":
-        data = json.loads(text)
-        basis = make_basis(int(data["modes"]), int(data["photons"]))
-        dim = basis.dimension
-        rows, cols, vals = [], [], []
-        for r, c, re, im in data["entries"]:
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(complex(re, im))
-        mat = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
-        return SparseOperator(basis, mat)
-
-
-class LazyExpUnitary(LinearOp):
-    """exp(i*chi*G) applied action-only; used above ``DENSE_EXP_LIMIT``."""
-
-    def __init__(self, basis: FockBasis, generator: sp.spmatrix, chi: float):
-        self.basis = basis
-        self.generator = sp.csr_matrix(generator, dtype=np.complex128)
-        self.chi = float(chi)
-
-    def apply_vec(self, vec: np.ndarray) -> np.ndarray:
-        return expm_multiply(1j * self.chi * self.generator, vec)
-
-    def dagger(self) -> "LazyExpUnitary":
-        return LazyExpUnitary(self.basis, self.generator, -self.chi)
-
-
-class ComposedOp(LinearOp):
-    """Product of linear maps; ``factors`` apply right-to-left."""
-
-    def __init__(self, basis: FockBasis, factors: Sequence[LinearOp]):
-        self.basis = basis
-        self.factors = tuple(factors)
-
-    def apply_vec(self, vec: np.ndarray) -> np.ndarray:
-        for op in reversed(self.factors):
-            vec = op.apply_vec(vec)
-        return vec
-
-    def dagger(self) -> "ComposedOp":
-        return ComposedOp(
-            self.basis, tuple(op.dagger() for op in reversed(self.factors))
-        )
-
-
-# ---------------------------------------------------------------------------
 # Generators
 
 
@@ -192,43 +59,48 @@ def _check_pair(basis: FockBasis, mode_pair: tuple[int, int]) -> tuple[int, int]
 
 @lru_cache(maxsize=None)
 def _hop_csr(basis: FockBasis, i: int, j: int) -> sp.csr_matrix:
-    """Sparse matrix of a_i† a_j (moves one photon from mode j to mode i)."""
+    """Read-only sparse matrix of a_i† a_j (moves one photon from mode j
+    to mode i); every caller on the basis shares it."""
     cols = np.flatnonzero(basis.occupations[:, j])
     new = basis.occupations[cols]
     vals = np.sqrt((new[:, i] + 1) * new[:, j]).astype(np.complex128)
     new[:, i] += 1
     new[:, j] -= 1
     dim = basis.dimension
-    return sp.coo_matrix(
+    mat = sp.coo_matrix(
         (vals, (basis.rank(new), cols)), shape=(dim, dim)
     ).tocsr()
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.flags.writeable = False
+    return mat
 
 
 def j_operator(
     basis: FockBasis, axis: str, mode_pair: tuple[int, int] = (0, 1)
-) -> SparseOperator:
+) -> sp.csr_matrix:
     """Angular-momentum generator on a mode pair.
 
     ``axis`` is one of ``'x','y','z','+','-'``.  On the pair (i, j):
     ``J+ = a_i† a_j``, ``J- = a_j† a_i``, ``Jz = (n_i - n_j)/2``,
-    ``Jx = (J+ + J-)/2``, ``Jy = (J+ - J-)/(2i)``.
+    ``Jx = (J+ + J-)/2``, ``Jy = (J+ - J-)/(2i)``.  ``J+`` and ``J-`` are
+    the shared, read-only hop matrices.
     """
     i, j = _check_pair(basis, mode_pair)
     if axis == "+":
-        return SparseOperator(basis, _hop_csr(basis, i, j))
+        return _hop_csr(basis, i, j)
     if axis == "-":
-        return SparseOperator(basis, _hop_csr(basis, j, i))
+        return _hop_csr(basis, j, i)
     if axis == "z":
         occ = basis.occupations
-        return SparseOperator(
-            basis, sp.diags((occ[:, i] - occ[:, j]) / 2.0), hermitian=True
+        return sp.csr_matrix(
+            sp.diags((occ[:, i] - occ[:, j]) / 2.0), dtype=np.complex128
         )
     plus = _hop_csr(basis, i, j)
     minus = _hop_csr(basis, j, i)
     if axis == "x":
-        return SparseOperator(basis, (plus + minus) * 0.5, hermitian=True)
+        return (plus + minus) * 0.5
     if axis == "y":
-        return SparseOperator(basis, (plus - minus) * (-0.5j), hermitian=True)
+        return (plus - minus) * (-0.5j)
     raise ValueError(f"unknown axis {axis!r}; expected one of x, y, z, +, -")
 
 
@@ -236,7 +108,7 @@ def axis_generator(
     basis: FockBasis,
     axis: str | Sequence[float],
     mode_pair: tuple[int, int] = (0, 1),
-) -> SparseOperator:
+) -> sp.csr_matrix:
     """J along a unit 3-vector (or named axis) on the given mode pair."""
     if isinstance(axis, str):
         return j_operator(basis, axis, mode_pair)
@@ -247,36 +119,41 @@ def axis_generator(
     if norm == 0:
         raise ValueError("axis vector must be nonzero")
     n = n / norm
-    mat = sum(
-        n[k] * j_operator(basis, ax, mode_pair).matrix
-        for k, ax in enumerate("xyz")
+    return sum(
+        n[k] * j_operator(basis, ax, mode_pair) for k, ax in enumerate("xyz")
     )
-    return SparseOperator(basis, mat, hermitian=True)
 
 
 # ---------------------------------------------------------------------------
 # Unitaries
 
 
-def exp_unitary(generator: SparseOperator, chi: float) -> LinearOp:
-    """exp(i*chi*G) for a Hermitian generator G.
+def exp_unitary(generator, chi: float):
+    """exp(i*chi*G) for a Hermitian matrix G, sparse or dense.
 
-    Dense eigendecomposition below ``DENSE_EXP_LIMIT``; action-only
-    (never materialized) above it.
+    A dense ``ndarray`` up to ``DENSE_EXP_LIMIT``; above it a
+    ``scipy.sparse.linalg.LinearOperator`` applied action-only through
+    ``expm_multiply``, whose adjoint ``.H`` is exp(-i*chi*G).
     """
-    if not generator.hermitian_flag:
-        raise NonHermitianGeneratorError("generator must carry a Hermitian flag")
-    drift = abs(generator.matrix - generator.matrix.getH())
-    if drift.count_nonzero() and drift.max() > HERMITIAN_TOL:
+    drift = float(abs(generator - generator.conj().T).max())
+    if drift > HERMITIAN_TOL:
         raise NonHermitianGeneratorError(
-            f"generator deviates from Hermiticity by {drift.max():.3e}"
+            f"generator deviates from Hermiticity by {drift:.3e}"
         )
-    basis = generator.basis
-    if basis.dimension > DENSE_EXP_LIMIT:
-        return LazyExpUnitary(basis, generator.matrix, chi)
-    w, v = np.linalg.eigh(generator.to_dense())
-    unitary = (v * np.exp(1j * chi * w)) @ v.conj().T
-    return SparseOperator(basis, unitary)
+    if generator.shape[0] > DENSE_EXP_LIMIT:
+        from scipy.sparse.linalg import LinearOperator, expm_multiply
+
+        gen = sp.csr_matrix(generator, dtype=np.complex128)
+
+        def action(c: float):
+            return lambda vec: expm_multiply(1j * c * gen, vec)
+
+        chi = float(chi)
+        return LinearOperator(gen.shape, matvec=action(chi),
+                              rmatvec=action(-chi), dtype=np.complex128)
+    dense = generator.toarray() if sp.issparse(generator) else generator
+    w, v = np.linalg.eigh(dense)
+    return (v * np.exp(1j * chi * w)) @ v.conj().T
 
 
 def rotation(
@@ -284,7 +161,7 @@ def rotation(
     theta: float,
     phi: float,
     mode_pair: tuple[int, int] = (0, 1),
-) -> LinearOp:
+):
     """Passive pair rotation R(theta, phi) = exp(i*phi*Jz) exp(i*theta*Jy)."""
     u_z = exp_unitary(j_operator(basis, "z", mode_pair), phi)
     u_y = exp_unitary(j_operator(basis, "y", mode_pair), theta)
@@ -297,19 +174,18 @@ def sng_unitary(
     chi: float,
     power: int,
     mode_pair: tuple[int, int] = (0, 1),
-) -> LinearOp:
+):
     """exp(i*chi*(J_axis)^power) with power >= 2 (interaction-like unitary)."""
     if power < 2:
         raise ValueError("power must be >= 2; use exp_unitary for linear terms")
     j_n = axis_generator(basis, axis, mode_pair)
-    dense_pow = np.linalg.matrix_power(j_n.to_dense(), power)
-    dense_pow = (dense_pow + dense_pow.conj().T) / 2
-    return exp_unitary(SparseOperator(basis, dense_pow, hermitian=True), chi)
+    dense_pow = np.linalg.matrix_power(j_n.toarray(), power)
+    return exp_unitary((dense_pow + dense_pow.conj().T) / 2, chi)
 
 
 def relative_phase_op(
     basis: FockBasis, mode_pair: tuple[int, int] = (0, 1)
-) -> SparseOperator:
+) -> sp.csr_matrix:
     """Cyclic one-photon shift on a mode pair.
 
     Sends (n_i, n_j) to (n_i+1, n_j-1) and wraps the ladder edge
@@ -323,11 +199,10 @@ def relative_phase_op(
     new = occ.copy()
     new[:, i] = np.where(hop, occ[:, i] + 1, 0)
     new[:, j] = np.where(hop, occ[:, j] - 1, occ[:, i])
-    mat = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.ones(dim, dtype=np.complex128), (basis.rank(new), np.arange(dim))),
         shape=(dim, dim),
-    )
-    return SparseOperator(basis, mat)
+    ).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +366,8 @@ def point_multiset_distance(
     one-to-one matching, so ordering and the φ gauge at the poles are
     irrelevant.
     """
+    from scipy.optimize import linear_sum_assignment
+
     if len(a) != len(b):
         raise ValueError("point multisets must have equal size")
     va = np.array([bloch_vector(p) for p in a])
@@ -516,18 +393,17 @@ class RotationFit:
 
 
 def fit_rotation(
-    unitary: SparseOperator, mode_pair: tuple[int, int] = (0, 1)
+    unitary, basis: FockBasis, mode_pair: tuple[int, int] = (0, 1)
 ) -> RotationFit:
-    """Fit exp(i*eta*(n·J)) (times a phase) to a unitary.
+    """Fit exp(i*eta*(n·J)) (times a phase) to a unitary matrix on ``basis``.
 
     Extracts the 3x3 image of the J vector under conjugation, projects it
     onto the rotation group, rebuilds the candidate, and reports the
     phase-minimized max-entry deviation.  A residual at roundoff level
     certifies membership in the pair-rotation family.
     """
-    basis = unitary.basis
-    ops = [j_operator(basis, ax, mode_pair).to_dense() for ax in "xyz"]
-    u = unitary.to_dense()
+    ops = [j_operator(basis, ax, mode_pair).toarray() for ax in "xyz"]
+    u = unitary.toarray() if sp.issparse(unitary) else np.asarray(unitary)
     udag = u.conj().T
     norm = float(np.trace(ops[2] @ ops[2]).real)
     adj = np.empty((3, 3))
@@ -561,7 +437,7 @@ def fit_rotation(
     best: RotationFit | None = None
     for eta in (angle, -angle):
         gen = axis_generator(basis, tuple(axis), mode_pair)
-        cand = exp_unitary(gen, eta).to_dense()
+        cand = exp_unitary(gen, eta)
         overlap = np.trace(cand.conj().T @ u)
         gamma = cmath.phase(overlap) if abs(overlap) > 0 else 0.0
         residual = float(np.max(np.abs(u - cmath.exp(1j * gamma) * cand)))

@@ -6,6 +6,7 @@ asserts.  Run with ``pytest tests/test_acceptance.py -v -s`` to see the
 per-criterion lines as they happen.
 """
 
+import importlib.util
 import json
 import math
 import pathlib
@@ -15,7 +16,13 @@ import numpy as np
 
 from ssrc import cvlimit, encodings, synthesis
 from ssrc.cli import load_config, run_experiment
-from ssrc.hilbert import basis_state, fidelity, make_basis, random_state
+from ssrc.hilbert import (
+    State,
+    basis_state,
+    fidelity,
+    make_basis,
+    random_state,
+)
 from ssrc.prng import DEFAULT_SEED, SplitMix64
 from ssrc.schwinger import (
     j_operator,
@@ -51,8 +58,8 @@ def test_criterion_01_su2_algebra():
     failures = []
     for n in (1, 2, 5, 20, 100):
         basis = make_basis(2, n)
-        jx, jy, jz = (j_operator(basis, ax).to_dense() for ax in "xyz")
-        jp, jm = (j_operator(basis, ax).to_dense() for ax in "+-")
+        jx, jy, jz = (j_operator(basis, ax).toarray() for ax in "xyz")
+        jp, jm = (j_operator(basis, ax).toarray() for ax in "+-")
         checks = {
             "[Jx,Jy]-iJz": jx @ jy - jy @ jx - 1j * jz,
             "[Jy,Jz]-iJx": jy @ jz - jz @ jy - 1j * jx,
@@ -184,8 +191,8 @@ def test_criterion_06_quadratures():
     failures = []
     for n in (1, 2, 5, 20, 100):
         basis = make_basis(2, n)
-        q0 = cvlimit.quadrature_operator(basis, 0.0).to_dense()
-        jx = j_operator(basis, "x").to_dense()
+        q0 = cvlimit.quadrature_operator(basis, 0.0).toarray()
+        jx = j_operator(basis, "x").toarray()
         worst = float(np.max(np.abs(q0 - math.sqrt(2.0 / n) * jx)))
         if worst > 1e-12:
             failures.append(f"N={n}: Q(N,0) deviates from sqrt(2/N)Jx "
@@ -333,6 +340,17 @@ def test_criterion_09_determinism(tmp_path):
     _finish(9, "byte-identical determinism", 120, started, failures)
 
 
+def test_shipped_data_digests_are_pinned(tmp_path):
+    """The ten shipped configs write the data files pinned in
+    ``fixtures/digests.txt``, byte for byte."""
+    spec = importlib.util.spec_from_file_location(
+        "digests", ROOT / "tools" / "digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    want = (ROOT / "tests" / "fixtures" / "digests.txt").read_text()
+    assert list(digests.digest_lines(tmp_path)) == want.splitlines()
+
+
 def test_criterion_10_majorana_round_trip():
     started = time.perf_counter()
     failures = []
@@ -352,7 +370,8 @@ def test_criterion_10_majorana_round_trip():
             angles = SplitMix64(DEFAULT_SEED).derive(2000 + 10 * n + idx)
             theta = math.pi * angles.uniform()
             phi = 2 * math.pi * angles.uniform()
-            rotated = rotation(basis, theta, phi).apply(state)
+            rotated = State(basis, rotation(basis, theta, phi)
+                            @ state.amplitudes, check_drift=True)
             direct = state_to_majorana(rotated).points
             pushed = transform_points(
                 state_to_majorana(state).points,

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import textwrap
 import threading
@@ -730,6 +733,20 @@ class TestMain:
         assert main(["run", "--config", str(missing)]) == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_unreadable_config_exit_1_then_2(self, tmp_path, capsys):
+        # Not UTF-8: once a UnicodeDecodeError traceback.
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"\xff\xfe[experiment]\nname = commutator\n")
+        assert main(["validate", "--config", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("violation: cannot read config")
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config")
+        assert "Traceback" not in err
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(tmp_path)  # a directory: open raises OSError
+
     def test_run_invalid_config_exit_2(self, tmp_path, capsys):
         path = write_ini(
             tmp_path,
@@ -833,3 +850,18 @@ class TestGeneratedConfigs:
             code = main(["run", "--config", str(path), "--out", str(out_dir)])
             assert code in (0, 2), text
             assert (code == 0) == any(out_dir.glob("*.csv")), text
+
+
+def test_cli_import_leaves_optimize_and_sparse_linalg_unloaded():
+    # Each process that runs a config pays for what ``import ssrc.cli``
+    # loads; these two SciPy subpackages load only where they are used.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("import sys, ssrc.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.optimize', 'scipy.sparse.linalg'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+

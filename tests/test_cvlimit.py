@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import pathlib
@@ -30,8 +31,8 @@ from ssrc.cvlimit import (
     truncated_squeezed_reference,
     uncertainty_check,
 )
-from ssrc.hilbert import basis_state, make_basis
-from ssrc.schwinger import exp_unitary, j_operator, rotation
+from ssrc.hilbert import State, basis_state, make_basis
+from ssrc.schwinger import _hop_csr, exp_unitary, j_operator, rotation
 
 FIXTURES = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "oracles.json").read_text()
@@ -48,7 +49,8 @@ class TestCoherent:
         ref = rotation(basis, theta, phi) @ exp_unitary(
             j_operator(basis, "z"), -phi
         )
-        expect = ref.apply(basis_state(basis, (0, n)))
+        expect = State(basis, ref @ basis_state(basis, (0, n)).amplitudes,
+                       check_drift=True)
         overlap = abs(
             np.vdot(
                 np.asarray(expect.amplitudes), np.asarray(state.amplitudes)
@@ -125,7 +127,8 @@ class TestDisplacement:
         u = rotation(basis, theta, phi) @ exp_unitary(
             j_operator(basis, "z"), -phi
         )
-        moved = u.apply(basis_state(basis, (k, n - k)))
+        moved = State(basis, u @ basis_state(basis, (k, n - k)).amplitudes,
+                      check_drift=True)
         from ssrc.cvlimit import _displaced_window
 
         window = _displaced_window(alpha, k, n_max, n)
@@ -173,7 +176,8 @@ class TestDisplacement:
         u = rotation(basis, theta, ang) @ exp_unitary(
             j_operator(basis, "z"), -ang
         )
-        column = np.asarray(u.apply(basis_state(basis, (k, n - k))).amplitudes)
+        column = State(basis, u @ basis_state(basis, (k, n - k)).amplitudes,
+                       check_drift=True).amplitudes
         window = _displaced_window(alpha, k, n, n)
         assert np.max(np.abs(window - column)) < 1e-12
         a = np.diag(np.sqrt(np.arange(1, 60)), 1)
@@ -282,9 +286,14 @@ class TestWindows:
     @pytest.mark.parametrize("n, n_max", [(1, 0), (2, 1), (50, 10),
                                           (10_000, 25)])
     def test_commutator_matches_full_matrices(self, n, n_max):
+        # Reference: the full matrices, built from the basis's J+ and J-.
         basis = make_basis(2, n)
-        q0 = quadrature_operator(basis, 0.0).matrix
-        q1 = quadrature_operator(basis, math.pi / 2).matrix
+        jp, jm = j_operator(basis, "+"), j_operator(basis, "-")
+        q0, q1 = (
+            (cmath.exp(-1j * phi) * jm + cmath.exp(1j * phi) * jp)
+            / math.sqrt(2.0 * n)
+            for phi in (0.0, math.pi / 2)
+        )
         comm = (q0 @ q1 - q1 @ q0).tocsr()
         sector = comm[: n_max + 1, : n_max + 1].toarray()
         sector -= 1j * np.eye(n_max + 1)
@@ -297,6 +306,9 @@ class TestWindows:
             raise AssertionError("make_basis called")
 
         monkeypatch.setattr(cvlimit, "make_basis", refuse)
+        hops = _hop_csr.cache_info().currsize
+        assert 0 < commutator_residual(78_753, 10) < 1e-3
+        assert _hop_csr.cache_info().currsize == hops
         assert 0 < coherent_window_fidelity(1.1 + 0.2j, 901_042, 30) <= 1
         assert 0 < squeezed_window_fidelity(0.7, 0.3, 489_285, 20) <= 1
         assert 0 < displacement_residual(1.2, 6, 99_000, 60) < 1e-3
@@ -313,18 +325,18 @@ class TestWindows:
 class TestQuadratures:
     def test_special_angles(self):
         basis = make_basis(2, 9)
-        q0 = quadrature_operator(basis, 0.0).to_dense()
-        q1 = quadrature_operator(basis, math.pi / 2).to_dense()
-        jx = j_operator(basis, "x").to_dense()
-        jy = j_operator(basis, "y").to_dense()
+        q0 = quadrature_operator(basis, 0.0).toarray()
+        q1 = quadrature_operator(basis, math.pi / 2).toarray()
+        jx = j_operator(basis, "x").toarray()
+        jy = j_operator(basis, "y").toarray()
         scale = math.sqrt(2.0 / 9)
         assert np.max(np.abs(q0 - scale * jx)) < 1e-14
         assert np.max(np.abs(q1 + scale * jy)) < 1e-14
 
     def test_hermitian(self):
         basis = make_basis(2, 4)
-        op = quadrature_operator(basis, 0.7)
-        assert op.hermitian_flag
+        op = quadrature_operator(basis, 0.7).toarray()
+        assert np.array_equal(op, op.conj().T)
 
     @pytest.mark.parametrize(
         "n,n_max", [(100, 10), (1000, 10), (10_000, 25)]

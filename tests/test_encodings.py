@@ -18,7 +18,6 @@ from ssrc.encodings import (
     fock_pair_floor,
     gate_error,
     hadamard_gate,
-    identity_operator,
     logical_gate_matrix,
     make_encoding,
     phase_gate,
@@ -38,7 +37,12 @@ from ssrc.encodings import (
     _RotationManifold,
     _seed_scan,
 )
-from ssrc.hilbert import DimensionCapError, State, make_basis
+from ssrc.hilbert import (
+    BasisMismatchError,
+    DimensionCapError,
+    State,
+    make_basis,
+)
 from ssrc.prng import SplitMix64
 from ssrc.schwinger import exp_unitary, j_operator, rotation
 
@@ -70,7 +74,7 @@ class TestEncodingConstruction:
 
     def test_make_encoding_rejects_nonorthogonal(self):
         basis = make_basis(2, 2)
-        ident = identity_operator(basis)
+        ident = np.eye(basis.dimension)
         tilt = rotation(basis, 2.5, 0.0)
         with pytest.raises(NonOrthogonalCodeStatesError) as err:
             make_encoding(ident, tilt, basis)
@@ -86,7 +90,7 @@ class TestEncodingConstruction:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_fock_encoding_matches_identity_images(self, n):
         basis = make_basis(2, n)
-        ident = identity_operator(basis)
+        ident = np.eye(basis.dimension)
         want = make_encoding(ident, ident, basis).code_vectors()
         assert fock_encoding(basis).code_vectors().tobytes() == want.tobytes()
 
@@ -160,10 +164,18 @@ class TestLogicalProjection:
         shifted = gate_error(u, np.exp(0.3j) * r_y(0.5), enc)
         assert abs(base - shifted) < 1e-14
 
+    def test_operator_of_another_dimension_rejected(self):
+        enc = fock_encoding(make_basis(2, 2))
+        other = rotation(make_basis(2, 3), 0.5, 0.0)
+        with pytest.raises(BasisMismatchError):
+            logical_gate_matrix(other, enc)
+        with pytest.raises(BasisMismatchError):
+            make_encoding(other, other, enc.basis)
+
     def test_identity_error_zero(self):
         basis = make_basis(2, 2)
         enc = fock_encoding(basis)
-        assert gate_error(identity_operator(basis), np.eye(2), enc) == 0.0
+        assert gate_error(np.eye(basis.dimension), np.eye(2), enc) == 0.0
 
 
 class TestPairEig:
@@ -181,8 +193,8 @@ class TestPairEig:
     def test_matches_j_operator(self, k, n, pair):
         basis = make_basis(k, n)
         w, v, mz = _pair_eig(basis, pair)
-        w_ref, v_ref = np.linalg.eigh(j_operator(basis, "y", pair).to_dense())
-        mz_ref = j_operator(basis, "z", pair).matrix.diagonal().real
+        w_ref, v_ref = np.linalg.eigh(j_operator(basis, "y", pair).toarray())
+        mz_ref = j_operator(basis, "z", pair).diagonal().real
         assert w.tobytes() == w_ref.tobytes()
         assert v.tobytes() == v_ref.tobytes()
         assert mz.dtype == mz_ref.dtype
@@ -198,18 +210,10 @@ class TestManifoldUnitary:
         got = sg_manifold_unitary(basis, th, ph, eta)
         r = rotation(basis, th, ph)
         mid = exp_unitary(j_operator(basis, "z"), eta)
-        dim = basis.dimension
-        dense_got = np.stack(
-            [got.apply_vec(np.eye(dim)[:, i]) for i in range(dim)], axis=1
+        r_dag = exp_unitary(j_operator(basis, "y"), -th) @ exp_unitary(
+            j_operator(basis, "z"), -ph
         )
-        dense_want = np.stack(
-            [
-                r.apply_vec(mid.apply_vec(r.dagger().apply_vec(np.eye(dim)[:, i])))
-                for i in range(dim)
-            ],
-            axis=1,
-        )
-        assert np.max(np.abs(dense_got - dense_want)) < 1e-12
+        assert np.max(np.abs(got - r @ mid @ r_dag)) < 1e-12
 
 
 class TestDualRailUniversality:

@@ -2,20 +2,26 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import LinearOperator
 
 from ssrc.cvlimit import coherent_from_rotation
-from ssrc.hilbert import basis_state, fidelity, make_basis, random_state
+from ssrc.hilbert import (
+    State,
+    basis_state,
+    fidelity,
+    make_basis,
+    random_state,
+)
 from ssrc.prng import SplitMix64
 from ssrc.schwinger import (
     DENSE_EXP_LIMIT,
-    ComposedOp,
     InvalidModePairError,
-    LazyExpUnitary,
     MajoranaSpec,
     NonHermitianGeneratorError,
-    SparseOperator,
+    _hop_csr,
     axis_generator,
     bloch_vector,
     exp_unitary,
@@ -33,7 +39,11 @@ from ssrc.schwinger import (
 
 
 def _dense(op):
-    return op.to_dense()
+    return op.toarray() if sp.issparse(op) else op
+
+
+def _apply(u, state):
+    return State(state.basis, u @ state.amplitudes, check_drift=True)
 
 
 class TestAlgebra:
@@ -108,6 +118,20 @@ class TestAlgebra:
                 assert np.array_equal(
                     _dense(relative_phase_op(basis, (i, j))), shift)
 
+    def test_shared_hop_matrix_is_read_only(self):
+        # Writing through a returned generator would corrupt every later
+        # caller of the cached hop matrix on this basis.
+        basis = make_basis(2, 4)
+        jp = j_operator(basis, "+")
+        assert jp is _hop_csr(basis, 0, 1)
+        for arr in (jp.data, jp.indices, jp.indptr):
+            with pytest.raises(ValueError):
+                arr[:] = 0
+        with pytest.raises(ValueError):
+            jp *= 2
+        assert np.array_equal(_hop_csr(basis, 0, 1).data,
+                              np.sqrt([4.0, 6.0, 6.0, 4.0]))
+
     def test_axis_generator_normalizes_direction(self):
         basis = make_basis(2, 3)
         g1 = _dense(axis_generator(basis, (0.0, 0.0, 2.0)))
@@ -120,6 +144,8 @@ class TestExpUnitary:
         basis = make_basis(2, 2)
         with pytest.raises(NonHermitianGeneratorError):
             exp_unitary(j_operator(basis, "+"), 0.3)
+        with pytest.raises(NonHermitianGeneratorError):
+            exp_unitary(j_operator(basis, "+").toarray(), 0.3)
 
     @given(
         st.floats(min_value=-3.0, max_value=3.0),
@@ -140,7 +166,7 @@ class TestExpUnitary:
             basis = make_basis(2, n)
             start = basis_state(basis, (0, n))
             for theta in (0.3, 1.1, 2.5):
-                rotated = rotation(basis, theta, 0.7).apply(start)
+                rotated = _apply(rotation(basis, theta, 0.7), start)
                 overlap = abs(
                     np.vdot(start.amplitudes, rotated.amplitudes)
                 )
@@ -149,9 +175,7 @@ class TestExpUnitary:
     def test_rotation_amplitudes_binomial(self):
         n, theta, phi = 6, 0.9, 1.3
         basis = make_basis(2, n)
-        rotated = rotation(basis, theta, phi).apply(
-            basis_state(basis, (0, n))
-        )
+        rotated = _apply(rotation(basis, theta, phi), basis_state(basis, (0, n)))
         c, s = math.cos(theta / 2), math.sin(theta / 2)
         expect = np.array(
             [
@@ -168,21 +192,19 @@ class TestExpUnitary:
         n, theta = DENSE_EXP_LIMIT, 0.3
         basis = make_basis(2, n)
         op = rotation(basis, theta, 1.1)
-        assert isinstance(op, ComposedOp)
-        assert all(isinstance(f, LazyExpUnitary) for f in op.factors)
+        assert isinstance(op, LinearOperator)
         start = basis_state(basis, (0, n))
-        rotated = op.apply(start)
+        rotated = _apply(op, start)
         expect = coherent_from_rotation(math.sqrt(n) * math.sin(theta / 2), n)
         assert np.max(np.abs(np.abs(rotated.amplitudes)
                              - np.abs(expect.amplitudes))) < 1e-11
-        back = op.dagger().apply(rotated)
+        back = _apply(op.H, rotated)
         assert np.max(np.abs(back.amplitudes - start.amplitudes)) < 1e-10
 
     def test_pi_rotation_moves_all_photons(self):
         basis = make_basis(2, 5)
-        flipped = rotation(basis, math.pi, 0.0).apply(
-            basis_state(basis, (0, 5))
-        )
+        flipped = _apply(rotation(basis, math.pi, 0.0),
+                         basis_state(basis, (0, 5)))
         assert abs(abs(flipped.amplitude((5, 0))) - 1.0) < 1e-12
 
     def test_sng_power_two_phases(self):
@@ -194,13 +216,6 @@ class TestExpUnitary:
             assert abs(u[idx, idx] - np.exp(1j * chi * jz_val**2)) < 1e-12
         with pytest.raises(ValueError):
             sng_unitary(basis, "z", chi, power=1)
-
-    def test_sparse_operator_json_round_trip(self):
-        basis = make_basis(2, 3)
-        op = j_operator(basis, "x")
-        again = SparseOperator.from_json(op.to_json())
-        assert again.basis == basis
-        assert np.array_equal(op.to_dense(), again.to_dense())
 
 
 class TestRelativePhase:
@@ -226,9 +241,8 @@ class TestMajorana:
         basis = make_basis(2, n)
         spec = MajoranaSpec(points=((theta, phi),) * n)
         state = majorana_to_state(spec, basis)
-        reference = rotation(basis, theta, phi).apply(
-            basis_state(basis, (0, n))
-        )
+        reference = _apply(rotation(basis, theta, phi),
+                           basis_state(basis, (0, n)))
         assert fidelity(state, reference) > 1 - 1e-12
 
     @pytest.mark.parametrize("n", [200, 400])
@@ -238,9 +252,8 @@ class TestMajorana:
         basis = make_basis(2, n)
         state = majorana_to_state(MajoranaSpec(points=((theta, phi),) * n),
                                   basis)
-        reference = rotation(basis, theta, phi).apply(
-            basis_state(basis, (0, n))
-        )
+        reference = _apply(rotation(basis, theta, phi),
+                           basis_state(basis, (0, n)))
         assert fidelity(state, reference) > 1 - 1e-12
         assert np.max(np.abs(np.abs(state.amplitudes)
                              - np.abs(reference.amplitudes))) < 1e-12
@@ -276,7 +289,7 @@ class TestMajorana:
         n, theta, phi = 6, 0.8, 2.1
         basis = make_basis(2, n)
         state = random_state(basis, 2024)
-        rotated = rotation(basis, theta, phi).apply(state)
+        rotated = _apply(rotation(basis, theta, phi), state)
         direct = state_to_majorana(rotated).points
         pushed = transform_points(
             state_to_majorana(state).points, su2_point_matrix(theta, phi)
@@ -300,7 +313,7 @@ class TestMajorana:
         n = 4
         basis = make_basis(2, n)
         state = random_state(basis, 99)
-        kicked = sng_unitary(basis, "z", 0.9, power=2).apply(state)
+        kicked = _apply(sng_unitary(basis, "z", 0.9, power=2), state)
         kicked_points = state_to_majorana(kicked).points
         base_points = state_to_majorana(state).points
         best = math.inf
@@ -319,11 +332,11 @@ class TestFitRotation:
     def test_recovers_rotation_products(self):
         basis = make_basis(2, 5)
         u = rotation(basis, 0.7, 1.1) @ rotation(basis, 1.9, -0.4)
-        fit = fit_rotation(SparseOperator(basis, u.to_dense()))
+        fit = fit_rotation(u, basis)
         assert fit.residual < 1e-8
 
     def test_rejects_sng(self):
         basis = make_basis(2, 4)
         u = sng_unitary(basis, "z", 0.8, power=2)
-        fit = fit_rotation(SparseOperator(basis, u.to_dense()))
+        fit = fit_rotation(u, basis)
         assert fit.residual > 1e-3

@@ -20,7 +20,9 @@ that workload's largest sizes, with their values:
 - ``squeezed_window_fidelity(0.5, 0.3, 489285, 20)``
 - ``displacement_residual(1.0, 6, 100000, 60)``
 - ``commutator_residual(78753, 10)``, once cold (the first call in the
-  process builds the basis and the hop matrices) and then warm
+  process) and then warm; it builds the two small quadrature blocks in
+  closed form, with no basis and no hop matrix, so the two rows differ
+  only by first-call overhead
 
 Every timed row is the median of five runs (the cold row is one run).  A
 header gives ``nproc``, the Python, NumPy, SciPy and BLAS versions and the
