@@ -535,7 +535,6 @@ def overlap_asymptotics(
 class ConvergenceReport:
     """Residuals over an N grid with an optional fitted power law in 1/N."""
 
-    parameter: dict[str, float]
     n_list: tuple[int, ...]
     metric: str
     values: tuple[float, ...]
@@ -572,14 +571,13 @@ def fit_rate(
 
 
 def _sweep(
-    parameter: dict, n_list: Sequence[int], metric: str,
-    values: Sequence[float],
+    n_list: Sequence[int], metric: str, values: Sequence[float]
 ) -> ConvergenceReport:
     """Report of ``values`` over an N grid, with the fitted power law when
     the grid has at least 4 points."""
     rate, r2 = fit_rate(n_list, values) if len(n_list) >= 4 else (None, None)
-    return ConvergenceReport(parameter, tuple(int(n) for n in n_list),
-                             metric, tuple(values), rate=rate, r_squared=r2)
+    return ConvergenceReport(tuple(int(n) for n in n_list), metric,
+                             tuple(values), rate=rate, r_squared=r2)
 
 
 def phase_locking_curve(
@@ -602,7 +600,6 @@ def phase_locking_curve(
             ) from None
         resid.append(abs(e - a))
     return ConvergenceReport(
-        {"theta": theta},
         tuple(int(n) for n in n_list),
         "abs(exact - asymptote)",
         tuple(resid),
@@ -620,7 +617,6 @@ def coherent_convergence(
     """Infidelity of the finite-N coherent construction vs the truncated
     reference over an N grid, with fitted 1/N rate when >= 4 points."""
     return _sweep(
-        {"alpha_re": alpha.real, "alpha_im": alpha.imag, "n_max": n_max},
         n_list,
         "infidelity",
         [1.0 - coherent_window_fidelity(alpha, n_tot, n_max)
@@ -633,8 +629,6 @@ def displacement_convergence(
 ) -> ConvergenceReport:
     """Windowed displacement residual over an N grid with optional rate."""
     return _sweep(
-        {"alpha_re": alpha.real, "alpha_im": alpha.imag, "k": k,
-         "n_max": n_max},
         n_list,
         "window_l2_residual",
         [displacement_residual(alpha, k, n_tot, n_max) for n_tot in n_list],
@@ -647,7 +641,6 @@ def squeezed_convergence(
     """Infidelity of the finite-N squeezed construction vs the truncated
     squeezed-vacuum series over an N grid (N counts photon pairs)."""
     return _sweep(
-        {"r": r, "phi": phi, "n_max": n_max},
         n_list,
         "infidelity",
         [1.0 - squeezed_window_fidelity(r, phi, n_tot, n_max)

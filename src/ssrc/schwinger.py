@@ -179,8 +179,10 @@ def sng_unitary(
     if power < 2:
         raise ValueError("power must be >= 2; use exp_unitary for linear terms")
     j_n = axis_generator(basis, axis, mode_pair)
-    dense_pow = np.linalg.matrix_power(j_n.toarray(), power)
-    return exp_unitary((dense_pow + dense_pow.conj().T) / 2, chi)
+    j_pow = j_n
+    for _ in range(power - 1):
+        j_pow = j_pow @ j_n
+    return exp_unitary((j_pow + j_pow.conj().T) / 2, chi)
 
 
 def relative_phase_op(
@@ -215,7 +217,6 @@ class MajoranaSpec:
     factorizes a two-mode N-photon state."""
 
     points: tuple[tuple[float, float], ...]
-    mode_pair: tuple[int, int] = (0, 1)
 
 
 def majorana_to_state(spec: MajoranaSpec, basis: FockBasis) -> State:
@@ -298,7 +299,7 @@ def state_to_majorana(state: State) -> MajoranaSpec:
             theta = 2.0 * math.atan(abs(w))
             phi = math.atan2(w.imag, w.real) % (2 * math.pi)
             points.append((theta, phi))
-    return MajoranaSpec(tuple(points), (0, 1))
+    return MajoranaSpec(tuple(points))
 
 
 def _warn_if_ill_conditioned(desc: np.ndarray, roots: np.ndarray) -> None:
@@ -400,8 +401,14 @@ def fit_rotation(
     Extracts the 3x3 image of the J vector under conjugation, projects it
     onto the rotation group, rebuilds the candidate, and reports the
     phase-minimized max-entry deviation.  A residual at roundoff level
-    certifies membership in the pair-rotation family.
+    certifies membership in the pair-rotation family.  The fit is dense, so
+    a basis larger than ``DENSE_EXP_LIMIT`` raises ``ValueError``.
     """
+    if basis.dimension > DENSE_EXP_LIMIT:
+        raise ValueError(
+            f"fit_rotation is dense: basis dimension {basis.dimension} "
+            f"exceeds DENSE_EXP_LIMIT = {DENSE_EXP_LIMIT}"
+        )
     ops = [j_operator(basis, ax, mode_pair).toarray() for ax in "xyz"]
     u = unitary.toarray() if sp.issparse(unitary) else np.asarray(unitary)
     udag = u.conj().T

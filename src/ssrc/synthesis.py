@@ -230,6 +230,9 @@ def _steps_from_amplitudes(
     stage: str,
 ) -> list[PlanStep]:
     """Split net amplitudes into ceil(|rho|/small_angle) repetitions."""
+    if not (math.isfinite(small_angle) and small_angle > 0):
+        raise ValueError(
+            f"small_angle must be finite and > 0, got {small_angle!r}")
     steps = []
     for rho, pairs in zip(rhos, pairs_list):
         if rho == 0:
@@ -516,14 +519,6 @@ def _with_touchup(
 # Two-mode planner
 
 
-def _ladder_element(n_tot: int, k: int) -> float:
-    """⟨k, N-k| J+^k |0, N⟩ = prod_{j<k} sqrt((j+1)(N-j))."""
-    out = 1.0
-    for j in range(k):
-        out *= math.sqrt((j + 1) * (n_tot - j))
-    return out
-
-
 def plan_two_mode(
     target: State,
     small_angle: float = SMALL_ANGLE_DEFAULT,
@@ -579,14 +574,18 @@ def _plan_matched(
 ) -> SynthesisPlan:
     """Match every order's amplitude ratio, then append the touch-up sweep.
 
-    Needs N >= 2 and a leading coefficient of at least ``C0_FLOOR``.
+    Needs N >= 2 and a leading coefficient of at least ``C0_FLOOR``.  The
+    matrix element ⟨k|J+^k|0⟩ is read from the plan's own generator, as in
+    ``plan_multimode``.
     """
     basis = target.basis
     n_tot = basis.total_photons
     c = np.asarray(target.amplitudes)
     pair = ((0, 1),)
+    memo = {}
     rhos = [
-        (c[k] / c[0]) / _ladder_element(n_tot, k) for k in range(1, n_tot + 1)
+        (c[k] / c[0]) / _generator_matrix(basis, pair * k, memo)[k, 0]
+        for k in range(1, n_tot + 1)
     ]
     steps = _steps_from_amplitudes(
         rhos, [pair * k for k in range(1, n_tot + 1)], small_angle, "match"
@@ -605,7 +604,7 @@ def _plan_matched(
         fidelity_goal,
         [powers[k] for k in touch_orders],
         [pair * k for k in touch_orders],
-        {},
+        memo,
     )
 
 

@@ -411,9 +411,9 @@ class TestConvergenceMachinery:
 
     def test_report_validates_grid(self):
         with pytest.raises(ValueError):
-            ConvergenceReport({}, (10, 10), "x", (0.0, 0.0))
+            ConvergenceReport((10, 10), "x", (0.0, 0.0))
         with pytest.raises(ValueError):
-            ConvergenceReport({}, (10, 20), "x", (0.1, -0.1))
+            ConvergenceReport((10, 20), "x", (0.1, -0.1))
 
     def test_phase_locking_fixture(self):
         fix = FIXTURES["phase_locking"]

@@ -21,7 +21,6 @@ from ssrc.encodings import (
     logical_gate_matrix,
     make_encoding,
     phase_gate,
-    prepare_register,
     r_y,
     r_z,
     sg_gate_search,
@@ -332,6 +331,49 @@ class TestAnalyticGradients:
             assert np.max(np.abs(grad - want)) <= self.FD_TOL
 
 
+class TestManifoldsMatchReferences:
+    """The searches' manifolds agree with the unitaries built from
+    ``rotation`` and ``exp_unitary`` and measured by the reference
+    projection, to 1e-12 (the deviations are a few times 1e-16)."""
+
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_rotation_manifold(self, n):
+        basis = make_basis(2, n)
+        enc = fock_encoding(basis)
+        rng = np.random.default_rng(600 + n)
+        for target in (hadamard_gate(), t_gate() @ hadamard_gate()):
+            manifold = _RotationManifold(enc, target)
+            for _ in range(3):
+                x = rng.uniform(0.0, 2.0 * math.pi, 3)
+                unitary = sg_manifold_unitary(basis, *x)
+                proj = logical_gate_matrix(unitary, enc)
+                assert np.max(np.abs(manifold.logical(x) - proj.matrix)) \
+                    <= self.TOL
+                assert abs(manifold.error(x)
+                           - gate_error(unitary, target, enc)) <= self.TOL
+                assert abs(manifold.leakage(x) - proj.leakage) <= self.TOL
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_mesh_manifold(self, n):
+        enc = fock_encoding(make_basis(2, n))
+        basis = make_basis(4, 2 * n)
+        codes = _composite_codes(enc, enc, basis)
+        manifold = _MeshManifold(basis, codes, cnot_gate())
+        rng = np.random.default_rng(700 + n)
+        for _ in range(3):
+            x = rng.uniform(0.0, 2.0 * math.pi, 16)
+            unitary = np.eye(basis.dimension)
+            for k, pair in enumerate([(0, 1), (2, 3), (1, 2),
+                                      (0, 1), (2, 3), (1, 2)]):
+                unitary = rotation(basis, x[2 * k], x[2 * k + 1],
+                                   pair) @ unitary
+            phases = np.exp(1j * (basis.occupations @ x[12:16]))
+            want = codes.conj() @ (phases[:, None] * unitary) @ codes.T
+            assert np.max(np.abs(manifold.logical(x) - want)) <= self.TOL
+
+
 def _mesh_manifold(n):
     enc = fock_encoding(make_basis(2, n))
     basis = make_basis(4, 2 * n)
@@ -520,20 +562,10 @@ class TestCnot:
         assert res.error < 0.5 - 1e-3
 
     def test_dimension_cap(self):
-        enc = fock_encoding(make_basis(2, 2))
+        # Two N = 92 qubits span C(187, 3) = 1,072,445 > 2^20 four-mode states.
+        enc = fock_encoding(make_basis(2, 92))
         with pytest.raises(DimensionCapError):
-            cnot_search(enc, restarts=1, dimension_cap=10)
-
-    def test_register_preparation_exact(self):
-        state = prepare_register(3, 3)
-        basis = state.basis
-        assert basis.num_modes == 6
-        target = (0, 3, 0, 3, 0, 3)
-        assert abs(abs(state.amplitude(target)) - 1.0) < 1e-12
-
-    def test_register_single_qubit(self):
-        state = prepare_register(1, 4)
-        assert abs(abs(state.amplitude((0, 4))) - 1.0) < 1e-12
+            cnot_search(enc, restarts=1)
 
 
 class TestFeasibilityReport:

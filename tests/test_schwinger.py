@@ -5,8 +5,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator
 
+from ssrc import schwinger
 from ssrc.cvlimit import coherent_from_rotation
 from ssrc.hilbert import (
     State,
@@ -217,6 +219,23 @@ class TestExpUnitary:
         with pytest.raises(ValueError):
             sng_unitary(basis, "z", chi, power=1)
 
+    def test_sng_above_dense_limit_is_sparse_until_applied(self, monkeypatch):
+        basis = make_basis(2, 5)
+        gen = _dense(axis_generator(basis, (0.3, -0.5, 0.8)))
+        want = expm(0.7j * np.linalg.matrix_power(gen, 3))
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("densified above the limit")
+
+        monkeypatch.setattr(schwinger, "DENSE_EXP_LIMIT", 4)
+        for cls in (sp.csr_matrix, sp.csc_matrix):
+            monkeypatch.setattr(cls, "toarray", no_dense)
+        monkeypatch.setattr(np.linalg, "matrix_power", no_dense)
+        op = sng_unitary(basis, (0.3, -0.5, 0.8), 0.7, power=3)
+        monkeypatch.undo()
+        assert isinstance(op, LinearOperator)
+        assert np.max(np.abs(op @ np.eye(basis.dimension) - want)) < 1e-12
+
 
 class TestRelativePhase:
     def test_cyclic_period(self):
@@ -340,3 +359,9 @@ class TestFitRotation:
         u = sng_unitary(basis, "z", 0.8, power=2)
         fit = fit_rotation(u, basis)
         assert fit.residual > 1e-3
+
+    def test_rejects_basis_above_dense_limit(self, monkeypatch):
+        basis = make_basis(2, 5)
+        monkeypatch.setattr(schwinger, "DENSE_EXP_LIMIT", 4)
+        with pytest.raises(ValueError, match="DENSE_EXP_LIMIT = 4"):
+            fit_rotation(rotation(basis, 0.3, 0.2), basis)

@@ -155,6 +155,16 @@ class TestTwoPass:
         with pytest.raises(ValueError):
             plan_two_mode(random_state(basis, 0), passes=3)
 
+    @pytest.mark.parametrize(
+        "small_angle", [-1e-3, 0.0, float("nan"), float("inf")])
+    def test_small_angle_validated(self, small_angle):
+        two_mode = random_state(make_basis(2, 4), 5)
+        multimode = random_support_target(make_basis(3, 3), 2, 7)
+        for plan, target in ((plan_two_mode, two_mode),
+                             (plan_multimode, multimode)):
+            with pytest.raises(ValueError, match="small_angle"):
+                plan(target, small_angle=small_angle)
+
 
 class TestEmptyPlan:
     def test_reference_target_yields_empty_plan(self):
@@ -514,6 +524,53 @@ class TestGoldenPlans:
             _sha256(plan.to_json().encode()),
             _sha256(np.asarray(result.state.amplitudes).tobytes()),
         ) == self.MULTIMODE
+
+    # Generated before the two-mode matching rule took its ladder elements
+    # from the plan's own generators.
+    OTHER_PATHS = (
+        "0e367c99f984e3ca7d8147aa3dbdfd2e1d8d9bcd8f6210461a9e12e9c5bbe890"
+    )
+
+    @staticmethod
+    def _other_path_requests():
+        """(planner, target, options) for the paths the pins above skip:
+        pre-rotated targets, one pass, the goal short-circuit, a coarse
+        small angle and the multimode orders and pass counts."""
+        for n in (2, 3, 6, 10):
+            yield plan_two_mode, basis_state(make_basis(2, n), (n, 0)), {}
+        basis = make_basis(2, 5)
+        (target,) = bench_targets(basis, 1, 12345)
+        amps = np.array(target.amplitudes)
+        amps[0] = 1e-8
+        yield plan_two_mode, State(basis, amps), {}
+        for n in (2, 5, 8):
+            (target,) = bench_targets(make_basis(2, n), 1, 12345)
+            yield plan_two_mode, target, {"passes": 1}
+        yield plan_two_mode, basis_state(make_basis(2, 3), (3, 0)), {
+            "passes": 1}
+        (short,) = bench_targets(make_basis(2, 6), 1, 12345)
+        yield plan_two_mode, short, {"small_angle": 1e-3,
+                                     "fidelity_goal": 0.1}
+        yield plan_two_mode, target, {"small_angle": 5e-2}
+        for k, n in ((3, 2), (3, 3), (4, 2)):
+            basis = make_basis(k, n)
+            for order in (1, 2):
+                for passes in (1, 2):
+                    yield (plan_multimode,
+                           random_support_target(basis, order, 7),
+                           {"max_order": order, "passes": passes})
+
+    def test_other_planner_paths(self):
+        digest = hashlib.sha256()
+        for planner, target, options in self._other_path_requests():
+            basis = target.basis
+            plan = planner(target, **options)
+            start = basis_state(basis, (0,) * (basis.num_modes - 1)
+                                + (basis.total_photons,))
+            result = execute_plan(plan, start)
+            digest.update(plan.to_json().encode())
+            digest.update(np.asarray(result.state.amplitudes).tobytes())
+        assert digest.hexdigest() == self.OTHER_PATHS
 
 
 class TestSingleExecution:
