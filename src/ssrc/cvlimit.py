@@ -549,6 +549,15 @@ class ConvergenceReport:
             raise ValueError("residuals must be non-negative")
 
 
+def _loglog_fit(xs: Sequence[float], ys: Sequence[float]):
+    """Least-squares line through (log x, log y), with y floored at 1e-300:
+    the logs, the slope and the intercept."""
+    lx = np.log(np.asarray(xs, dtype=float))
+    ly = np.log(np.maximum(np.asarray(ys, dtype=float), 1e-300))
+    slope, intercept = np.polyfit(lx, ly, 1)
+    return lx, ly, slope, intercept
+
+
 def fit_rate(
     n_list: Sequence[int], residuals: Sequence[float]
 ) -> tuple[float, float]:
@@ -560,9 +569,7 @@ def fit_rate(
         raise ValueError("rate fit needs at least 4 grid points")
     if len(n_list) != len(residuals):
         raise ValueError("grid and residual lengths differ")
-    lx = np.log(np.asarray(n_list, dtype=float))
-    ly = np.log(np.maximum(np.asarray(residuals, dtype=float), 1e-300))
-    slope, intercept = np.polyfit(lx, ly, 1)
+    lx, ly, slope, intercept = _loglog_fit(n_list, residuals)
     pred = slope * lx + intercept
     ss_res = float(np.sum((ly - pred) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))

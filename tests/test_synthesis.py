@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import warnings
 
@@ -165,6 +166,25 @@ class TestTwoPass:
             with pytest.raises(ValueError, match="small_angle"):
                 plan(target, small_angle=small_angle)
 
+    @pytest.mark.parametrize(
+        "small_angle", [-5, -1e-3, 0.0, float("nan"), float("inf")])
+    def test_small_angle_validated_without_steps(self, small_angle):
+        # These plans have no step, and a plan read back from JSON is
+        # never planned, so only the plan itself can check small_angle.
+        message = "small_angle must be finite and > 0"
+        for plan, target in (
+            (plan_two_mode, basis_state(make_basis(2, 0), (0, 0))),
+            (plan_two_mode, basis_state(make_basis(2, 1), (0, 1))),
+            (plan_multimode, basis_state(make_basis(3, 0), (0, 0, 0))),
+        ):
+            with pytest.raises(ValueError, match=message):
+                plan(target, small_angle=small_angle)
+        text = plan_two_mode(random_state(make_basis(2, 3), 9)).to_json()
+        data = json.loads(text)
+        data["small_angle"] = small_angle
+        with pytest.raises(ValueError, match=message):
+            SynthesisPlan.from_json(json.dumps(data))
+
 
 class TestEmptyPlan:
     def test_reference_target_yields_empty_plan(self):
@@ -267,12 +287,12 @@ class TestProductSolver:
     @pytest.mark.parametrize("n, amps", [
         (4, None),
         (8, None),
-        (4, {0: 0.01, 2: 1.0, 4: 1.0}),  # continuation, then restarts
+        (4, {0: 0.01, 2: 1.0, 4: 1.0}),  # rescued by a restart
     ])
     def test_lm_matches_eager_jacobian_reference(self, n, amps, monkeypatch):
-        # Replay every LM solve the planner makes (from zero, warm-started
-        # along the continuation, and from the perturbed restarts) through
-        # a reference that forms the Jacobian at every trial point.
+        # Replay every LM solve the planner makes (from zero and from the
+        # perturbed restarts) through a reference that forms the Jacobian
+        # at every trial point.
         calls, seeds = [], []
         lm = _ProductSolver._lm
 
@@ -345,11 +365,14 @@ class TestProductSolver:
         sig = np.zeros(2 * solver.m)
         assert np.array_equal(solver._forward(sig, u, u).v, u)
 
-    @pytest.mark.parametrize("n, amps, restarts", [
-        (5, {0: 0.1, 2: 1.0}, False),  # rescued by the continuation
-        (4, {0: 0.01, 2: 1.0, 4: 1.0}, True),  # rescued by the restarts
+    @pytest.mark.parametrize("n, amps", [
+        (5, {0: 0.1, 2: 1.0}),
+        (4, {0: 0.01, 2: 1.0, 4: 1.0}),
+        (5, {0: 0.03, 2: 1.0, 3: 1.0}),
+        (7, {0: 0.1, 2: 1.0, 4: 1.0}),
+        (8, {0: 0.01, 4: 1.0, 6: 1.0}),
     ])
-    def test_fallbacks_reach_goal(self, n, amps, restarts, monkeypatch):
+    def test_fallbacks_reach_goal(self, n, amps, monkeypatch):
         lm_fidelities, seeds = [], []
         lm = _ProductSolver._lm
 
@@ -372,10 +395,43 @@ class TestProductSolver:
         target = State(basis, c)
         plan = plan_two_mode(target, small_angle=1e-2, passes=2)
         result = execute_plan(plan, basis_state(basis, (0, n)))
-        # Gauss-Newton from zero falls short, so a fallback did the work.
-        assert lm_fidelities[0] < 0.95
-        assert any(seed >= 7000 for seed in seeds) == restarts
+        # Gauss-Newton from zero falls short, and the first restart
+        # reaches the goal.
+        assert lm_fidelities[0] < synthesis.SOLVE_GOAL
+        assert seeds == [7000]
+        assert len(lm_fidelities) == 2
         assert result.fidelity >= 1 - 1e-10
+
+    def test_solve_stops_after_the_restarts(self, monkeypatch):
+        # No start reaches the goal on this target, so its one solve runs
+        # LM from zero and from each seeded restart, and no more.
+        solves, seeds = [], []
+        lm = _ProductSolver._lm
+        solve = _ProductSolver.solve
+
+        def recording_solve(self, u, t):
+            solves.append(0)
+            return solve(self, u, t)
+
+        def recording_lm(self, sig0, u, t):
+            solves[-1] += 1
+            return lm(self, sig0, u, t)
+
+        class RecordingRng(SplitMix64):
+            def __init__(self, seed):
+                seeds.append(seed)
+                super().__init__(seed)
+
+        basis = make_basis(3, 4)
+        target = random_support_target(basis, 2, 6)
+        monkeypatch.setattr(_ProductSolver, "solve", recording_solve)
+        monkeypatch.setattr(_ProductSolver, "_lm", recording_lm)
+        monkeypatch.setattr(synthesis, "SplitMix64", RecordingRng)
+        plan = plan_multimode(target)
+        result = execute_plan(plan, basis_state(basis, (0, 0, 4)))
+        assert result.fidelity < synthesis.SOLVE_GOAL
+        assert seeds == list(range(7000, 7000 + synthesis.RESTARTS))
+        assert solves == [1 + synthesis.RESTARTS] == [13]
 
     def test_rejects_generator_mixing_orders(self):
         jp = _hop_csr(make_basis(2, 3), 0, 1).toarray()

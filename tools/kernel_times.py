@@ -6,6 +6,11 @@ N = 8, 16 and 24, with the executed fidelity and the plan's total
 repetitions; and, at each N, planning plus ``execute_plan`` from |0, N⟩,
 the work of one ``synthesis-bench`` target.
 
+Touch-up fallback: ``plan_two_mode`` on the five sparse targets of
+``test_fallbacks_reach_goal`` (Gauss-Newton from zero misses the goal on
+each), with the LM runs summed over the five plans.  The count wraps the
+private ``_ProductSolver._lm``; every other row uses public API only.
+
 Gate searches: ``sg_gate_search`` on the Hadamard target for the Fock-pair
 encoding at N = 1 to 4 (8 restarts) and ``cnot_search`` at N = 1 and 2
 (8 restarts), with the error found, the BFGS iterations summed over the
@@ -27,8 +32,8 @@ that workload's largest sizes, with their values:
 Every timed row is the median of five runs (the cold row is one run).  A
 header gives ``nproc``, the Python, NumPy, SciPy and BLAS versions and the
 thread environment variables, so two runs can be compared on one machine.
-Only public API is used, so the script runs unchanged on older commits
-(which print ``evaluations n/a``).
+The script runs unchanged on older commits (which print ``evaluations
+n/a``).
 
 Run from the repository root:
 
@@ -55,13 +60,25 @@ from ssrc.encodings import (
     hadamard_gate,
     sg_gate_search,
 )
-from ssrc.hilbert import basis_state, make_basis
-from ssrc.synthesis import bench_targets, execute_plan, plan_two_mode
+from ssrc.hilbert import State, basis_state, make_basis
+from ssrc.synthesis import (
+    _ProductSolver,
+    bench_targets,
+    execute_plan,
+    plan_two_mode,
+)
 
 REPEATS = 5
 RESTARTS = 8
 SEED = 12345
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+FALLBACK_TARGETS = (
+    (5, {0: 0.1, 2: 1.0}),
+    (4, {0: 0.01, 2: 1.0, 4: 1.0}),
+    (5, {0: 0.03, 2: 1.0, 3: 1.0}),
+    (7, {0: 0.1, 2: 1.0, 4: 1.0}),
+    (8, {0: 0.01, 4: 1.0, 6: 1.0}),
+)
 CV_KERNELS = (
     ("coherent N=901042", coherent_window_fidelity, (1.0, 901042, 30)),
     ("squeezed N=489285", squeezed_window_fidelity, (0.5, 0.3, 489285, 20)),
@@ -112,6 +129,29 @@ def plan_rows() -> None:
               f"  fidelity {result.fidelity:.16f}", flush=True)
 
 
+def fallback_row() -> None:
+    targets = []
+    for n, amps in FALLBACK_TARGETS:
+        c = np.zeros(n + 1)
+        for k, value in amps.items():
+            c[k] = value
+        targets.append(State(make_basis(2, n), c))
+    runs = []
+    lm = _ProductSolver._lm
+
+    def counting_lm(self, *args, **kwargs):
+        runs.append(1)
+        return lm(self, *args, **kwargs)
+
+    _ProductSolver._lm = counting_lm
+    try:
+        times, _ = _time(lambda: [plan_two_mode(t) for t in targets])
+    finally:
+        _ProductSolver._lm = lm
+    print(f"fallback targets x{len(targets)}  {_seconds(times)}"
+          f"  LM runs {len(runs) // REPEATS}", flush=True)
+
+
 def _search_note(res) -> str:
     # ``evaluations`` is missing on commits older than the batched searches.
     return (f"error {res.error!r}  iterations {res.iterations}"
@@ -153,6 +193,7 @@ def main() -> None:
     print("; ".join(f"{name}={os.environ.get(name, 'unset')}"
                     for name in THREAD_VARS))
     plan_rows()
+    fallback_row()
     gate_rows()
     cv_rows()
 
