@@ -308,8 +308,8 @@ def _check_synthesis_bench(p: dict) -> list[str]:
     out = _check_synthesis(p)
     if p["targets"] < 1:
         out.append("targets must be >= 1")
-    if p["passes"] not in (1, 2):
-        out.append("passes must be 1 or 2")
+    if p["passes"] != 2:
+        out.append("passes must be 2: the one-pass matching sweep was removed")
     return out
 
 

@@ -3,25 +3,23 @@
 Starting from the reference state with every photon in the last mode, a
 target amplitude vector is built by a sweep of exponentials
 ``exp(alpha * B - conj(alpha) * B†)`` whose generators ``B`` raise an
-increasing number of photons out of the reference mode (``J+^k`` on a mode
-pair; products of first-order hops in the multimode case).  The first pass
-chooses each amplitude by literal first-order matching of the target
-amplitude ratios; an optional second pass re-measures the residual and
-appends touch-up steps whose amplitudes are solved exactly: damped
-Gauss-Newton on generators scaled to unit spectral norm, with each step's
-unitary and derivatives taken from one eigendecomposition per generator
-per solve.  Executing a plan uses ``scipy.linalg.expm``, independently of
-the solver.
+increasing number of photons out of the reference mode: ``J+^k`` on a mode
+pair, two steps per order plus a trailing first-order pair, or products of
+first-order hops in the multimode case.  The sweep's amplitudes are solved
+from the reference state: damped Gauss-Newton on generators scaled to unit
+spectral norm, with each step's unitary and derivatives taken from one
+eigendecomposition per generator per solve, then seeded restarts while the
+fidelity misses the goal.  Each solved amplitude is split into repetitions
+of at most ``small_angle``.  Executing a plan uses ``scipy.linalg.expm``,
+independently of the solver.
 
-Each piece of that arithmetic runs once per target.  A plan builds each
-dense generator once (every prefix of a hop product is shared), and the
-two-pass planner executes pass 1 once and continues the same vector
-through the touch-up steps.  The returned plan records that vector
-privately, so ``execute_plan`` from the planner's own start state reuses it
-instead of executing every step again; any other initial state, a
-one-pass plan, and a plan read back with ``SynthesisPlan.from_json`` are
-executed step by step.  The reused vector is the one a full execution
-computes, bit for bit.
+A plan builds each dense generator once (every prefix of a hop product is
+shared) and executes its steps once from the reference state.  The returned
+plan records that vector privately, so ``execute_plan`` from the reference
+state reuses it instead of executing every step again; any other initial
+state, and a plan read back with ``SynthesisPlan.from_json``, are executed
+step by step.  The reused vector is the one a full execution computes, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import cmath
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -54,15 +52,16 @@ logger = logging.getLogger(__name__)
 #: Default bound on per-step amplitudes.
 SMALL_ANGLE_DEFAULT = 1e-2
 
-#: Leading coefficients below this are pre-rotated (two-mode) or rejected.
+#: Below this overlap |⟨target|start⟩| the solver skips the zero start: zero
+#: amplitudes are a stationary point of the fidelity there.
 C0_FLOOR = 1e-6
 
 #: Largest N the complexity probe plans at.
 PROBE_N_MAX = 32
 
-#: Touch-up solver: fidelity that ends the search, number of seeded
-#: restarts after the start from zero, and the LM stopping rule (residual
-#: norm and iteration cap).
+#: Amplitude solver: default fidelity that ends the search, number of
+#: seeded restarts after the start from zero, and the LM stopping rule
+#: (residual norm and iteration cap).
 SOLVE_GOAL = 1 - 1e-10
 RESTARTS = 12
 LM_TOL = 1e-13
@@ -75,8 +74,12 @@ def _check_small_angle(small_angle: float) -> None:
             f"small_angle must be finite and > 0, got {small_angle!r}")
 
 
-class ZeroLeadingCoefficientError(ValueError):
-    """Target's reference-state amplitude is below the configured floor."""
+def _check_options(small_angle: float, passes: int) -> None:
+    _check_small_angle(small_angle)
+    if passes != 2:
+        raise ValueError(
+            f"passes must be 2, got {passes!r}: the one-pass matching sweep "
+            "was removed")
 
 
 class TargetOrderError(ValueError):
@@ -89,17 +92,13 @@ class PlanStep:
 
     ``pairs`` lists the mode pairs whose raising hops are multiplied into
     the generator ``B``; ``order = len(pairs)`` photons are moved per
-    application of ``B``.  ``stage`` records which planning phase emitted
-    the step: ``match`` (first-order matching sweep), ``touchup``
-    (corrective second pass), or ``closing`` (final rotation undoing a
-    leading-coefficient pre-rotation).
+    application of ``B``.
     """
 
     order: int
     pairs: tuple[tuple[int, int], ...]
     amplitude: complex
     repetitions: int
-    stage: str
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,6 @@ class SynthesisPlan:
                         "pairs": [list(p) for p in s.pairs],
                         "amplitude": [s.amplitude.real, s.amplitude.imag],
                         "repetitions": s.repetitions,
-                        "stage": s.stage,
                     }
                     for s in self.steps
                 ],
@@ -154,7 +152,6 @@ class SynthesisPlan:
                 pairs=tuple((int(i), int(j)) for i, j in s["pairs"]),
                 amplitude=complex(s["amplitude"][0], s["amplitude"][1]),
                 repetitions=int(s["repetitions"]),
-                stage=str(s["stage"]),
             )
             for s in data["steps"]
         )
@@ -197,11 +194,6 @@ def _generator_matrix(
     return mat
 
 
-def _step_exp(rho: complex, b: np.ndarray) -> np.ndarray:
-    """exp(rho B - conj(rho) B†)."""
-    return expm(rho * b - np.conj(rho) * b.conj().T)
-
-
 def _amplitudes(sig: np.ndarray) -> np.ndarray:
     """Complex step amplitudes from interleaved (re, im) solver parameters."""
     return sig[0::2] + 1j * sig[1::2]
@@ -213,11 +205,13 @@ def _run_steps(
     vec: np.ndarray,
     memo: dict[tuple[tuple[int, int], ...], np.ndarray],
 ) -> np.ndarray:
-    """Apply each step's unitary ``repetitions`` times to ``vec``."""
+    """Apply each step's unitary exp(rho B - conj(rho) B†) ``repetitions``
+    times to ``vec``."""
     for step in steps:
+        rho = step.amplitude
         b = _generator_matrix(basis, step.pairs, memo)
-        vec = np.linalg.matrix_power(
-            _step_exp(step.amplitude, b), step.repetitions) @ vec
+        unit = expm(rho * b - np.conj(rho) * b.conj().T)
+        vec = np.linalg.matrix_power(unit, step.repetitions) @ vec
     return vec
 
 
@@ -245,23 +239,21 @@ def _steps_from_amplitudes(
     rhos: Sequence[complex],
     pairs_list: Sequence[tuple[tuple[int, int], ...]],
     small_angle: float,
-    stage: str,
 ) -> list[PlanStep]:
     """Split net amplitudes into ceil(|rho|/small_angle) repetitions."""
-    _check_small_angle(small_angle)
     steps = []
     for rho, pairs in zip(rhos, pairs_list):
         if rho == 0:
             continue
         reps = max(1, math.ceil(abs(rho) / small_angle))
         steps.append(
-            PlanStep(len(pairs), tuple(pairs), rho / reps, reps, stage)
+            PlanStep(len(pairs), tuple(pairs), rho / reps, reps)
         )
     return steps
 
 
 # ---------------------------------------------------------------------------
-# Amplitude solver for the corrective pass
+# Amplitude solver
 
 
 def _dagger(stack: np.ndarray) -> np.ndarray:
@@ -420,79 +412,69 @@ class _ProductSolver:
                 break
         return sig, cost, v
 
-    def _starts(self):
-        """Zero, then ``RESTARTS`` seeded perturbations of scale 0.25, 0.5
-        and 0.75 in turn."""
-        yield np.zeros(2 * self.m)
+    def _starts(self, from_zero: bool):
+        """Zero if ``from_zero``, then ``RESTARTS`` seeded perturbations of
+        scale 0.25, 0.5 and 0.75 in turn."""
+        if from_zero:
+            yield np.zeros(2 * self.m)
         for i in range(RESTARTS):
             rng = SplitMix64(7000 + i)
             scale = 0.25 * (1 + i % 3)
             yield np.array([scale * rng.normal() for _ in range(2 * self.m)])
 
-    def solve(self, u, t):
-        """Best LM result over ``_starts``, stopping at ``SOLVE_GOAL``; the
-        earliest start wins ties."""
+    def solve(self, u, t, goal: float):
+        """Best LM result over ``_starts``, stopping at fidelity ``goal``;
+        the earliest start wins ties.
+
+        The zero start is skipped when |⟨t|u⟩| < ``C0_FLOOR``: the fidelity
+        is stationary at zero there, so LM could leave it only through
+        rounding noise.
+        """
         best = None
-        for sig0 in self._starts():
+        for sig0 in self._starts(abs(np.vdot(t, u)) >= C0_FLOOR):
             sig, _, v = self._lm(sig0, u, t)
             f = abs(np.vdot(v, t)) ** 2
             if best is None or f > best[0]:
                 best = (f, sig)
-            if best[0] >= SOLVE_GOAL:
+            if best[0] >= goal:
                 break
         return best[1], best[0]
 
 
-def _with_touchup(
-    plan: SynthesisPlan,
+def _solved_plan(
+    target: State,
+    small_angle: float,
+    fidelity_goal: float,
     start_occ: tuple[int, ...],
-    passes: int,
-    fidelity_goal: float | None,
-    touch_gens: Sequence[np.ndarray],
-    touch_pairs: Sequence[tuple[tuple[int, int], ...]],
-    memo: dict[tuple[tuple[int, int], ...], np.ndarray],
+    pairs_list: Sequence[tuple[tuple[int, int], ...]],
 ) -> SynthesisPlan:
-    """Append the solved touch-up sweep to a pass-1 plan.
+    """Solve the sweep of hop products ``pairs_list`` from ``start_occ``.
 
-    With ``passes=1`` the plan is returned unchanged and unexecuted.
-    Otherwise pass 1 is executed once from ``start_occ``, with its
-    generators taken from (and added to) ``memo``; when that already meets
-    ``fidelity_goal`` the steps are returned unchanged.  The solver works on
-    unit-norm generators; its amplitudes are divided by the norms of
-    ``touch_gens`` before they become steps, and the pass-1 vector is
-    continued through those steps.  Either way the returned plan records
-    the vector executed from ``start_occ``, which ``execute_plan`` reuses
-    for that start state.
+    The solver works on unit-norm generators and stops at
+    ``fidelity_goal``; its amplitudes are divided by the generators' norms
+    before they become steps.  A solve that misses the goal is logged as a
+    warning.  The steps are executed once from ``start_occ`` with the same
+    generators, and the plan records that vector, which ``execute_plan``
+    reuses for that start state.
     """
-    if passes == 1:
-        return plan
-    basis = plan.target.basis
+    basis = target.basis
+    memo = {}
     start = np.asarray(basis_state(basis, start_occ).amplitudes)
-    vec = _run_steps(basis, plan.steps, start, memo)
-    pass1 = State(basis, vec, check_drift=True)
-    pass1_fidelity = fidelity(pass1, plan.target)
-    if fidelity_goal is not None and pass1_fidelity >= fidelity_goal:
-        return replace(plan, _executed=(start, vec))
     solver = _ProductSolver(
-        touch_gens,
+        [_generator_matrix(basis, pairs, memo) for pairs in pairs_list],
         _raised(basis),
-        [len(pairs) for pairs in touch_pairs],
+        [len(pairs) for pairs in pairs_list],
     )
     sig, achieved = solver.solve(
-        np.asarray(pass1.amplitudes), np.asarray(plan.target.amplitudes)
-    )
-    touch_steps = _steps_from_amplitudes(
-        _amplitudes(sig) / solver.scale, touch_pairs, plan.small_angle,
-        "touchup",
-    )
-    logger.debug(
-        "touch-up: pass1 fidelity %.6f, solver fidelity %.13f",
-        pass1_fidelity,
-        achieved,
-    )
+        start, np.asarray(target.amplitudes), fidelity_goal)
+    if achieved < fidelity_goal:
+        logger.warning("solver fidelity %.13f misses the goal %.13f",
+                       achieved, fidelity_goal)
+    steps = _steps_from_amplitudes(
+        _amplitudes(sig) / solver.scale, pairs_list, small_angle)
     return SynthesisPlan(
-        plan.steps + tuple(touch_steps), plan.target, plan.small_angle,
-        (start, _run_steps(basis, touch_steps, vec, memo)),
+        tuple(steps), target, small_angle,
+        (start, _run_steps(basis, steps, start, memo)),
     )
 
 
@@ -504,25 +486,20 @@ def plan_two_mode(
     target: State,
     small_angle: float = SMALL_ANGLE_DEFAULT,
     passes: int = 2,
-    fidelity_goal: float | None = None,
+    fidelity_goal: float = SOLVE_GOAL,
 ) -> SynthesisPlan:
     """Plan a ladder sweep steering |0, N⟩ to ``target`` on a two-mode basis.
 
-    Pass 1 emits at most one step per order k = 1..N with the literal
-    first-order matching rule  M_k * alpha_k * ⟨k|J+^k|0⟩ = c_k / c_0.
-    With ``passes=2`` (default) the executed pass-1 state is re-measured
-    and touch-up steps (two per order plus a trailing order-1 pair,
-    amplitudes solved exactly) are appended, unless ``fidelity_goal`` is
-    already met.  A target whose leading coefficient is below ``C0_FLOOR``
-    is pre-rotated first and the inverse rotation appended as a closing
-    step.  For N = 1 the single step is the exact rotation onto the target,
-    which first-order matching only approximates.
+    The sweep holds two ``J+^k`` steps per order k = 1..N plus a trailing
+    order-1 pair, and its amplitudes are solved from |0, N⟩ until the
+    fidelity reaches ``fidelity_goal``.  For N = 1 the single step is the
+    exact rotation onto the target.  ``passes`` must be 2; the one-pass
+    matching sweep was removed.
     """
     basis = target.basis
     if basis.num_modes != 2:
         raise ValueError("two-mode planner requires a two-mode basis")
-    if passes not in (1, 2):
-        raise ValueError("passes must be 1 or 2")
+    _check_options(small_angle, passes)
     n_tot = basis.total_photons
     c = np.asarray(target.amplitudes)
     pair = ((0, 1),)
@@ -532,93 +509,20 @@ def plan_two_mode(
 
     if n_tot == 1:
         # Exact: every N=1 state is one ladder rotation from |0, 1⟩.
-        if abs(c[1]) == 0:
-            return SynthesisPlan((), target, small_angle)
         theta = 2.0 * math.atan2(abs(c[1]), abs(c[0]))
         phi = cmath.phase(c[1]) - (cmath.phase(c[0]) if abs(c[0]) > 0 else 0.0)
         rho = (theta / 2.0) * cmath.exp(1j * phi)
-        steps = _steps_from_amplitudes([rho], [pair], small_angle, "match")
+        steps = _steps_from_amplitudes([rho], [pair], small_angle)
         return SynthesisPlan(tuple(steps), target, small_angle)
 
-    if abs(c[0]) < C0_FLOOR:
-        return _plan_with_prerotation(
-            target, small_angle, passes, fidelity_goal
-        )
-    return _plan_matched(target, small_angle, passes, fidelity_goal)
-
-
-def _plan_matched(
-    target: State,
-    small_angle: float,
-    passes: int,
-    fidelity_goal: float | None,
-) -> SynthesisPlan:
-    """Match every order's amplitude ratio, then append the touch-up sweep.
-
-    Needs N >= 2 and a leading coefficient of at least ``C0_FLOOR``.  The
-    matrix element ⟨k|J+^k|0⟩ is read from the plan's own generator, as in
-    ``plan_multimode``.
-    """
-    basis = target.basis
-    n_tot = basis.total_photons
-    c = np.asarray(target.amplitudes)
-    pair = ((0, 1),)
-    memo = {}
-    rhos = [
-        (c[k] / c[0]) / _generator_matrix(basis, pair * k, memo)[k, 0]
-        for k in range(1, n_tot + 1)
-    ]
-    steps = _steps_from_amplitudes(
-        rhos, [pair * k for k in range(1, n_tot + 1)], small_angle, "match"
-    )
-    jp = _hop_csr(basis, 0, 1).toarray()
-    powers = {k: np.linalg.matrix_power(jp, k) for k in range(1, n_tot + 1)}
     # Two steps per order, plus a trailing order-1 pair: the highest-order
     # generator only rotates the {0, N} pair of levels, so without a final
     # full rotation block the sweep cannot re-register the intermediate
     # amplitudes (at N=2 this provably strands ~1/4 of random targets).
-    touch_orders = [k for k in range(1, n_tot + 1) for _ in range(2)] + [1, 1]
-    return _with_touchup(
-        SynthesisPlan(tuple(steps), target, small_angle),
-        (0, n_tot),
-        passes,
-        fidelity_goal,
-        [powers[k] for k in touch_orders],
-        [pair * k for k in touch_orders],
-        memo,
-    )
-
-
-def _plan_with_prerotation(
-    target: State,
-    small_angle: float,
-    passes: int,
-    fidelity_goal: float | None,
-) -> SynthesisPlan:
-    """Handle |c_0| below floor: solve V† target, then append V."""
-    basis = target.basis
-    rng = SplitMix64(DEFAULT_SEED).derive(0xC0)
-    c = np.asarray(target.amplitudes)
-    jp = _hop_csr(basis, 0, 1).toarray()
-    for _ in range(16):
-        rho_v = 0.4 * rng.complex_normal()
-        rotated = _step_exp(rho_v, jp).conj().T @ c
-        if abs(rotated[0]) >= max(C0_FLOOR, 0.05):
-            inner = _plan_matched(
-                State(basis, rotated), small_angle, passes, fidelity_goal
-            )
-            closing = _steps_from_amplitudes(
-                [rho_v], [((0, 1),)], small_angle, "closing"
-            )
-            executed = inner._executed
-            if executed is not None:
-                start, vec = executed
-                executed = start, _run_steps(basis, closing, vec, {})
-            return SynthesisPlan(
-                inner.steps + tuple(closing), target, small_angle, executed
-            )
-    raise ZeroLeadingCoefficientError(
-        "could not find a pre-rotation giving a usable leading coefficient"
+    orders = [k for k in range(1, n_tot + 1) for _ in range(2)] + [1, 1]
+    return _solved_plan(
+        target, small_angle, fidelity_goal, (0, n_tot),
+        [pair * k for k in orders],
     )
 
 
@@ -633,22 +537,21 @@ def _raised(basis: FockBasis) -> np.ndarray:
 
 def _multimode_generators(
     basis: FockBasis, max_order: int
-) -> tuple[list[tuple[tuple[int, int], ...]], np.ndarray]:
+) -> list[tuple[tuple[int, int], ...]]:
     """Pairs tuples (one hop per raised photon) for every state with
-    1..max_order photons out of the last mode, and those states' indices;
-    sorted by (order, occupation)."""
+    1..max_order photons out of the last mode, sorted by (order,
+    occupation)."""
     order = _raised(basis)
     support = np.flatnonzero((order >= 1) & (order <= max_order))
     # Indices ascend with the occupation, so a stable sort by order
     # leaves ties in occupation order.
     support = support[np.argsort(order[support], kind="stable")]
     last = basis.num_modes - 1
-    pairs_list = [
+    return [
         tuple((mode, last) for mode in range(last)
               for _ in range(basis.occupations[idx, mode]))
         for idx in support
     ]
-    return pairs_list, support
 
 
 def plan_multimode(
@@ -656,60 +559,34 @@ def plan_multimode(
     small_angle: float = SMALL_ANGLE_DEFAULT,
     passes: int = 2,
     max_order: int = 2,
-    fidelity_goal: float | None = None,
+    fidelity_goal: float = SOLVE_GOAL,
 ) -> SynthesisPlan:
     """Plan a sweep steering |0,...,0,N⟩ to a multimode target.
 
     Generators are products of raising hops a_j† a_K moving up to
-    ``max_order`` photons out of the last mode; pass 1 matches each
-    supported amplitude ratio literally through the exact matrix element,
-    and ``passes=2`` appends a solved touch-up sweep.  Targets with
-    support beyond ``max_order`` excitations, or whose |0,...,0,N⟩
-    amplitude is below ``C0_FLOOR``, are rejected.
+    ``max_order`` photons out of the last mode.  The sweep runs over them
+    twice, then once more over the first-order hops, and its amplitudes
+    are solved from |0,...,0,N⟩ until the fidelity reaches
+    ``fidelity_goal``.  Targets with support beyond ``max_order``
+    excitations are rejected.  ``passes`` must be 2; the one-pass matching
+    sweep was removed.
     """
+    _check_options(small_angle, passes)
     basis = target.basis
-    n_tot = basis.total_photons
-    last = basis.num_modes - 1
-    c = np.asarray(target.amplitudes)
-    if passes not in (1, 2):
-        raise ValueError("passes must be 1 or 2")
-
-    start_occ = (0,) * last + (n_tot,)
-    start_idx = basis.index_of(start_occ)
-    if abs(c[start_idx]) < C0_FLOOR:
-        raise ZeroLeadingCoefficientError(
-            f"|c_(0,...,0,N)| = {abs(c[start_idx]):.3e} below floor {C0_FLOOR:.1e}"
-        )
     beyond = np.flatnonzero(
-        (_raised(basis) > max_order) & (np.abs(c) > 1e-13)
+        (_raised(basis) > max_order) & (np.abs(target.amplitudes) > 1e-13)
     )
     if beyond.size:
         raise TargetOrderError(
             f"target has support at {basis.occupation_of(beyond[0])}, "
             f"beyond max_order={max_order}"
         )
-
-    pairs_list, support = _multimode_generators(basis, max_order)
-    memo = {}
-    gens = [_generator_matrix(basis, pairs, memo) for pairs in pairs_list]
-    rhos = [
-        (c[idx] / c[start_idx]) / mat[idx, start_idx]
-        for mat, idx in zip(gens, support)
-    ]
-    steps = _steps_from_amplitudes(rhos, pairs_list, small_angle, "match")
-    # Doubled generator sweep plus trailing first-order steps for final
-    # re-registration (mirrors the two-mode touch-up structure).
-    first_order = [
-        (g, p) for g, p in zip(gens, pairs_list) if len(p) == 1
-    ]
-    return _with_touchup(
-        SynthesisPlan(tuple(steps), target, small_angle),
-        start_occ,
-        passes,
-        fidelity_goal,
-        gens + gens + [g for g, _ in first_order],
-        pairs_list + pairs_list + [p for _, p in first_order],
-        memo,
+    pairs_list = _multimode_generators(basis, max_order)
+    first_order = [pairs for pairs in pairs_list if len(pairs) == 1]
+    return _solved_plan(
+        target, small_angle, fidelity_goal,
+        (0,) * (basis.num_modes - 1) + (basis.total_photons,),
+        pairs_list + pairs_list + first_order,
     )
 
 
@@ -750,7 +627,8 @@ def synthesis_complexity_probe(
     targets_per_n: int = 3,
     seed: int = DEFAULT_SEED,
 ) -> ComplexityProbeResult:
-    """Plan seeded random targets per N and fit log-log size slopes.
+    """Plan seeded random targets per N, with ``fidelity_target`` as the
+    solver's goal, and fit log-log size slopes.
 
     Reports the median step count, median total repetition count, and
     minimum achieved fidelity per N; slopes are least-squares fits of
@@ -766,7 +644,7 @@ def synthesis_complexity_probe(
         steps_counts, reps_counts, fids = [], [], []
         for target in bench_targets(basis, targets_per_n,
                                     seed + 1000 * n_idx):
-            plan = plan_two_mode(target, small_angle, passes=2,
+            plan = plan_two_mode(target, small_angle,
                                  fidelity_goal=fidelity_target)
             result = execute_plan(plan, start)
             steps_counts.append(len(plan.steps))

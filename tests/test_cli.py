@@ -209,7 +209,7 @@ class TestLoadConfig:
                 n_list = 100
                 n_max = 100
                 """),
-            ("passes must be 1 or 2", """
+            ("the one-pass matching sweep was removed", """
                 [experiment]
                 name = synthesis-bench
                 [parameters]
