@@ -11,4 +11,7 @@ from . import cvlimit, encodings, hilbert, prng, schwinger, synthesis
 
 __version__ = "0.1.0"
 
-__all__ = ["hilbert", "prng", "schwinger", "synthesis", "__version__"]
+__all__ = [
+    "cvlimit", "encodings", "hilbert", "prng", "schwinger", "synthesis",
+    "__version__",
+]

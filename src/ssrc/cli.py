@@ -286,7 +286,7 @@ def _run_synthesis_bench(p: dict, seed: int):
         start = basis_state(basis, (0, n))
         for idx, target in enumerate(targets):
             plan = synthesis.plan_two_mode(
-                target, small_angle=p["small_angle"], passes=p["passes"]
+                target, small_angle=p["small_angle"]
             )
             result = synthesis.execute_plan(plan, start)
             rows.append([n, idx, len(plan.steps), plan.total_repetitions,
@@ -299,6 +299,9 @@ def _check_synthesis(p: dict) -> list[str]:
     """Grid and step-size rules shared by both synthesis experiments."""
     out = _cap_check(p["n_list"], 2, 1)
     out += [f"N={n} must be positive" for n in p["n_list"] if n <= 0]
+    out += [f"N={n} exceeds the probe's limit {synthesis.PROBE_N_MAX}, "
+            "which both synthesis experiments share"
+            for n in p["n_list"] if n > synthesis.PROBE_N_MAX]
     if not 0 < p["small_angle"] <= 1:
         out.append("small_angle must lie in (0, 1]")
     return out
@@ -332,8 +335,6 @@ def _run_synthesis_complexity(p: dict, seed: int):
 
 def _check_synthesis_complexity(p: dict) -> list[str]:
     out = _check_synthesis(p) + _increasing_check(p["n_list"])
-    out += [f"N={n} exceeds the probe's limit {synthesis.PROBE_N_MAX}"
-            for n in p["n_list"] if n > synthesis.PROBE_N_MAX]
     if not 0 < p["fidelity_target"] <= 1:
         out.append("fidelity_target must lie in (0, 1]")
     if p["targets_per_n"] < 1:

@@ -10,16 +10,12 @@ from the reference state: damped Gauss-Newton on generators scaled to unit
 spectral norm, with each step's unitary and derivatives taken from one
 eigendecomposition per generator per solve, then seeded restarts while the
 fidelity misses the goal.  Each solved amplitude is split into repetitions
-of at most ``small_angle``.  Executing a plan uses ``scipy.linalg.expm``,
-independently of the solver.
+of at most ``small_angle``.
 
-A plan builds each dense generator once (every prefix of a hop product is
-shared) and executes its steps once from the reference state.  The returned
-plan records that vector privately, so ``execute_plan`` from the reference
-state reuses it instead of executing every step again; any other initial
-state, and a plan read back with ``SynthesisPlan.from_json``, are executed
-step by step.  The reused vector is the one a full execution computes, bit
-for bit.
+A plan is plain data: its steps, target and ``small_angle``.  Planning
+executes nothing; ``execute_plan`` is the one place steps are applied, with
+``scipy.linalg.expm``, independently of the solver, and it builds each
+dense generator once per call (every prefix of a hop product is shared).
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ import cmath
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -74,14 +70,6 @@ def _check_small_angle(small_angle: float) -> None:
             f"small_angle must be finite and > 0, got {small_angle!r}")
 
 
-def _check_options(small_angle: float, passes: int) -> None:
-    _check_small_angle(small_angle)
-    if passes != 2:
-        raise ValueError(
-            f"passes must be 2, got {passes!r}: the one-pass matching sweep "
-            "was removed")
-
-
 class TargetOrderError(ValueError):
     """Multimode target has support beyond the configured excitation order."""
 
@@ -103,23 +91,32 @@ class PlanStep:
 
 @dataclass(frozen=True)
 class SynthesisPlan:
-    """Ordered steps steering the reference state to ``target``.
-
-    ``_executed`` is ``(initial, final)`` when the planner has already
-    executed every step from the amplitude vector ``initial``: ``final`` is
-    the unnormalised vector after the last step.  It is neither compared
-    nor serialised.
-    """
+    """Ordered steps steering the reference state to ``target``."""
 
     steps: tuple[PlanStep, ...]
     target: State
     small_angle: float
-    _executed: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self):
         _check_small_angle(self.small_angle)
+        modes = range(self.target.basis.num_modes)
+        for k, step in enumerate(self.steps):
+            reps = step.repetitions
+            if not (isinstance(reps, int) and reps >= 1):
+                raise ValueError(
+                    f"step {k}: repetitions must be an int >= 1, got {reps!r}")
+            if not step.order == len(step.pairs) >= 1:
+                raise ValueError(
+                    f"step {k}: order {step.order} must equal the number "
+                    f"of pairs {len(step.pairs)}, at least 1")
+            for i, j in step.pairs:
+                if i == j or i not in modes or j not in modes:
+                    raise ValueError(
+                        f"step {k}: pair ({i}, {j}) must name two distinct "
+                        f"modes of {len(modes)}")
+            if not cmath.isfinite(step.amplitude):
+                raise ValueError(
+                    f"step {k}: amplitude {step.amplitude!r} is not finite")
 
     @property
     def total_repetitions(self) -> int:
@@ -177,8 +174,9 @@ def _generator_matrix(
 
     ``memo`` maps pairs tuples to their matrices.  The longest prefix of
     ``pairs`` found there is extended one hop at a time, and every new
-    prefix is stored, so one memo per plan builds each generator once with
-    the arithmetic of the plain product from the identity.
+    prefix is stored, so one memo per solve or execution builds each
+    generator once with the arithmetic of the plain product from the
+    identity.
     """
     done = len(pairs)
     while done and pairs[:done] not in memo:
@@ -199,38 +197,19 @@ def _amplitudes(sig: np.ndarray) -> np.ndarray:
     return sig[0::2] + 1j * sig[1::2]
 
 
-def _run_steps(
-    basis: FockBasis,
-    steps: Sequence[PlanStep],
-    vec: np.ndarray,
-    memo: dict[tuple[tuple[int, int], ...], np.ndarray],
-) -> np.ndarray:
-    """Apply each step's unitary exp(rho B - conj(rho) B†) ``repetitions``
-    times to ``vec``."""
-    for step in steps:
-        rho = step.amplitude
-        b = _generator_matrix(basis, step.pairs, memo)
-        unit = expm(rho * b - np.conj(rho) * b.conj().T)
-        vec = np.linalg.matrix_power(unit, step.repetitions) @ vec
-    return vec
-
-
 def execute_plan(plan: SynthesisPlan, initial: State) -> ExecutionResult:
-    """Apply every step exactly; report fidelity against the plan target.
-
-    When the planner already executed the plan from exactly these
-    amplitudes (same bytes), its final vector is reused; otherwise every
-    step is executed.  The result is the same bits either way.
-    """
+    """Apply each step's unitary exp(rho B - conj(rho) B†) ``repetitions``
+    times to ``initial``; report fidelity against the plan target."""
     if initial.basis != plan.target.basis:
         raise BasisMismatchError("plan target and initial state bases differ")
     basis = initial.basis
     vec = np.asarray(initial.amplitudes)
-    if (plan._executed is not None
-            and plan._executed[0].tobytes() == vec.tobytes()):
-        vec = plan._executed[1]
-    else:
-        vec = _run_steps(basis, plan.steps, vec, {})
+    memo = {}
+    for step in plan.steps:
+        rho = step.amplitude
+        b = _generator_matrix(basis, step.pairs, memo)
+        unit = expm(rho * b - np.conj(rho) * b.conj().T)
+        vec = np.linalg.matrix_power(unit, step.repetitions) @ vec
     result = State(basis, vec, check_drift=True)
     return ExecutionResult(result, fidelity(result, plan.target))
 
@@ -445,21 +424,20 @@ def _solved_plan(
     target: State,
     small_angle: float,
     fidelity_goal: float,
-    start_occ: tuple[int, ...],
     pairs_list: Sequence[tuple[tuple[int, int], ...]],
 ) -> SynthesisPlan:
-    """Solve the sweep of hop products ``pairs_list`` from ``start_occ``.
+    """Solve the sweep of hop products ``pairs_list`` from the reference
+    state, with every photon in the last mode.
 
     The solver works on unit-norm generators and stops at
     ``fidelity_goal``; its amplitudes are divided by the generators' norms
     before they become steps.  A solve that misses the goal is logged as a
-    warning.  The steps are executed once from ``start_occ`` with the same
-    generators, and the plan records that vector, which ``execute_plan``
-    reuses for that start state.
+    warning.
     """
     basis = target.basis
     memo = {}
-    start = np.asarray(basis_state(basis, start_occ).amplitudes)
+    reference = (0,) * (basis.num_modes - 1) + (basis.total_photons,)
+    start = np.asarray(basis_state(basis, reference).amplitudes)
     solver = _ProductSolver(
         [_generator_matrix(basis, pairs, memo) for pairs in pairs_list],
         _raised(basis),
@@ -472,10 +450,7 @@ def _solved_plan(
                        achieved, fidelity_goal)
     steps = _steps_from_amplitudes(
         _amplitudes(sig) / solver.scale, pairs_list, small_angle)
-    return SynthesisPlan(
-        tuple(steps), target, small_angle,
-        (start, _run_steps(basis, steps, start, memo)),
-    )
+    return SynthesisPlan(tuple(steps), target, small_angle)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +460,7 @@ def _solved_plan(
 def plan_two_mode(
     target: State,
     small_angle: float = SMALL_ANGLE_DEFAULT,
-    passes: int = 2,
+    *,
     fidelity_goal: float = SOLVE_GOAL,
 ) -> SynthesisPlan:
     """Plan a ladder sweep steering |0, N⟩ to ``target`` on a two-mode basis.
@@ -493,13 +468,12 @@ def plan_two_mode(
     The sweep holds two ``J+^k`` steps per order k = 1..N plus a trailing
     order-1 pair, and its amplitudes are solved from |0, N⟩ until the
     fidelity reaches ``fidelity_goal``.  For N = 1 the single step is the
-    exact rotation onto the target.  ``passes`` must be 2; the one-pass
-    matching sweep was removed.
+    exact rotation onto the target.
     """
     basis = target.basis
     if basis.num_modes != 2:
         raise ValueError("two-mode planner requires a two-mode basis")
-    _check_options(small_angle, passes)
+    _check_small_angle(small_angle)
     n_tot = basis.total_photons
     c = np.asarray(target.amplitudes)
     pair = ((0, 1),)
@@ -521,7 +495,7 @@ def plan_two_mode(
     # amplitudes (at N=2 this provably strands ~1/4 of random targets).
     orders = [k for k in range(1, n_tot + 1) for _ in range(2)] + [1, 1]
     return _solved_plan(
-        target, small_angle, fidelity_goal, (0, n_tot),
+        target, small_angle, fidelity_goal,
         [pair * k for k in orders],
     )
 
@@ -557,7 +531,7 @@ def _multimode_generators(
 def plan_multimode(
     target: State,
     small_angle: float = SMALL_ANGLE_DEFAULT,
-    passes: int = 2,
+    *,
     max_order: int = 2,
     fidelity_goal: float = SOLVE_GOAL,
 ) -> SynthesisPlan:
@@ -568,10 +542,9 @@ def plan_multimode(
     twice, then once more over the first-order hops, and its amplitudes
     are solved from |0,...,0,N⟩ until the fidelity reaches
     ``fidelity_goal``.  Targets with support beyond ``max_order``
-    excitations are rejected.  ``passes`` must be 2; the one-pass matching
-    sweep was removed.
+    excitations are rejected.
     """
-    _check_options(small_angle, passes)
+    _check_small_angle(small_angle)
     basis = target.basis
     beyond = np.flatnonzero(
         (_raised(basis) > max_order) & (np.abs(target.amplitudes) > 1e-13)
@@ -585,7 +558,6 @@ def plan_multimode(
     first_order = [pairs for pairs in pairs_list if len(pairs) == 1]
     return _solved_plan(
         target, small_angle, fidelity_goal,
-        (0,) * (basis.num_modes - 1) + (basis.total_photons,),
         pairs_list + pairs_list + first_order,
     )
 

@@ -227,7 +227,7 @@ def test_criterion_07_synthesis():
         )
         for idx, target in enumerate(targets):
             plan = synthesis.plan_two_mode(
-                target, small_angle=1e-3, passes=2
+                target, small_angle=1e-3
             )
             got = synthesis.execute_plan(plan, start).fidelity
             if not got >= 0.99:
@@ -241,7 +241,7 @@ def test_criterion_07_synthesis():
     sweep = []
     for small_angle in (1e-3, 2e-3, 5e-3, 1e-2):
         plan = synthesis.plan_two_mode(
-            target, small_angle=small_angle, passes=2
+            target, small_angle=small_angle
         )
         sweep.append(synthesis.execute_plan(plan, start).fidelity)
     # 1e-9 slack admits exact ties under floating-point noise.
@@ -260,7 +260,7 @@ def test_criterion_07_synthesis():
             mm_basis, max_order=2,
             seed=SplitMix64(DEFAULT_SEED).derive(300 + idx).next_u64(),
         )
-        plan = synthesis.plan_multimode(target, small_angle=1e-3, passes=2)
+        plan = synthesis.plan_multimode(target, small_angle=1e-3)
         got = synthesis.execute_plan(plan, mm_start).fidelity
         if not got >= 0.98:
             failures.append(

@@ -410,6 +410,12 @@ class TestLoadConfig:
                 [parameters]
                 n_list = 40
                 """),
+            ("N=400 exceeds the probe's limit 32", """
+                [experiment]
+                name = synthesis-bench
+                [parameters]
+                n_list = 2, 400
+                """),
             ("N grid must be strictly increasing", """
                 [experiment]
                 name = synthesis-complexity
@@ -821,6 +827,9 @@ _GENERATED = {
     "commutator": {"n_list": _grid(200), "n_max": _INTS},
     "phase-locking": {"theta": _FLOATS, "n_list": _grid(200)},
     "overlap": {"alpha": _FLOATS, "beta": _FLOATS, "n_list": _grid(200)},
+    "synthesis-bench": {
+        "n_list": _grid(4), "targets": st.integers(-1, 2),
+        "small_angle": _FLOATS, "passes": st.sampled_from([1, 2, 3])},
     "synthesis-complexity": {
         "n_list": _grid(4), "fidelity_target": _FLOATS,
         "small_angle": _FLOATS, "targets_per_n": st.integers(-1, 3)},

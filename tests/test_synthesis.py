@@ -79,14 +79,14 @@ class TestTwoPass:
     def test_seeded_targets_reach_goal(self, n):
         basis = make_basis(2, n)
         for target in bench_targets(basis, 3, seed=123):
-            plan = plan_two_mode(target, small_angle=1e-3, passes=2)
+            plan = plan_two_mode(target, small_angle=1e-3)
             result = execute_plan(plan, basis_state(basis, (0, n)))
             assert result.fidelity >= 0.99
 
     def test_touchup_steps_respect_small_angle(self):
         basis = make_basis(2, 4)
         target = random_state(basis, 5)
-        plan = plan_two_mode(target, small_angle=1e-3, passes=2)
+        plan = plan_two_mode(target, small_angle=1e-3)
         assert len(plan.steps) == 2 * 4 + 2
         for step in plan.steps:
             assert abs(step.amplitude) <= 1e-3 + 1e-15
@@ -98,20 +98,10 @@ class TestTwoPass:
         target = random_state(basis, 17)
         fids = []
         for small_angle in (1e-2, 1e-3):
-            plan = plan_two_mode(target, small_angle=small_angle, passes=2)
+            plan = plan_two_mode(target, small_angle=small_angle)
             result = execute_plan(plan, basis_state(basis, (0, 4)))
             fids.append(result.fidelity)
         assert abs(fids[0] - fids[1]) < 1e-10
-
-    def test_passes_validated(self):
-        message = "one-pass matching sweep was removed"
-        for passes in (1, 3):
-            with pytest.raises(ValueError, match=message):
-                plan_two_mode(random_state(make_basis(2, 2), 0),
-                              passes=passes)
-            with pytest.raises(ValueError, match=message):
-                plan_multimode(random_support_target(make_basis(3, 2), 2, 7),
-                               passes=passes)
 
     @pytest.mark.parametrize(
         "small_angle", [-1e-3, 0.0, float("nan"), float("inf")])
@@ -147,7 +137,7 @@ class TestEmptyPlan:
     def test_reference_target_yields_empty_plan(self):
         basis = make_basis(2, 5)
         target = basis_state(basis, (0, 5))
-        plan = plan_two_mode(target, small_angle=1e-3, passes=2)
+        plan = plan_two_mode(target, small_angle=1e-3)
         assert plan.steps == ()
         result = execute_plan(plan, basis_state(basis, (0, 5)))
         assert result.fidelity == 1.0
@@ -289,7 +279,7 @@ class TestProductSolver:
             target = _sparse_target(n, amps)
         monkeypatch.setattr(_ProductSolver, "_lm", recording_lm)
         monkeypatch.setattr(synthesis, "SplitMix64", RecordingRng)
-        plan_two_mode(target, small_angle=1e-2, passes=2)
+        plan_two_mode(target, small_angle=1e-2)
         assert calls
         assert any(seed >= 7000 for seed in seeds) == (amps is not None)
         for solver, sig0, u, t, (sig, cost, v) in calls:
@@ -355,8 +345,7 @@ class TestProductSolver:
 
         monkeypatch.setattr(_ProductSolver, "_lm", recording_lm)
         monkeypatch.setattr(synthesis, "SplitMix64", RecordingRng)
-        plan = plan_two_mode(_sparse_target(n, amps), small_angle=1e-2,
-                             passes=2)
+        plan = plan_two_mode(_sparse_target(n, amps), small_angle=1e-2)
         result = execute_plan(plan, basis_state(make_basis(2, n), (0, n)))
         # Gauss-Newton from zero falls short, and the first restart
         # reaches the goal.
@@ -463,7 +452,7 @@ class TestMultimode:
     def test_two_pass_random_support_target(self):
         basis = make_basis(3, 3)
         target = random_support_target(basis, max_order=2, seed=41)
-        plan = plan_multimode(target, small_angle=1e-3, passes=2)
+        plan = plan_multimode(target, small_angle=1e-3)
         result = execute_plan(plan, basis_state(basis, (0, 0, 3)))
         assert result.fidelity >= 0.98
 
@@ -488,7 +477,7 @@ class TestPlanSerialization:
     def test_json_round_trip(self):
         basis = make_basis(2, 3)
         target = random_state(basis, 9)
-        plan = plan_two_mode(target, small_angle=1e-3, passes=2)
+        plan = plan_two_mode(target, small_angle=1e-3)
         again = SynthesisPlan.from_json(plan.to_json())
         assert again.small_angle == plan.small_angle
         assert again.steps == plan.steps
@@ -501,6 +490,32 @@ class TestPlanSerialization:
             execute_plan(again, start).fidelity
             == execute_plan(plan, start).fidelity
         )
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param({"repetitions": -3}, "repetitions must be an int >= 1",
+                     id="negative-repetitions"),
+        pytest.param({"repetitions": 0}, "repetitions must be an int >= 1",
+                     id="zero-repetitions"),
+        pytest.param({"order": 7}, "order 7 must equal the number of pairs 1",
+                     id="order-not-pair-count"),
+        pytest.param({"order": 0, "pairs": []},
+                     "order 0 must equal the number of pairs 0, at least 1",
+                     id="no-pairs"),
+        pytest.param({"pairs": [[0, 5]]},
+                     r"pair \(0, 5\) must name two distinct modes of 2",
+                     id="mode-outside-basis"),
+        pytest.param({"pairs": [[1, 1]]},
+                     r"pair \(1, 1\) must name two distinct modes",
+                     id="same-mode"),
+        pytest.param({"amplitude": [0.0, float("inf")]},
+                     "amplitude infj is not finite", id="infinite-amplitude"),
+    ])
+    def test_from_json_rejects_invalid_steps(self, edit, message):
+        plan = plan_two_mode(random_state(make_basis(2, 3), 9))
+        data = json.loads(plan.to_json())
+        data["steps"][0].update(edit)
+        with pytest.raises(ValueError, match="step 0: " + message):
+            SynthesisPlan.from_json(json.dumps(data))
 
 
 def _sha256(data: bytes) -> str:
@@ -609,7 +624,8 @@ class TestGoldenPlans:
 
 
 class TestSingleExecution:
-    """Planning plus executing computes each step's exponential once."""
+    """Planning computes no exponential; executing computes each step's
+    exponential once."""
 
     @pytest.fixture
     def expm_calls(self, monkeypatch):
@@ -629,6 +645,11 @@ class TestSingleExecution:
         assert (np.asarray(result.state.amplitudes).tobytes()
                 == np.asarray(reference.amplitudes).tobytes())
         assert result.fidelity == fidelity(reference, plan.target)
+
+    def test_planning_makes_no_expm_call(self, expm_calls):
+        plan_two_mode(bench_targets(make_basis(2, 6), 1, 12345)[0])
+        plan_multimode(random_support_target(make_basis(3, 3), 2, 7))
+        assert expm_calls == []
 
     def test_two_pass(self, expm_calls):
         basis = make_basis(2, 6)
