@@ -23,14 +23,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import gammaln, logsumexp
 
 from .hilbert import FockBasis, State, inner_product, make_basis
 from .schwinger import j_operator
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class AmplitudeBoundError(ValueError):
@@ -56,6 +57,8 @@ def _coherent_amplitudes(
     k_max + 1 entries are the same in every bit whatever k_max <= N is:
     a window costs O(k_max), not O(N).
     """
+    from scipy.special import gammaln
+
     mod2 = abs(alpha) ** 2
     if mod2 >= n_tot and not (mod2 == 0 and n_tot == 0):
         raise AmplitudeBoundError(
@@ -120,6 +123,8 @@ def truncated_coherent_reference(
 ) -> TruncatedReference:
     """Coefficients e^{-|alpha|^2/2} alpha^k / sqrt(k!) for k <= n_max,
     renormalized, with the discarded Poisson tail mass reported."""
+    from scipy.special import gammaln
+
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     k = np.arange(n_max + 1)
@@ -183,6 +188,8 @@ def _displaced_window(
     overflow; that raises OverflowError.  The cost is O(n_max k), whatever
     N is; rows m > N are zero.
     """
+    from scipy.special import gammaln
+
     out = np.zeros(n_max + 1, dtype=np.complex128)
     if alpha == 0:
         out[k] = 1.0
@@ -347,6 +354,8 @@ def squeezed_log_norm_closed_form(r: float, n_pairs: int) -> float:
     construction: A^2 = (e^{-r} cosh r)^{2N} * sum_k tanh^{2k} r *
     C(N,k)^2 (2k)! (2(N-k))!.  Returned as log A (A overflows doubles
     beyond N ~ 80)."""
+    from scipy.special import gammaln, logsumexp
+
     if r < 0:
         raise ValueError("squeezing magnitude r must be >= 0")
     n_tot = int(n_pairs)
@@ -368,6 +377,8 @@ def truncated_squeezed_reference(
 ) -> TruncatedReference:
     """Squeezed-vacuum series (-e^{i phi} tanh r)^k sqrt((2k)!)/(2^k k!)
     / sqrt(cosh r), truncated at occupation n_max and renormalized."""
+    from scipy.special import gammaln
+
     if r < 0:
         raise ValueError("squeezing magnitude r must be >= 0")
     coeffs = np.zeros(n_max + 1, dtype=np.complex128)
@@ -416,6 +427,8 @@ def _quadrature_block(n_tot: int, phi: float, size: int) -> sp.csr_matrix:
     of (e^{-i phi} J- + e^{i phi} J+) / sqrt(2N) in sparse arithmetic;
     row n holds the entry below the diagonal, then the one above.
     """
+    import scipy.sparse as sp
+
     if n_tot < 1:
         raise ValueError("need at least one photon")
     n = np.arange(size - 1)

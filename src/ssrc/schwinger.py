@@ -12,6 +12,9 @@ Operators are plain matrices indexed by the basis: generators are
 ``scipy.sparse`` CSR matrices, and unitaries are dense arrays up to
 ``DENSE_EXP_LIMIT`` and action-only ``LinearOperator``s above it.  Apply one
 to a state with ``State(basis, u @ state.amplitudes, check_drift=True)``.
+SciPy is imported by the functions that build or take those matrices, so
+importing this module loads NumPy only; ``_hop_dense`` builds a hop
+matrix with no sparse matrix.
 """
 
 from __future__ import annotations
@@ -21,12 +24,14 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .hilbert import FockBasis, State
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -57,18 +62,42 @@ def _check_pair(basis: FockBasis, mode_pair: tuple[int, int]) -> tuple[int, int]
     return i, j
 
 
-@lru_cache(maxsize=None)
-def _hop_csr(basis: FockBasis, i: int, j: int) -> sp.csr_matrix:
-    """Read-only sparse matrix of a_i† a_j (moves one photon from mode j
-    to mode i); every caller on the basis shares it."""
+def _hop_entries(
+    basis: FockBasis, i: int, j: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries of a_i† a_j (moves one photon from mode j to mode i)
+    as (rows, cols, values): column c is an occupied state with n_j > 0,
+    its row the state with one photon moved, its value sqrt((n_i+1) n_j)."""
     cols = np.flatnonzero(basis.occupations[:, j])
     new = basis.occupations[cols]
-    vals = np.sqrt((new[:, i] + 1) * new[:, j]).astype(np.complex128)
+    vals = np.sqrt((new[:, i] + 1) * new[:, j])
     new[:, i] += 1
     new[:, j] -= 1
+    return basis.rank(new), cols, vals
+
+
+@lru_cache(maxsize=None)
+def _hop_dense(basis: FockBasis, i: int, j: int) -> np.ndarray:
+    """Read-only dense real matrix of a_i† a_j from ``_hop_entries``, with
+    the bits of ``_hop_csr(basis, i, j).toarray().real`` and no sparse
+    matrix; every caller on the basis shares it."""
+    rows, cols, vals = _hop_entries(basis, i, j)
+    hop = np.zeros((basis.dimension, basis.dimension))
+    hop[rows, cols] = vals
+    hop.flags.writeable = False
+    return hop
+
+
+@lru_cache(maxsize=None)
+def _hop_csr(basis: FockBasis, i: int, j: int) -> sp.csr_matrix:
+    """Read-only sparse matrix of a_i† a_j from ``_hop_entries``; every
+    caller on the basis shares it."""
+    import scipy.sparse as sp
+
+    rows, cols, vals = _hop_entries(basis, i, j)
     dim = basis.dimension
     mat = sp.coo_matrix(
-        (vals, (basis.rank(new), cols)), shape=(dim, dim)
+        (vals.astype(np.complex128), (rows, cols)), shape=(dim, dim)
     ).tocsr()
     for arr in (mat.data, mat.indices, mat.indptr):
         arr.flags.writeable = False
@@ -91,6 +120,8 @@ def j_operator(
     if axis == "-":
         return _hop_csr(basis, j, i)
     if axis == "z":
+        import scipy.sparse as sp
+
         occ = basis.occupations
         return sp.csr_matrix(
             sp.diags((occ[:, i] - occ[:, j]) / 2.0), dtype=np.complex128
@@ -135,6 +166,8 @@ def exp_unitary(generator, chi: float):
     ``scipy.sparse.linalg.LinearOperator`` applied action-only through
     ``expm_multiply``, whose adjoint ``.H`` is exp(-i*chi*G).
     """
+    import scipy.sparse as sp
+
     drift = float(abs(generator - generator.conj().T).max())
     if drift > HERMITIAN_TOL:
         raise NonHermitianGeneratorError(
@@ -194,6 +227,8 @@ def relative_phase_op(
     (n_i+n_j, 0) back to (0, n_i+n_j), making the shift unitary.
     For K=2 the period is N+1.
     """
+    import scipy.sparse as sp
+
     i, j = _check_pair(basis, mode_pair)
     dim = basis.dimension
     occ = basis.occupations
@@ -409,6 +444,8 @@ def fit_rotation(
             f"fit_rotation is dense: basis dimension {basis.dimension} "
             f"exceeds DENSE_EXP_LIMIT = {DENSE_EXP_LIMIT}"
         )
+    import scipy.sparse as sp
+
     ops = [j_operator(basis, ax, mode_pair).toarray() for ax in "xyz"]
     u = unitary.toarray() if sp.issparse(unitary) else np.asarray(unitary)
     udag = u.conj().T

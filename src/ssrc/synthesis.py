@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .cvlimit import _loglog_fit
 from .hilbert import (
@@ -143,16 +142,31 @@ class SynthesisPlan:
     def from_json(text: str) -> "SynthesisPlan":
         data = json.loads(text)
         target = State.from_json(json.dumps(data["target"]))
-        steps = tuple(
-            PlanStep(
-                order=int(s["order"]),
-                pairs=tuple((int(i), int(j)) for i, j in s["pairs"]),
-                amplitude=complex(s["amplitude"][0], s["amplitude"][1]),
-                repetitions=int(s["repetitions"]),
-            )
-            for s in data["steps"]
-        )
+        steps = tuple(_step_from_json(k, step)
+                      for k, step in enumerate(data["steps"]))
         return SynthesisPlan(steps, target, float(data["small_angle"]))
+
+
+def _integer(k: int, name: str, value) -> int:
+    """``value`` if it is a JSON number with no fractional part, as an int."""
+    if not (type(value) is int
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"step {k}: {name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _step_from_json(k: int, s: dict) -> PlanStep:
+    """Step ``k`` of a plan's JSON; the plan checks the values' ranges."""
+    for key in ("order", "pairs", "amplitude", "repetitions"):
+        if key not in s:
+            raise ValueError(f"step {k}: missing key {key!r}")
+    return PlanStep(
+        order=_integer(k, "order", s["order"]),
+        pairs=tuple((_integer(k, "pair index", i),
+                     _integer(k, "pair index", j)) for i, j in s["pairs"]),
+        amplitude=complex(s["amplitude"][0], s["amplitude"][1]),
+        repetitions=_integer(k, "repetitions", s["repetitions"]),
+    )
 
 
 @dataclass(frozen=True)
@@ -200,6 +214,8 @@ def _amplitudes(sig: np.ndarray) -> np.ndarray:
 def execute_plan(plan: SynthesisPlan, initial: State) -> ExecutionResult:
     """Apply each step's unitary exp(rho B - conj(rho) B†) ``repetitions``
     times to ``initial``; report fidelity against the plan target."""
+    from scipy.linalg import expm
+
     if initial.basis != plan.target.basis:
         raise BasisMismatchError("plan target and initial state bases differ")
     basis = initial.basis

@@ -861,16 +861,41 @@ class TestGeneratedConfigs:
             assert (code == 0) == any(out_dir.glob("*.csv")), text
 
 
-def test_cli_import_leaves_optimize_and_sparse_linalg_unloaded():
-    # Each process that runs a config pays for what ``import ssrc.cli``
-    # loads; these two SciPy subpackages load only where they are used.
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+_REPO = pathlib.Path(__file__).resolve().parent.parent
+_PRINT_SCIPY = ("import sys; print('scipy:', sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))\n")
+
+
+def _scipy_loaded(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter on this checkout's ``ssrc``;
+    return the lines its ``_PRINT_SCIPY`` statements printed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = ("import sys, ssrc.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.optimize', 'scipy.sparse.linalg'))))")
+        filter(None, [str(_REPO / "src"), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return [line for line in out.stdout.splitlines()
+            if line.startswith("scipy:")]
 
+
+def test_cli_import_and_validate_load_no_scipy():
+    # Each process that runs a config pays for what ``import ssrc.cli``
+    # loads; SciPy loads only in the functions that use it.
+    configs = sorted(str(p) for p in (_REPO / "configs").glob("*.ini"))
+    assert len(configs) == 10
+    code = ("import ssrc.cli\n" + _PRINT_SCIPY
+            + f"for path in {configs!r}:\n"
+            "    assert ssrc.cli.main(['validate', '--config', path]) == 0\n"
+            + _PRINT_SCIPY)
+    assert _scipy_loaded(code) == ["scipy: []"] * 2
+
+
+@pytest.mark.parametrize("name", ["encoding-feasibility", "cnot-feasibility"])
+def test_gate_runs_load_no_scipy(name, tmp_path):
+    # The gate experiments need NumPy's eigh and nothing from SciPy.
+    config = str(_REPO / "configs" / f"{name}.ini")
+    code = (f"import ssrc.cli\nassert ssrc.cli.main(['run', '--config', "
+            f"{config!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            + _PRINT_SCIPY)
+    assert _scipy_loaded(code) == ["scipy: []"]
+    assert list(tmp_path.glob("*.csv"))

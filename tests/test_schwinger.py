@@ -10,6 +10,7 @@ from scipy.sparse.linalg import LinearOperator
 
 from ssrc import schwinger
 from ssrc.cvlimit import coherent_from_rotation
+from ssrc.encodings import _MESH_PAIRS
 from ssrc.hilbert import (
     State,
     basis_state,
@@ -24,6 +25,7 @@ from ssrc.schwinger import (
     MajoranaSpec,
     NonHermitianGeneratorError,
     _hop_csr,
+    _hop_dense,
     axis_generator,
     bloch_vector,
     exp_unitary,
@@ -133,6 +135,24 @@ class TestAlgebra:
             jp *= 2
         assert np.array_equal(_hop_csr(basis, 0, 1).data,
                               np.sqrt([4.0, 6.0, 6.0, 4.0]))
+
+    HOP_CASES = [(2, n, (0, 1)) for n in range(9)] + [
+        (4, n, pair) for n in (2, 4) for pair in sorted(set(_MESH_PAIRS))
+    ]
+
+    @pytest.mark.parametrize(
+        "k, n, pair", HOP_CASES,
+        ids=[f"K{k}-N{n}-{i}{j}" for k, n, (i, j) in HOP_CASES],
+    )
+    def test_dense_hop_has_the_sparse_bits(self, k, n, pair):
+        # The gate searches build Jy from the dense hop; its bits must be
+        # those of the shared sparse hop matrix, and it is shared too.
+        basis = make_basis(k, n)
+        dense = _hop_dense(basis, *pair)
+        ref = _hop_csr(basis, *pair).toarray().real
+        assert dense.dtype == ref.dtype
+        assert dense.tobytes() == ref.tobytes()
+        assert not dense.flags.writeable
 
     def test_axis_generator_normalizes_direction(self):
         basis = make_basis(2, 3)

@@ -509,11 +509,36 @@ class TestPlanSerialization:
                      id="same-mode"),
         pytest.param({"amplitude": [0.0, float("inf")]},
                      "amplitude infj is not finite", id="infinite-amplitude"),
+        pytest.param({"repetitions": 2.5},
+                     "repetitions must be an integer, got 2.5",
+                     id="fractional-repetitions"),
+        pytest.param({"order": 1.9}, "order must be an integer, got 1.9",
+                     id="fractional-order"),
+        pytest.param({"repetitions": "2"},
+                     "repetitions must be an integer, got '2'",
+                     id="string-repetitions"),
+        pytest.param({"pairs": [[0.5, 1]]},
+                     "pair index must be an integer, got 0.5",
+                     id="fractional-pair-index"),
+        pytest.param({"order": None}, "missing key 'order'",
+                     id="missing-order"),
+        pytest.param({"pairs": None}, "missing key 'pairs'",
+                     id="missing-pairs"),
+        pytest.param({"amplitude": None}, "missing key 'amplitude'",
+                     id="missing-amplitude"),
+        pytest.param({"repetitions": None}, "missing key 'repetitions'",
+                     id="missing-repetitions"),
     ])
     def test_from_json_rejects_invalid_steps(self, edit, message):
+        # An edit to None deletes the key.
         plan = plan_two_mode(random_state(make_basis(2, 3), 9))
         data = json.loads(plan.to_json())
-        data["steps"][0].update(edit)
+        step = data["steps"][0]
+        for key, value in edit.items():
+            if value is None:
+                del step[key]
+            else:
+                step[key] = value
         with pytest.raises(ValueError, match="step 0: " + message):
             SynthesisPlan.from_json(json.dumps(data))
 
@@ -635,7 +660,9 @@ class TestSingleExecution:
             calls.append(a.shape)
             return expm(a)
 
-        monkeypatch.setattr(synthesis, "expm", counting_expm)
+        # ``execute_plan`` imports ``expm`` from ``scipy.linalg`` when it
+        # runs, so the count wraps that name.
+        monkeypatch.setattr("scipy.linalg.expm", counting_expm)
         return calls
 
     def _check(self, plan, start, expm_calls):

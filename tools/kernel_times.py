@@ -30,9 +30,16 @@ that workload's largest sizes, with their values:
   closed form, with no basis and no hop matrix, so the two rows differ
   only by first-call overhead
 
-Every timed row is the median of five runs (the cold row is one run).  A
-header gives ``nproc``, the Python, NumPy, SciPy and BLAS versions and the
-thread environment variables, so two runs can be compared on one machine.
+Cold start: the CPU time of one ``python -m ssrc.cli validate`` and one
+``python -m ssrc.cli run`` child process per shipped ``configs/*.ini``,
+imports included, which is what a user pays per config.  Process start-up
+is noisy, so each row is the median and the min-max of ten runs, taken in
+ten rounds that each run every command once, in turn.
+
+The other timed rows are the median of five runs (the CV cold row is one
+run).  A header gives ``nproc``, the Python, NumPy, SciPy and BLAS
+versions and the thread environment variables, so two runs can be
+compared on one machine.
 The script runs unchanged on older commits (which print ``evaluations
 n/a``).
 
@@ -42,8 +49,13 @@ Run from the repository root:
 """
 
 import os
+import pathlib
 import platform
+import resource
 import statistics
+import subprocess
+import sys
+import tempfile
 import time
 
 import numpy as np
@@ -70,6 +82,9 @@ from ssrc.synthesis import (
 )
 
 REPEATS = 5
+COLD_ROUNDS = 10
+CONFIGS = sorted(pathlib.Path(__file__).resolve().parent.parent.glob(
+    "configs/*.ini"))
 RESTARTS = 8
 SEED = 12345
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -187,6 +202,31 @@ def cv_rows() -> None:
         print(f"{name:25s} {_millis(times)}  value {value:.16e}", flush=True)
 
 
+def _child_cpu(args) -> float:
+    """User plus system CPU seconds of one ``python -m ssrc.cli`` child."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    subprocess.run([sys.executable, "-m", "ssrc.cli", *args], check=True,
+                   stdout=subprocess.DEVNULL)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return (after.ru_utime - before.ru_utime
+            + after.ru_stime - before.ru_stime)
+
+
+def cold_rows() -> None:
+    times = {}
+    with tempfile.TemporaryDirectory() as out:
+        commands = {
+            f"{verb} {path.stem}": [verb, "--config", str(path), *extra]
+            for verb, extra in (("validate", []), ("run", ["--out", out]))
+            for path in CONFIGS
+        }
+        for _ in range(COLD_ROUNDS):
+            for label, args in commands.items():
+                times.setdefault(label, []).append(_child_cpu(args))
+    for label, runs in times.items():
+        print(f"cold {label:33s} {_seconds(runs)}", flush=True)
+
+
 def main() -> None:
     print(f"nproc {os.cpu_count()}; Python {platform.python_version()}; "
           f"NumPy {np.__version__} ({_blas(np.show_config)}); "
@@ -197,6 +237,7 @@ def main() -> None:
     fallback_row()
     gate_rows()
     cv_rows()
+    cold_rows()
 
 
 if __name__ == "__main__":
