@@ -39,7 +39,7 @@ from .hilbert import (
 )
 from .prng import DEFAULT_SEED, SplitMix64
 from .schwinger import (
-    _hop_dense,
+    _hop_product,
     exp_unitary,
     j_operator,
     rotation,
@@ -316,7 +316,7 @@ def _pair_eig(
     exactly +0 and its imaginary part (P^T - P) / 2.
     """
     i, j = pair
-    hop = _hop_dense(basis, i, j)
+    hop = _hop_product(basis, ((i, j),))
     jy = np.zeros(hop.shape, dtype=np.complex128)
     jy.imag = 0.5 * (hop.T - hop)
     w, v = np.linalg.eigh(jy)

@@ -197,12 +197,58 @@ class State:
 
     @staticmethod
     def from_json(text: str) -> "State":
-        data = json.loads(text)
-        basis = make_basis(int(data["modes"]), int(data["photons"]))
+        modes, photons, entries = _fields(
+            json.loads(text), ("modes", "photons", "entries"), "state")
+        basis = make_basis(_integer(modes, "state: modes"),
+                           _integer(photons, "state: photons"))
         amps = np.zeros(basis.dimension, dtype=np.complex128)
-        for i, re, im in data["entries"]:
-            amps[int(i)] = complex(re, im)
+        seen = set()
+        for k, entry in enumerate(_array(entries, None, "state: entries")):
+            where = f"state: entry {k}"
+            i, re, im = _array(entry, 3, where)
+            i = _integer(i, f"{where}: index")
+            if not 0 <= i < basis.dimension:
+                raise ValueError(f"{where}: index {i} is outside "
+                                 f"0..{basis.dimension - 1}")
+            if i in seen:
+                raise ValueError(f"{where}: index {i} repeats an entry")
+            seen.add(i)
+            amps[i] = complex(_real(re, f"{where}: re"),
+                              _real(im, f"{where}: im"))
         return State(basis, amps)
+
+
+def _fields(data, keys: Sequence[str], where: str) -> list:
+    """The values of ``keys`` in the JSON object ``data``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {data!r}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{where}: missing key {key!r}")
+    return [data[key] for key in keys]
+
+
+def _array(value, length: int | None, name: str) -> list:
+    """``value`` if it is a JSON array, of ``length`` items unless None."""
+    if not (isinstance(value, list) and length in (None, len(value))):
+        items = "" if length is None else f" of {length}"
+        raise ValueError(f"{name} must be an array{items}, got {value!r}")
+    return value
+
+
+def _integer(value, name: str) -> int:
+    """``value`` if it is a JSON number with no fractional part, as an int."""
+    if not (type(value) is int
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, name: str) -> float:
+    """``value`` if it is a JSON number, as a float."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def basis_state(basis: FockBasis, occupation: Sequence[int]) -> State:

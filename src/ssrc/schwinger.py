@@ -13,8 +13,8 @@ Operators are plain matrices indexed by the basis: generators are
 ``DENSE_EXP_LIMIT`` and action-only ``LinearOperator``s above it.  Apply one
 to a state with ``State(basis, u @ state.amplitudes, check_drift=True)``.
 SciPy is imported by the functions that build or take those matrices, so
-importing this module loads NumPy only; ``_hop_dense`` builds a hop
-matrix with no sparse matrix.
+importing this module loads NumPy only; ``_hop_product`` builds dense hop
+products with no sparse matrix.
 """
 
 from __future__ import annotations
@@ -77,15 +77,23 @@ def _hop_entries(
 
 
 @lru_cache(maxsize=None)
-def _hop_dense(basis: FockBasis, i: int, j: int) -> np.ndarray:
-    """Read-only dense real matrix of a_i† a_j from ``_hop_entries``, with
-    the bits of ``_hop_csr(basis, i, j).toarray().real`` and no sparse
-    matrix; every caller on the basis shares it."""
-    rows, cols, vals = _hop_entries(basis, i, j)
-    hop = np.zeros((basis.dimension, basis.dimension))
-    hop[rows, cols] = vals
-    hop.flags.writeable = False
-    return hop
+def _hop_product(
+    basis: FockBasis, pairs: tuple[tuple[int, int], ...]
+) -> np.ndarray:
+    """Read-only dense real matrix of the product of hops a_i† a_j over
+    ``pairs``, the first pair applied first; every caller shares it.
+
+    A hop has at most one nonzero entry per row, so each entry of a
+    product is one rounded product, whatever the BLAS kernel.
+    """
+    if len(pairs) == 1:
+        rows, cols, vals = _hop_entries(basis, *pairs[0])
+        mat = np.zeros((basis.dimension, basis.dimension))
+        mat[rows, cols] = vals
+    else:
+        mat = _hop_product(basis, pairs[-1:]) @ _hop_product(basis, pairs[:-1])
+    mat.flags.writeable = False
+    return mat
 
 
 @lru_cache(maxsize=None)

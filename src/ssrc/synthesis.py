@@ -14,8 +14,8 @@ of at most ``small_angle``.
 
 A plan is plain data: its steps, target and ``small_angle``.  Planning
 executes nothing; ``execute_plan`` is the one place steps are applied, with
-``scipy.linalg.expm``, independently of the solver, and it builds each
-dense generator once per call (every prefix of a hop product is shared).
+``scipy.linalg.expm``, independently of the solver.  Both read the dense
+generators from ``schwinger._hop_product``, cached for the process.
 """
 
 from __future__ import annotations
@@ -34,13 +34,17 @@ from .hilbert import (
     BasisMismatchError,
     FockBasis,
     State,
+    _array,
+    _fields,
+    _integer,
+    _real,
     basis_state,
     fidelity,
     make_basis,
     random_state,
 )
 from .prng import DEFAULT_SEED, SplitMix64
-from .schwinger import _hop_csr
+from .schwinger import _hop_product
 
 logger = logging.getLogger(__name__)
 
@@ -140,32 +144,29 @@ class SynthesisPlan:
 
     @staticmethod
     def from_json(text: str) -> "SynthesisPlan":
-        data = json.loads(text)
-        target = State.from_json(json.dumps(data["target"]))
-        steps = tuple(_step_from_json(k, step)
-                      for k, step in enumerate(data["steps"]))
-        return SynthesisPlan(steps, target, float(data["small_angle"]))
+        target, small_angle, steps = _fields(
+            json.loads(text), ("target", "small_angle", "steps"), "plan")
+        steps = tuple(_step_from_json(k, step) for k, step
+                      in enumerate(_array(steps, None, "plan: steps")))
+        return SynthesisPlan(steps, State.from_json(json.dumps(target)),
+                             _real(small_angle, "plan: small_angle"))
 
 
-def _integer(k: int, name: str, value) -> int:
-    """``value`` if it is a JSON number with no fractional part, as an int."""
-    if not (type(value) is int
-            or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"step {k}: {name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _step_from_json(k: int, s: dict) -> PlanStep:
+def _step_from_json(k: int, s) -> PlanStep:
     """Step ``k`` of a plan's JSON; the plan checks the values' ranges."""
-    for key in ("order", "pairs", "amplitude", "repetitions"):
-        if key not in s:
-            raise ValueError(f"step {k}: missing key {key!r}")
+    where = f"step {k}"
+    order, pairs, amplitude, reps = _fields(
+        s, ("order", "pairs", "amplitude", "repetitions"), where)
+    re, im = _array(amplitude, 2, f"{where}: amplitude")
     return PlanStep(
-        order=_integer(k, "order", s["order"]),
-        pairs=tuple((_integer(k, "pair index", i),
-                     _integer(k, "pair index", j)) for i, j in s["pairs"]),
-        amplitude=complex(s["amplitude"][0], s["amplitude"][1]),
-        repetitions=_integer(k, "repetitions", s["repetitions"]),
+        order=_integer(order, f"{where}: order"),
+        pairs=tuple(
+            tuple(_integer(i, f"{where}: pair index")
+                  for i in _array(pair, 2, f"{where}: pair"))
+            for pair in _array(pairs, None, f"{where}: pairs")),
+        amplitude=complex(_real(re, f"{where}: amplitude"),
+                          _real(im, f"{where}: amplitude")),
+        repetitions=_integer(reps, f"{where}: repetitions"),
     )
 
 
@@ -177,33 +178,6 @@ class ExecutionResult:
 
 # ---------------------------------------------------------------------------
 # Generators and execution
-
-
-def _generator_matrix(
-    basis: FockBasis,
-    pairs: tuple[tuple[int, int], ...],
-    memo: dict[tuple[tuple[int, int], ...], np.ndarray],
-) -> np.ndarray:
-    """Dense matrix of the product of raising hops a_i† a_j over ``pairs``.
-
-    ``memo`` maps pairs tuples to their matrices.  The longest prefix of
-    ``pairs`` found there is extended one hop at a time, and every new
-    prefix is stored, so one memo per solve or execution builds each
-    generator once with the arithmetic of the plain product from the
-    identity.
-    """
-    done = len(pairs)
-    while done and pairs[:done] not in memo:
-        done -= 1
-    if done:
-        mat = memo[pairs[:done]]
-    else:
-        mat = np.eye(basis.dimension, dtype=np.complex128)
-    for n in range(done, len(pairs)):
-        i, j = pairs[n]
-        mat = _hop_csr(basis, i, j).toarray() @ mat
-        memo[pairs[:n + 1]] = mat
-    return mat
 
 
 def _amplitudes(sig: np.ndarray) -> np.ndarray:
@@ -220,11 +194,10 @@ def execute_plan(plan: SynthesisPlan, initial: State) -> ExecutionResult:
         raise BasisMismatchError("plan target and initial state bases differ")
     basis = initial.basis
     vec = np.asarray(initial.amplitudes)
-    memo = {}
     for step in plan.steps:
         rho = step.amplitude
-        b = _generator_matrix(basis, step.pairs, memo)
-        unit = expm(rho * b - np.conj(rho) * b.conj().T)
+        b = _hop_product(basis, step.pairs)
+        unit = expm(rho * b - np.conj(rho) * b.T)
         vec = np.linalg.matrix_power(unit, step.repetitions) @ vec
     result = State(basis, vec, check_drift=True)
     return ExecutionResult(result, fidelity(result, plan.target))
@@ -451,11 +424,10 @@ def _solved_plan(
     warning.
     """
     basis = target.basis
-    memo = {}
     reference = (0,) * (basis.num_modes - 1) + (basis.total_photons,)
     start = np.asarray(basis_state(basis, reference).amplitudes)
     solver = _ProductSolver(
-        [_generator_matrix(basis, pairs, memo) for pairs in pairs_list],
+        [_hop_product(basis, pairs) for pairs in pairs_list],
         _raised(basis),
         [len(pairs) for pairs in pairs_list],
     )

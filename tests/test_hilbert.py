@@ -183,6 +183,46 @@ class TestState:
         doc = json.loads(state.to_json())
         assert len(doc["entries"]) == 1
 
+    @pytest.mark.parametrize("doc, message", [
+        pytest.param({"modes": 2, "photons": 2, "entries": [[-1, 1, 0]]},
+                     r"state: entry 0: index -1 is outside 0\.\.2",
+                     id="negative-index"),
+        pytest.param({"modes": 2, "photons": 2, "entries": [[5, 1, 0]]},
+                     r"state: entry 0: index 5 is outside 0\.\.2",
+                     id="index-beyond-dimension"),
+        pytest.param({"modes": 2, "photons": 2, "entries": [[0.7, 1, 0]]},
+                     "state: entry 0: index must be an integer, got 0.7",
+                     id="fractional-index"),
+        pytest.param({"modes": 2, "photons": 2,
+                      "entries": [[1, 1, 0], [0, 1, 0], [1, 0, 1]]},
+                     "state: entry 2: index 1 repeats an entry",
+                     id="repeated-index"),
+        pytest.param({"modes": 2.7, "photons": 2, "entries": [[0, 1, 0]]},
+                     "state: modes must be an integer, got 2.7",
+                     id="fractional-modes"),
+        pytest.param({"modes": 2, "photons": 2.9, "entries": [[0, 1, 0]]},
+                     "state: photons must be an integer, got 2.9",
+                     id="fractional-photons"),
+        pytest.param({"modes": 2, "entries": [[0, 1, 0]]},
+                     "state: missing key 'photons'", id="missing-photons"),
+        pytest.param({"modes": 2, "photons": 2},
+                     "state: missing key 'entries'", id="missing-entries"),
+        pytest.param({"modes": 2, "photons": 2, "entries": [[0, 1]]},
+                     r"state: entry 0 must be an array of 3, got \[0, 1\]",
+                     id="short-entry"),
+        pytest.param({"modes": 2, "photons": 2, "entries": [[0, "1", 0]]},
+                     "state: entry 0: re must be a number, got '1'",
+                     id="string-amplitude"),
+        pytest.param({"modes": 2, "photons": 2, "entries": [[0, 1, True]]},
+                     "state: entry 0: im must be a number, got True",
+                     id="boolean-amplitude"),
+        pytest.param([2, 2], r"state must be a JSON object, got \[2, 2\]",
+                     id="not-an-object"),
+    ])
+    def test_from_json_rejects_invalid_input(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            State.from_json(json.dumps(doc))
+
     @given(st.integers(min_value=1, max_value=200))
     @settings(max_examples=20)
     def test_json_round_trip_property(self, seed):

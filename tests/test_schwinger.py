@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator
 
-from ssrc import schwinger
+from ssrc import schwinger, synthesis
 from ssrc.cvlimit import coherent_from_rotation
 from ssrc.encodings import _MESH_PAIRS
 from ssrc.hilbert import (
@@ -25,7 +25,7 @@ from ssrc.schwinger import (
     MajoranaSpec,
     NonHermitianGeneratorError,
     _hop_csr,
-    _hop_dense,
+    _hop_product,
     axis_generator,
     bloch_vector,
     exp_unitary,
@@ -39,6 +39,11 @@ from ssrc.schwinger import (
     state_to_majorana,
     su2_point_matrix,
     transform_points,
+)
+from ssrc.synthesis import (
+    plan_multimode,
+    plan_two_mode,
+    random_support_target,
 )
 
 
@@ -138,21 +143,46 @@ class TestAlgebra:
 
     HOP_CASES = [(2, n, (0, 1)) for n in range(9)] + [
         (4, n, pair) for n in (2, 4) for pair in sorted(set(_MESH_PAIRS))
+    ] + [(2, n, "plan_two_mode") for n in range(2, 9)] + [
+        (3, 3, "plan_multimode"), (4, 2, "plan_multimode")
     ]
 
     @pytest.mark.parametrize(
-        "k, n, pair", HOP_CASES,
-        ids=[f"K{k}-N{n}-{i}{j}" for k, n, (i, j) in HOP_CASES],
+        "k, n, case", HOP_CASES,
+        ids=[f"K{k}-N{n}-" + (case if isinstance(case, str) else
+                              "{}{}".format(*case))
+             for k, n, case in HOP_CASES],
     )
-    def test_dense_hop_has_the_sparse_bits(self, k, n, pair):
-        # The gate searches build Jy from the dense hop; its bits must be
-        # those of the shared sparse hop matrix, and it is shared too.
+    def test_dense_hop_has_the_sparse_bits(self, k, n, case, monkeypatch):
+        # The gate searches build Jy from a dense hop, and the planners
+        # and ``execute_plan`` read every sweep generator as a dense hop
+        # product: their bits must be those of the product of the shared
+        # sparse hop matrices from the identity, and each is shared too.
         basis = make_basis(k, n)
-        dense = _hop_dense(basis, *pair)
-        ref = _hop_csr(basis, *pair).toarray().real
-        assert dense.dtype == ref.dtype
-        assert dense.tobytes() == ref.tobytes()
-        assert not dense.flags.writeable
+        if isinstance(case, str):
+            read = []
+
+            def recording(basis, pairs):
+                read.append(pairs)
+                return _hop_product(basis, pairs)
+
+            monkeypatch.setattr(synthesis, "_hop_product", recording)
+            if case == "plan_two_mode":
+                plan_two_mode(random_state(basis, n))
+            else:
+                plan_multimode(random_support_target(basis, 2, n))
+            assert read
+        else:
+            read = [(case,)]
+        for pairs in read:
+            dense = _hop_product(basis, pairs)
+            ref = np.eye(basis.dimension, dtype=np.complex128)
+            for i, j in pairs:
+                ref = _hop_csr(basis, i, j).toarray() @ ref
+            assert not ref.imag.any()
+            assert dense.dtype == ref.real.dtype
+            assert dense.tobytes() == ref.real.tobytes()
+            assert not dense.flags.writeable
 
     def test_axis_generator_normalizes_direction(self):
         basis = make_basis(2, 3)

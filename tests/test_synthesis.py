@@ -17,7 +17,7 @@ from ssrc.hilbert import (
 )
 from ssrc import synthesis
 from ssrc.prng import SplitMix64
-from ssrc.schwinger import _hop_csr
+from ssrc.schwinger import _hop_csr, _hop_product
 from ssrc.synthesis import (
     SynthesisPlan,
     TargetOrderError,
@@ -528,6 +528,20 @@ class TestPlanSerialization:
                      id="missing-amplitude"),
         pytest.param({"repetitions": None}, "missing key 'repetitions'",
                      id="missing-repetitions"),
+        pytest.param({"amplitude": "abc"},
+                     "amplitude must be an array of 2, got 'abc'",
+                     id="string-amplitude"),
+        pytest.param({"amplitude": [1.0]},
+                     r"amplitude must be an array of 2, got \[1.0\]",
+                     id="short-amplitude"),
+        pytest.param({"amplitude": [1.0, "0"]},
+                     "amplitude must be a number, got '0'",
+                     id="string-amplitude-part"),
+        pytest.param({"pairs": [[0, 1, 1]]},
+                     r"pair must be an array of 2, got \[0, 1, 1\]",
+                     id="pair-of-three"),
+        pytest.param({"pairs": 1}, "pairs must be an array, got 1",
+                     id="pairs-not-array"),
     ])
     def test_from_json_rejects_invalid_steps(self, edit, message):
         # An edit to None deletes the key.
@@ -540,6 +554,37 @@ class TestPlanSerialization:
             else:
                 step[key] = value
         with pytest.raises(ValueError, match="step 0: " + message):
+            SynthesisPlan.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param({"target": None}, "plan: missing key 'target'",
+                     id="missing-target"),
+        pytest.param({"small_angle": None}, "plan: missing key 'small_angle'",
+                     id="missing-small-angle"),
+        pytest.param({"steps": None}, "plan: missing key 'steps'",
+                     id="missing-steps"),
+        pytest.param({"small_angle": True},
+                     "plan: small_angle must be a number, got True",
+                     id="boolean-small-angle"),
+        pytest.param({"steps": {}}, r"plan: steps must be an array, got \{\}",
+                     id="steps-not-array"),
+        pytest.param({"steps": [3]}, "step 0 must be a JSON object, got 3",
+                     id="step-not-object"),
+        pytest.param({"target": {"modes": 2, "photons": 3,
+                                 "entries": [[4, 1.0, 0.0]]}},
+                     "state: entry 0: index 4 is outside 0..3",
+                     id="target-index-outside"),
+    ])
+    def test_from_json_rejects_invalid_plan(self, edit, message):
+        # An edit to None deletes the key.
+        data = json.loads(
+            plan_two_mode(random_state(make_basis(2, 3), 9)).to_json())
+        for key, value in edit.items():
+            if value is None:
+                del data[key]
+            else:
+                data[key] = value
+        with pytest.raises(ValueError, match=message):
             SynthesisPlan.from_json(json.dumps(data))
 
 
@@ -701,6 +746,20 @@ class TestSingleExecution:
             start = random_state(basis, 3)
         del expm_calls[:]
         self._check(plan, start, expm_calls)
+
+    def test_second_execution_builds_no_generator(self):
+        basis = make_basis(2, 6)
+        (target,) = bench_targets(basis, 1, 12345)
+        plan = plan_two_mode(target)
+        start = basis_state(basis, (0, 6))
+        _hop_product.cache_clear()
+        first = execute_plan(plan, start)
+        misses = _hop_product.cache_info().misses
+        assert misses > 0
+        again = execute_plan(plan, start)
+        assert _hop_product.cache_info().misses == misses
+        assert (np.asarray(again.state.amplitudes).tobytes()
+                == np.asarray(first.state.amplitudes).tobytes())
 
 
 class TestComplexityProbe:

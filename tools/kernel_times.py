@@ -6,6 +6,11 @@ N = 8, 16 and 24, with the executed fidelity and the plan's total
 repetitions; and, at each N, planning plus ``execute_plan`` from |0, N⟩,
 the work of one ``synthesis-bench`` target.
 
+Execution: ``execute_plan`` alone on the same plans, once cold (the first
+call after the dense generator cache is emptied, so it builds every
+generator; older commits without that cache rebuild them on every call)
+and then warm.
+
 Solver fallback: ``plan_two_mode`` on the five sparse targets of
 ``test_fallbacks_reach_goal`` (Gauss-Newton from zero misses the goal on
 each, and the first seeded restart reaches it), with the LM runs summed
@@ -36,8 +41,8 @@ imports included, which is what a user pays per config.  Process start-up
 is noisy, so each row is the median and the min-max of ten runs, taken in
 ten rounds that each run every command once, in turn.
 
-The other timed rows are the median of five runs (the CV cold row is one
-run).  A header gives ``nproc``, the Python, NumPy, SciPy and BLAS
+The other timed rows are the median of five runs (the cold execution and
+CV rows are one run).  A header gives ``nproc``, the Python, NumPy, SciPy and BLAS
 versions and the thread environment variables, so two runs can be
 compared on one machine.
 The script runs unchanged on older commits (which print ``evaluations
@@ -73,6 +78,7 @@ from ssrc.encodings import (
     hadamard_gate,
     sg_gate_search,
 )
+from ssrc import schwinger
 from ssrc.hilbert import State, basis_state, make_basis
 from ssrc.synthesis import (
     _ProductSolver,
@@ -142,6 +148,22 @@ def plan_rows() -> None:
         times, result = _time(
             lambda: execute_plan(plan_two_mode(target), start))
         print(f"N={n:3d} plan+execute  {_seconds(times)}"
+              f"  fidelity {result.fidelity:.16f}", flush=True)
+
+
+def execute_rows() -> None:
+    hop_product = getattr(schwinger, "_hop_product", None)
+    for n in (8, 16, 24):
+        basis = make_basis(2, n)
+        (target,) = bench_targets(basis, 1, SEED)
+        start = basis_state(basis, (0, n))
+        plan = plan_two_mode(target)
+        if hop_product is not None:
+            hop_product.cache_clear()
+        cold, _ = _time(lambda: execute_plan(plan, start), repeats=1)
+        warm, result = _time(lambda: execute_plan(plan, start))
+        print(f"N={n:3d} execute_plan cold  {_millis(cold)}", flush=True)
+        print(f"N={n:3d} execute_plan warm  {_millis(warm)}"
               f"  fidelity {result.fidelity:.16f}", flush=True)
 
 
@@ -234,6 +256,7 @@ def main() -> None:
     print("; ".join(f"{name}={os.environ.get(name, 'unset')}"
                     for name in THREAD_VARS))
     plan_rows()
+    execute_rows()
     fallback_row()
     gate_rows()
     cv_rows()
