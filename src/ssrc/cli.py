@@ -367,6 +367,27 @@ def _target_matrix(name: str) -> np.ndarray:
     )
 
 
+#: Bytes the largest stack of complex dim x dim matrices of a gate search
+#: may take, at its largest N.  The rotation search (dim = N + 1) stacks
+#: 3 derivative generators per start at each BFGS step, and its seed scan
+#: 16 rotations per block.  The mesh search (dim = C(2N + 3, 3)) stacks
+#: 6 pair rotations per start.  Two or three such stacks are alive at once.
+ENCODING_STACK_BYTES = 1 << 30
+CNOT_STACK_BYTES = 1 << 30
+
+
+def _stack_check(n_list: list[int], matrices: int, dim: int,
+                 bound: int) -> list[str]:
+    """A stack of ``matrices`` complex dim x dim matrices at the largest N
+    must fit in ``bound`` bytes."""
+    size = matrices * dim * dim * 16
+    if size <= bound:
+        return []
+    return [f"N={max(n_list)} needs a stack of {matrices} complex "
+            f"{dim} x {dim} matrices, {size:.3g} bytes, above the bound of "
+            f"{bound} bytes"]
+
+
 def _run_encoding_feasibility(p: dict, seed: int):
     target = _target_matrix(p["target"])
     rows, reports = [], []
@@ -397,6 +418,9 @@ def _check_encoding_feasibility(p: dict) -> list[str]:
         out.append(str(exc))
     if p["restarts"] < 1:
         out.append("restarts must be >= 1")
+    elif p["n_list"]:
+        out += _stack_check(p["n_list"], max(3 * p["restarts"], 16),
+                            max(p["n_list"]) + 1, ENCODING_STACK_BYTES)
     # The floor is closed-form and no longer scans; resolution is still
     # checked so that configs written for the scan stay valid.
     if not 0 < p["resolution"] <= 0.5:
@@ -425,6 +449,10 @@ def _check_cnot_feasibility(p: dict) -> list[str]:
     out += [f"N={n} must be >= 1" for n in p["n_list"] if n < 1]
     if p["restarts"] < 1:
         out.append("restarts must be >= 1")
+    elif p["n_list"]:
+        dim = math.comb(2 * max(p["n_list"]) + 3, 3)
+        out += _stack_check(p["n_list"], 6 * p["restarts"], dim,
+                            CNOT_STACK_BYTES)
     return out
 
 

@@ -42,6 +42,18 @@ class WindowTooSmallError(ValueError):
     """More than the allowed probability mass lies outside the window."""
 
 
+def _check_amplitude(value: complex, n_tot: int, name: str = "alpha") -> None:
+    """Raise ``AmplitudeBoundError`` unless |value|^2 < N.
+
+    |value|·|value| is inf for a huge amplitude, where |value| ** 2 would
+    raise ``OverflowError``.
+    """
+    mod2 = abs(value) * abs(value)
+    if mod2 >= n_tot:
+        raise AmplitudeBoundError(
+            f"|{name}|^2 = {mod2:.6g} must be < N = {n_tot}")
+
+
 # ---------------------------------------------------------------------------
 # Coherent states
 
@@ -59,11 +71,9 @@ def _coherent_amplitudes(
     """
     from scipy.special import gammaln
 
+    if alpha != 0 or n_tot != 0:  # alpha = 0 is allowed at N = 0
+        _check_amplitude(alpha, n_tot)
     mod2 = abs(alpha) ** 2
-    if mod2 >= n_tot and not (mod2 == 0 and n_tot == 0):
-        raise AmplitudeBoundError(
-            f"|alpha|^2 = {mod2:.6g} must be < N = {n_tot}"
-        )
     if alpha == 0:
         amps = np.zeros(k_max + 1, dtype=np.complex128)
         amps[0] = 1.0
@@ -255,11 +265,7 @@ def displacement_residual(
     n_tot = int(n_photons)
     if not 0 <= k <= min(n_max, n_tot):
         raise ValueError("need 0 <= k <= n_max and k <= N")
-    mod2 = abs(alpha) ** 2
-    if mod2 >= n_tot:
-        raise AmplitudeBoundError(
-            f"|alpha|^2 = {mod2:.6g} must be < N = {n_tot}"
-        )
+    _check_amplitude(alpha, n_tot)
     ssrc = _displaced_window(alpha, k, n_max, n_tot)
     fock = displaced_fock_window(alpha, k, n_max)
     for name, vec in (("finite-N", ssrc), ("displaced-Fock", fock)):
@@ -525,11 +531,8 @@ def overlap_asymptotics(
     compares moduli against the limit e^{-|alpha-beta|^2/2}.
     """
     n_tot = int(n_photons)
-    for val in (alpha, beta):
-        if abs(val) ** 2 >= n_tot:
-            raise AmplitudeBoundError(
-                f"|{val:.6g}|^2 must be < N = {n_tot}"
-            )
+    _check_amplitude(alpha, n_tot)
+    _check_amplitude(beta, n_tot, "beta")
     base = (
         math.sqrt(1.0 - abs(alpha) ** 2 / n_tot)
         * math.sqrt(1.0 - abs(beta) ** 2 / n_tot)
@@ -576,12 +579,16 @@ def fit_rate(
 ) -> tuple[float, float]:
     """Power-law exponent of residual ~ C / N^rate with its R^2.
 
-    Least squares on log(residual) vs log(N); needs at least 4 grid points.
+    Least squares on log(residual) vs log(N); needs at least 4 grid points,
+    each N > 0.
     """
     if len(n_list) < 4:
         raise ValueError("rate fit needs at least 4 grid points")
     if len(n_list) != len(residuals):
         raise ValueError("grid and residual lengths differ")
+    bad = [n for n in n_list if n <= 0]
+    if bad:
+        raise ValueError(f"rate fit needs every N > 0, got N = {bad[0]}")
     lx, ly, slope, intercept = _loglog_fit(n_list, residuals)
     pred = slope * lx + intercept
     ss_res = float(np.sum((ly - pred) ** 2))
@@ -594,8 +601,9 @@ def _sweep(
     n_list: Sequence[int], metric: str, values: Sequence[float]
 ) -> ConvergenceReport:
     """Report of ``values`` over an N grid, with the fitted power law when
-    the grid has at least 4 points."""
-    rate, r2 = fit_rate(n_list, values) if len(n_list) >= 4 else (None, None)
+    the grid has at least 4 points, each N > 0."""
+    fit = len(n_list) >= 4 and min(n_list) > 0
+    rate, r2 = fit_rate(n_list, values) if fit else (None, None)
     return ConvergenceReport(tuple(int(n) for n in n_list), metric,
                              tuple(values), rate=rate, r_squared=r2)
 

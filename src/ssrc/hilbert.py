@@ -248,7 +248,10 @@ def _real(value, name: str) -> float:
     """``value`` if it is a JSON number, as a float."""
     if type(value) not in (int, float):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an integer beyond double range") from None
 
 
 def basis_state(basis: FockBasis, occupation: Sequence[int]) -> State:

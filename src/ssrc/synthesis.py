@@ -2,15 +2,16 @@
 
 Starting from the reference state with every photon in the last mode, a
 target amplitude vector is built by a sweep of exponentials
-``exp(alpha * B - conj(alpha) * B†)`` whose generators ``B`` raise an
-increasing number of photons out of the reference mode: ``J+^k`` on a mode
-pair, two steps per order plus a trailing first-order pair, or products of
-first-order hops in the multimode case.  The sweep's amplitudes are solved
-from the reference state: damped Gauss-Newton on generators scaled to unit
-spectral norm, with each step's unitary and derivatives taken from one
-eigendecomposition per generator per solve, then seeded restarts while the
-fidelity misses the goal.  Each solved amplitude is split into repetitions
-of at most ``small_angle``.
+``exp(alpha * B - conj(alpha) * B†)`` whose generators ``B`` are products
+of hops raising photons out of the reference mode, one generator per basis
+state of up to ``max_order`` raised photons (``J+^k`` for k = 1..N on two
+modes).  The sweep runs over them twice, then once more over the
+first-order hops; one rule serves every number of modes.  The sweep's
+amplitudes are solved from the reference state: damped Gauss-Newton on
+generators scaled to unit spectral norm, with each step's unitary and
+derivatives taken from one eigendecomposition per generator per solve,
+then seeded restarts while the fidelity misses the goal.  Each solved
+amplitude is split into repetitions of at most ``small_angle``.
 
 A plan is plain data: its steps, target and ``small_angle``.  Planning
 executes nothing; ``execute_plan`` is the one place steps are applied, with
@@ -409,87 +410,8 @@ class _ProductSolver:
         return best[1], best[0]
 
 
-def _solved_plan(
-    target: State,
-    small_angle: float,
-    fidelity_goal: float,
-    pairs_list: Sequence[tuple[tuple[int, int], ...]],
-) -> SynthesisPlan:
-    """Solve the sweep of hop products ``pairs_list`` from the reference
-    state, with every photon in the last mode.
-
-    The solver works on unit-norm generators and stops at
-    ``fidelity_goal``; its amplitudes are divided by the generators' norms
-    before they become steps.  A solve that misses the goal is logged as a
-    warning.
-    """
-    basis = target.basis
-    reference = (0,) * (basis.num_modes - 1) + (basis.total_photons,)
-    start = np.asarray(basis_state(basis, reference).amplitudes)
-    solver = _ProductSolver(
-        [_hop_product(basis, pairs) for pairs in pairs_list],
-        _raised(basis),
-        [len(pairs) for pairs in pairs_list],
-    )
-    sig, achieved = solver.solve(
-        start, np.asarray(target.amplitudes), fidelity_goal)
-    if achieved < fidelity_goal:
-        logger.warning("solver fidelity %.13f misses the goal %.13f",
-                       achieved, fidelity_goal)
-    steps = _steps_from_amplitudes(
-        _amplitudes(sig) / solver.scale, pairs_list, small_angle)
-    return SynthesisPlan(tuple(steps), target, small_angle)
-
-
 # ---------------------------------------------------------------------------
-# Two-mode planner
-
-
-def plan_two_mode(
-    target: State,
-    small_angle: float = SMALL_ANGLE_DEFAULT,
-    *,
-    fidelity_goal: float = SOLVE_GOAL,
-) -> SynthesisPlan:
-    """Plan a ladder sweep steering |0, N⟩ to ``target`` on a two-mode basis.
-
-    The sweep holds two ``J+^k`` steps per order k = 1..N plus a trailing
-    order-1 pair, and its amplitudes are solved from |0, N⟩ until the
-    fidelity reaches ``fidelity_goal``.  For N = 1 the single step is the
-    exact rotation onto the target.
-    """
-    basis = target.basis
-    if basis.num_modes != 2:
-        raise ValueError("two-mode planner requires a two-mode basis")
-    _check_small_angle(small_angle)
-    n_tot = basis.total_photons
-    c = np.asarray(target.amplitudes)
-    pair = ((0, 1),)
-
-    if n_tot == 0:
-        return SynthesisPlan((), target, small_angle)
-
-    if n_tot == 1:
-        # Exact: every N=1 state is one ladder rotation from |0, 1⟩.
-        theta = 2.0 * math.atan2(abs(c[1]), abs(c[0]))
-        phi = cmath.phase(c[1]) - (cmath.phase(c[0]) if abs(c[0]) > 0 else 0.0)
-        rho = (theta / 2.0) * cmath.exp(1j * phi)
-        steps = _steps_from_amplitudes([rho], [pair], small_angle)
-        return SynthesisPlan(tuple(steps), target, small_angle)
-
-    # Two steps per order, plus a trailing order-1 pair: the highest-order
-    # generator only rotates the {0, N} pair of levels, so without a final
-    # full rotation block the sweep cannot re-register the intermediate
-    # amplitudes (at N=2 this provably strands ~1/4 of random targets).
-    orders = [k for k in range(1, n_tot + 1) for _ in range(2)] + [1, 1]
-    return _solved_plan(
-        target, small_angle, fidelity_goal,
-        [pair * k for k in orders],
-    )
-
-
-# ---------------------------------------------------------------------------
-# Multimode planner
+# Planners
 
 
 def _raised(basis: FockBasis) -> np.ndarray:
@@ -497,23 +419,27 @@ def _raised(basis: FockBasis) -> np.ndarray:
     return basis.total_photons - basis.occupations[:, -1]
 
 
-def _multimode_generators(
+def _sweep(
     basis: FockBasis, max_order: int
 ) -> list[tuple[tuple[int, int], ...]]:
-    """Pairs tuples (one hop per raised photon) for every state with
-    1..max_order photons out of the last mode, sorted by (order,
-    occupation)."""
+    """The planners' sweep, as pairs tuples (one hop per raised photon).
+
+    One generator per state with 1..max_order photons out of the last mode,
+    sorted by (order, occupation); the sweep runs over them twice, then once
+    more over the first-order ones.
+    """
     order = _raised(basis)
     support = np.flatnonzero((order >= 1) & (order <= max_order))
     # Indices ascend with the occupation, so a stable sort by order
     # leaves ties in occupation order.
     support = support[np.argsort(order[support], kind="stable")]
     last = basis.num_modes - 1
-    return [
+    gens = [
         tuple((mode, last) for mode in range(last)
               for _ in range(basis.occupations[idx, mode]))
         for idx in support
     ]
+    return gens + gens + [pairs for pairs in gens if len(pairs) == 1]
 
 
 def plan_multimode(
@@ -529,8 +455,9 @@ def plan_multimode(
     ``max_order`` photons out of the last mode.  The sweep runs over them
     twice, then once more over the first-order hops, and its amplitudes
     are solved from |0,...,0,N⟩ until the fidelity reaches
-    ``fidelity_goal``.  Targets with support beyond ``max_order``
-    excitations are rejected.
+    ``fidelity_goal``; a solve that misses the goal is logged as a
+    warning.  Targets with support beyond ``max_order`` excitations are
+    rejected.
     """
     _check_small_angle(small_angle)
     basis = target.basis
@@ -542,12 +469,54 @@ def plan_multimode(
             f"target has support at {basis.occupation_of(beyond[0])}, "
             f"beyond max_order={max_order}"
         )
-    pairs_list = _multimode_generators(basis, max_order)
-    first_order = [pairs for pairs in pairs_list if len(pairs) == 1]
-    return _solved_plan(
-        target, small_angle, fidelity_goal,
-        pairs_list + pairs_list + first_order,
+    pairs_list = _sweep(basis, max_order)
+    reference = (0,) * (basis.num_modes - 1) + (basis.total_photons,)
+    solver = _ProductSolver(
+        [_hop_product(basis, pairs) for pairs in pairs_list],
+        _raised(basis),
+        [len(pairs) for pairs in pairs_list],
     )
+    sig, achieved = solver.solve(
+        np.asarray(basis_state(basis, reference).amplitudes),
+        np.asarray(target.amplitudes), fidelity_goal)
+    if achieved < fidelity_goal:
+        logger.warning("solver fidelity %.13f misses the goal %.13f",
+                       achieved, fidelity_goal)
+    # The solver works on unit-norm generators; dividing by their norms
+    # gives the raw generators' amplitudes.
+    steps = _steps_from_amplitudes(
+        _amplitudes(sig) / solver.scale, pairs_list, small_angle)
+    return SynthesisPlan(tuple(steps), target, small_angle)
+
+
+def plan_two_mode(
+    target: State,
+    small_angle: float = SMALL_ANGLE_DEFAULT,
+    *,
+    fidelity_goal: float = SOLVE_GOAL,
+) -> SynthesisPlan:
+    """Plan a ladder sweep steering |0, N⟩ to ``target`` on a two-mode basis.
+
+    For N = 1 the single step is the exact rotation onto the target.
+    Otherwise this is ``plan_multimode`` with ``max_order`` N: its
+    generators are J+^k for k = 1..N, swept twice and then once more at
+    k = 1.
+    """
+    basis = target.basis
+    if basis.num_modes != 2:
+        raise ValueError("two-mode planner requires a two-mode basis")
+    _check_small_angle(small_angle)
+    n_tot = basis.total_photons
+    if n_tot == 1:
+        # Exact: every N=1 state is one ladder rotation from |0, 1⟩.
+        c = np.asarray(target.amplitudes)
+        theta = 2.0 * math.atan2(abs(c[1]), abs(c[0]))
+        phi = cmath.phase(c[1]) - (cmath.phase(c[0]) if abs(c[0]) > 0 else 0.0)
+        rho = (theta / 2.0) * cmath.exp(1j * phi)
+        steps = _steps_from_amplitudes([rho], [((0, 1),)], small_angle)
+        return SynthesisPlan(tuple(steps), target, small_angle)
+    return plan_multimode(target, small_angle, max_order=n_tot,
+                          fidelity_goal=fidelity_goal)
 
 
 # ---------------------------------------------------------------------------

@@ -467,6 +467,47 @@ class TestLoadConfig:
             """)
         assert load_config(vacuum).parameters["alpha"] == 0
 
+    @pytest.mark.parametrize("name, params, message", [
+        pytest.param("encoding-feasibility", "n_list = 1671", None,
+                     id="encoding-edge"),
+        pytest.param("encoding-feasibility", "n_list = 1672",
+                     "N=1672 needs a stack of 24 complex 1673 x 1673",
+                     id="encoding-over"),
+        pytest.param("encoding-feasibility", "n_list = 2047\nrestarts = 1",
+                     None, id="encoding-1-restart-edge"),
+        pytest.param("encoding-feasibility", "n_list = 2048\nrestarts = 1",
+                     "N=2048 needs a stack of 16 complex 2049 x 2049",
+                     id="encoding-1-restart-over"),
+        pytest.param("encoding-feasibility", "n_list = 1, 100000",
+                     "N=100000 needs a stack of 24 complex 100001 x 100001",
+                     id="encoding-100000"),
+        pytest.param("cnot-feasibility", "n_list = 8", None, id="cnot-edge"),
+        pytest.param("cnot-feasibility", "n_list = 9",
+                     "N=9 needs a stack of 48 complex 1330 x 1330",
+                     id="cnot-over"),
+        pytest.param("cnot-feasibility", "n_list = 8\nrestarts = 11", None,
+                     id="cnot-11-restarts"),
+        pytest.param("cnot-feasibility", "n_list = 8\nrestarts = 12",
+                     "N=8 needs a stack of 72 complex 969 x 969",
+                     id="cnot-12-restarts"),
+        pytest.param("cnot-feasibility", "n_list = 90",
+                     "N=90 needs a stack of 48 complex 1004731 x 1004731",
+                     id="cnot-90"),
+    ])
+    def test_gate_stack_bound(self, tmp_path, name, params, message):
+        # The edges of the 1 GiB bound on one stack of a gate search: the
+        # rotation search stacks 3 matrices per start (16 in its seed
+        # scan), the mesh search 6 per start.
+        path = write_ini(tmp_path, f"[experiment]\nname = {name}\n"
+                                   f"[parameters]\n{params}\n")
+        if message is None:
+            load_config(path)
+            return
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert [v for v in err.value.violations if message in v
+                and "above the bound of 1073741824 bytes" in v]
+
     def test_unknown_format(self, tmp_path):
         path = write_ini(
             tmp_path,
@@ -733,6 +774,22 @@ class TestMain:
         rows = (codes[2] / "convergence-displacement.csv").read_text()
         assert [float(line.split(",")[1])
                 for line in rows.splitlines()[1:]] == [0.0, 0.0]
+
+    def test_coherent_zero_photon_grid_runs(self, tmp_path):
+        # The vacuum at N = 0 validates; no power law fits a grid holding
+        # N = 0, so the run reports no rate.
+        codes = self._validate_then_run(tmp_path, """
+            [experiment]
+            name = convergence-coherent
+            [parameters]
+            alpha = 0
+            n_list = 0, 4, 8, 16
+            n_max = 0
+            """)
+        assert codes[:2] == (0, 0)
+        meta = json.loads(
+            (codes[2] / "convergence-coherent.meta.json").read_text())
+        assert meta["derived"] == {"rate": None, "r_squared": None}
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.ini"

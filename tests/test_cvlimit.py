@@ -68,6 +68,23 @@ class TestCoherent:
         with pytest.raises(AmplitudeBoundError):
             coherent_from_rotation(math.sqrt(5.0), 5)
 
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: coherent_window_fidelity(1e300, 100, 10),
+                     id="window-fidelity"),
+        pytest.param(lambda: overlap_asymptotics(1e300, 0.5, 100),
+                     id="overlap-alpha"),
+        pytest.param(lambda: overlap_asymptotics(0.5, 1e300, 100),
+                     id="overlap-beta"),
+        pytest.param(lambda: displacement_residual(1e300, 0, 100, 10),
+                     id="displacement"),
+        pytest.param(lambda: coherent_from_rotation(1e200, 100),
+                     id="rotation"),
+    ])
+    def test_huge_amplitude_breaks_the_bound(self, call):
+        # |alpha| ** 2 overflows here; the bound compares |alpha|·|alpha|.
+        with pytest.raises(AmplitudeBoundError, match=r"\^2 = inf must be"):
+            call()
+
     @given(
         st.floats(min_value=0.1, max_value=1.8),
         st.floats(min_value=-math.pi, max_value=math.pi),
@@ -408,6 +425,12 @@ class TestConvergenceMachinery:
     def test_fit_rate_needs_four_points(self):
         with pytest.raises(ValueError):
             fit_rate([10, 100, 1000], [1.0, 0.1, 0.01])
+
+    def test_fit_rate_needs_positive_n(self):
+        with pytest.raises(ValueError, match="every N > 0, got N = 0"):
+            fit_rate([0, 4, 8, 16], [0.0, 0.0, 0.0, 0.0])
+        report = coherent_convergence(0, [0, 4, 8, 16], 0)
+        assert (report.rate, report.r_squared) == (None, None)
 
     def test_report_validates_grid(self):
         with pytest.raises(ValueError):

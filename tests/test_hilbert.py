@@ -216,6 +216,9 @@ class TestState:
         pytest.param({"modes": 2, "photons": 2, "entries": [[0, 1, True]]},
                      "state: entry 0: im must be a number, got True",
                      id="boolean-amplitude"),
+        pytest.param({"modes": 2, "photons": 2, "entries": [[0, 10**400, 0]]},
+                     "state: entry 0: re is an integer beyond double range",
+                     id="huge-integer-amplitude"),
         pytest.param([2, 2], r"state must be a JSON object, got \[2, 2\]",
                      id="not-an-object"),
     ])

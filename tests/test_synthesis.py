@@ -87,7 +87,7 @@ class TestTwoPass:
         basis = make_basis(2, 4)
         target = random_state(basis, 5)
         plan = plan_two_mode(target, small_angle=1e-3)
-        assert len(plan.steps) == 2 * 4 + 2
+        assert len(plan.steps) == 2 * 4 + 1
         for step in plan.steps:
             assert abs(step.amplitude) <= 1e-3 + 1e-15
 
@@ -154,15 +154,21 @@ class TestEmptyPlan:
             execute_plan(plan, basis_state(make_basis(2, 3), (0, 3)))
 
 
-# Sparse targets on which LM from zero misses the goal and the first seeded
-# restart reaches it.
+# Sparse targets orthogonal to the reference state: the solver skips the
+# start from zero, and the first seeded restart reaches the goal.
 FALLBACK_TARGETS = [
-    (5, {0: 0.1, 2: 1.0, 4: 1.0}),
-    (4, {0: 0.01, 2: 1.0, 3: 2.0}),
-    (5, {0: 0.03, 1: 1.0, 2: 1.0}),
-    (7, {0: 0.1, 2: 1.0, 6: 1.0}),
-    (8, {0: 0.1, 3: 1.0, 6: 1.0}),
+    (5, {2: 1.0, 4: 1.0}),
+    (4, {2: 1.0, 3: 2.0}),
+    (5, {1: 1.0, 2: 1.0}),
+    (7, {2: 1.0, 6: 1.0}),
+    (8, {3: 1.0, 6: 1.0}),
 ]
+
+
+def _restart_target():
+    """An order-2 target at (K, N) = (3, 4): LM from zero misses the goal,
+    and so does every seeded restart."""
+    return random_support_target(make_basis(3, 4), 2, 6)
 
 
 def _sparse_target(n, amps):
@@ -174,9 +180,9 @@ def _sparse_target(n, amps):
 
 
 def _sweep_solver(n):
-    """The two-mode planner's sweep generators on N photons."""
+    """The planner's sweep generators on two modes and N photons."""
     jp = _hop_csr(make_basis(2, n), 0, 1).toarray()
-    orders = [k for k in range(1, n + 1) for _ in range(2)] + [1, 1]
+    orders = [len(pairs) for pairs in synthesis._sweep(make_basis(2, n), n)]
     gens = [np.linalg.matrix_power(jp, k) for k in orders]
     return gens, _ProductSolver(gens, range(n + 1), orders)
 
@@ -253,7 +259,7 @@ class TestProductSolver:
     @pytest.mark.parametrize("n, amps", [
         (4, None),
         (8, None),
-        (4, {0: 0.01, 2: 1.0, 3: 2.0}),  # rescued by a restart
+        (4, {2: 1.0, 3: 2.0}),  # reached by the first restart
     ])
     def test_lm_matches_eager_jacobian_reference(self, n, amps, monkeypatch):
         # Replay every LM solve the planner makes (from zero and from the
@@ -347,11 +353,11 @@ class TestProductSolver:
         monkeypatch.setattr(synthesis, "SplitMix64", RecordingRng)
         plan = plan_two_mode(_sparse_target(n, amps), small_angle=1e-2)
         result = execute_plan(plan, basis_state(make_basis(2, n), (0, n)))
-        # Gauss-Newton from zero falls short, and the first restart
-        # reaches the goal.
-        assert lm_fidelities[0] < synthesis.SOLVE_GOAL
+        # The zero start is skipped, and the first restart reaches the
+        # goal.
         assert seeds == [7000]
-        assert len(lm_fidelities) == 2
+        assert len(lm_fidelities) == 1
+        assert lm_fidelities[0] >= synthesis.SOLVE_GOAL
         assert result.fidelity >= 1 - 1e-10
 
     def test_solve_stops_after_the_restarts(self, monkeypatch, caplog):
@@ -375,8 +381,8 @@ class TestProductSolver:
                 seeds.append(seed)
                 super().__init__(seed)
 
-        basis = make_basis(3, 4)
-        target = random_support_target(basis, 2, 6)
+        target = _restart_target()
+        basis = target.basis
         monkeypatch.setattr(_ProductSolver, "solve", recording_solve)
         monkeypatch.setattr(_ProductSolver, "_lm", recording_lm)
         monkeypatch.setattr(synthesis, "SplitMix64", RecordingRng)
@@ -391,8 +397,9 @@ class TestProductSolver:
         assert "misses the goal" in record.getMessage()
 
     def test_goal_stops_the_restarts(self, monkeypatch):
-        # LM from zero reaches fidelity 0.98 on this target: a goal of 0.9
-        # ends the solve there, and the default goal runs the first restart.
+        # LM from zero reaches fidelity 0.9995 on this target: a goal of
+        # 0.999 ends the solve there, and the default goal runs every
+        # restart.
         nonzero_starts = []
         lm = _ProductSolver._lm
 
@@ -401,11 +408,12 @@ class TestProductSolver:
             return lm(self, sig0, u, t)
 
         monkeypatch.setattr(_ProductSolver, "_lm", recording_lm)
-        target = _sparse_target(*FALLBACK_TARGETS[0])
-        for goal, starts in ((0.9, [False]),
-                             (synthesis.SOLVE_GOAL, [False, True])):
+        target = _restart_target()
+        for goal, starts in ((0.999, [False]),
+                             (synthesis.SOLVE_GOAL,
+                              [False] + [True] * synthesis.RESTARTS)):
             del nonzero_starts[:]
-            plan_two_mode(target, fidelity_goal=goal)
+            plan_multimode(target, fidelity_goal=goal)
             assert nonzero_starts == starts
 
     @pytest.mark.parametrize("amps", [{3: 1.0}, {0: 1e-7, 1: 1.0, 3: 1.0}])
@@ -463,6 +471,12 @@ class TestMultimode:
         amps[basis.index_of((3, 0, 0))] = 0.5  # order 3
         with pytest.raises(TargetOrderError):
             plan_multimode(State(basis, amps), max_order=2)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_two_mode_planner_is_the_multimode_sweep(self, n):
+        (target,) = bench_targets(make_basis(2, n), 1, 4242 + n)
+        assert (plan_two_mode(target).to_json()
+                == plan_multimode(target, max_order=n).to_json())
 
     def test_vanishing_reference_amplitude_reaches_goal(self):
         basis = make_basis(3, 2)
@@ -608,24 +622,24 @@ def _reference_execute(plan, initial):
 class TestGoldenPlans:
     """sha256 of ``plan.to_json()`` and of the executed amplitudes' bytes.
 
-    Generated when the planner began solving every plan from the reference
-    state, with NumPy 2.4 and SciPy 1.17 on OpenBLAS 0.3.31, and equal at
+    Generated when the two-mode planner became the multimode sweep on two
+    modes, with NumPy 2.4 and SciPy 1.17 on OpenBLAS 0.3.31, and equal at
     one and two BLAS threads; a change that keeps the planner's arithmetic
     keeps these bytes.  N stays at 16 or below: at N = 24 the bytes depend
     on the number of BLAS threads.
     """
 
     TWO_MODE = {
-        2: ("043748d3ab7b49128a6f69885bc378f171ee5f134c7267fe56f8abe1cbec95b1",
-            "7ab611aa4dbc22372226e9c7e3b8ffc0b303634ec7ed0f6020b09e9cbf2c1afa"),
-        5: ("44a6f1e967a948d2919ce02dccb134859dd469fe9b78d277151ad352dc477c22",
-            "f999e83baa6098d2f23658555506e94c0c80804ff5ef8fc8e37bc1de3dab2d46"),
-        8: ("ecd7d043e0ced1629c2692f75861f74bc7bbdea1967eb48e6e1bbff0316f9e18",
-            "85d21ce89436474506c976168359c91aef7b0bd465e806d562785e0716526b04"),
-        12: ("b571e315cc59b8d6e4241700b2b6ebeb8a48fe5edaee07b2b45b37d68710443c",
-             "47cbf75e056fd60594e7a2ad047f4db464cd049d6838c466d73db20e7cc24591"),
-        16: ("8ff3e79ff98ad81656719d283663c14053255662eb6bc8b04fab990248b29576",
-             "7751d46f8c94dce7df67ca85c1524bda9835b541b3b471ab0ffddd7d747b0274"),
+        2: ("58c592be756fd7e1cb9bc83c2c57885d02603924e03603a0aa96d5115d5de1cc",
+            "a4ff78f9bbae59421a02027710581e7681b76f9e8cc49eeb1b15dad26b9c3438"),
+        5: ("337bf6ff11ffee711026257aa62dcbaf7bfdd2b5b737a4c3915090a175ae9bff",
+            "02f687b1063911e11c58822047a09642897b4c1fb811d49544753082cb7878eb"),
+        8: ("08e911e2670bb38ff5d548d0cb83cc702400c64df40e1d79d7ae7ede6653c256",
+            "662fe898e18b542d8da284d55609369dd04bccd11ce01001122301bea7742f66"),
+        12: ("e704c09f659177a15e8ca41a5f4323b7e4e9f495a80e6adf80f46d60ae7d3e9f",
+             "dbc9b48d65c518f664e0f6699cb77c2c2dd587032d21e664b0dfe0692773dbfd"),
+        16: ("52abebb726efd40e468e578e9b327460bff1668726421769404294779e58c6eb",
+             "353565ac20294b9647c7df59b7c79b345751f2e6d506afa922d6c68b45c0242a"),
     }
     MULTIMODE = (
         "0c29134d175c3057849a5d314603d7f7550d5206382180c1650cbade2f22e50e",
@@ -653,7 +667,7 @@ class TestGoldenPlans:
         ) == self.MULTIMODE
 
     OTHER_PATHS = (
-        "fb5c88e1459e66a3ab5c51e16b4d935e1d16c03c78bd6714e596aa28035cf4f3"
+        "aa2e53480c56d79a547477a60d6a2c6f28b4395a04bb2fda4467a5e0ad9655aa"
     )
 
     @staticmethod
@@ -669,8 +683,7 @@ class TestGoldenPlans:
         amps = np.array(target.amplitudes)
         amps[0] = 1e-8
         yield plan_two_mode, State(basis, amps), {}
-        yield plan_two_mode, _sparse_target(*FALLBACK_TARGETS[0]), {
-            "fidelity_goal": 0.9}
+        yield plan_multimode, _restart_target(), {"fidelity_goal": 0.999}
         (target,) = bench_targets(make_basis(2, 8), 1, 12345)
         yield plan_two_mode, target, {"small_angle": 5e-2}
         for k, n in ((3, 2), (3, 3), (4, 2)):
