@@ -11,11 +11,13 @@ quantifying the approach.
 Every window quantity (the coherent, squeezed and displacement window
 comparisons and the commutator residual) costs O(window), not O(N): it
 computes only the signal occupations n <= n_max, plus, for the squeezed
-normalization, as many weights as a proven tail bound needs.  Each full
-state is built by the same helper as its window, with the window set to N.
-Likewise a quadrature is a ``scipy.sparse`` CSR matrix built in closed form
-from the J+/J- entries, whole for ``quadrature_operator`` and as the
-leading block for the commutator residual; neither builds a basis.
+normalization, as many weights as a proven tail bound needs.  So does the
+overlap cross-check, over the window past which both coherent amplitude
+vectors are exactly zero.  Each full state is built by the same helper as
+its window, with the window set to N.  Likewise a quadrature is a
+``scipy.sparse`` CSR matrix built in closed form from the J+/J- entries,
+whole for ``quadrature_operator`` and as the leading block for the
+commutator residual; neither builds a basis.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .hilbert import FockBasis, State, inner_product, make_basis
+from .hilbert import FockBasis, State, _normalized, make_basis
 from .schwinger import j_operator
 
 if TYPE_CHECKING:
@@ -511,6 +513,30 @@ def uncertainty_check(state: State) -> UncertaintyRecord:
 # Overlaps and phase locking
 
 
+#: Exact zeros that end a certified coherent window.
+_ZERO_RUN = 64
+
+
+def _coherent_pair_window(
+    alpha: complex, beta: complex, n_tot: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_coherent_amplitudes`` of alpha and beta on the window k <= K of
+    ``overlap_asymptotics``, beyond which every amplitude of both is
+    exactly 0.0."""
+    floor = 4 * max(abs(alpha), abs(beta)) ** 2 + 8 + _ZERO_RUN
+    k_max = 255
+    while k_max < min(floor, n_tot):
+        k_max = 2 * k_max + 1
+    while True:
+        k_max = min(k_max, n_tot)
+        pair = (_coherent_amplitudes(alpha, n_tot, k_max),
+                _coherent_amplitudes(beta, n_tot, k_max))
+        if k_max == n_tot or not (pair[0][-_ZERO_RUN:].any()
+                                  or pair[1][-_ZERO_RUN:].any()):
+            return pair
+        k_max = 2 * k_max + 1
+
+
 @dataclass(frozen=True)
 class OverlapRecord:
     exact: complex
@@ -529,6 +555,23 @@ def overlap_asymptotics(
     ``inner_product``; ``statevector`` recomputes it from the explicit
     amplitude vectors (the two must agree to 1e-10).  ``residual``
     compares moduli against the limit e^{-|alpha-beta|^2/2}.
+
+    ``statevector`` is the same number, in every bit, as ``inner_product``
+    of the two ``coherent_from_rotation`` states, but it costs O(window),
+    not O(N).  It reads only the amplitudes k <= K of both, renormalizes
+    each window by its own norm under ``State``'s rule and takes their
+    dot product.  K runs over 255, 511, 1023, ... (capped at N) until
+    both windows end in ``_ZERO_RUN`` = 64 entries that are exactly 0.0
+    and K - 64 >= 4 max(|alpha|, |beta|)^2 + 8; at K = N the windows are
+    the full vectors.  Past 4|alpha|^2 each ratio |a_{k+1}/a_k| (at most
+    |alpha| / sqrt(k + 1) once k >= |alpha|^2) is at most 1/2, so the
+    computed log-magnitude falls by at least log 2 per step, far above
+    its ~1e-12 rounding: once an amplitude underflows to 0.0, every later
+    one does too.  So the entries k > K are exactly 0.0, and the run of
+    64 zeros before them means that a BLAS norm or dot product with any
+    block or lane width up to 64 sums the same nonzero products in the
+    same lanes as over the full vector; a threaded split only adds
+    partial sums of 0.
     """
     n_tot = int(n_photons)
     _check_amplitude(alpha, n_tot)
@@ -539,10 +582,8 @@ def overlap_asymptotics(
         + alpha.conjugate() * beta / n_tot
     )
     exact = base**n_tot if abs(base) > 0 else complex(0.0)
-    sv = inner_product(
-        coherent_from_rotation(alpha, n_tot),
-        coherent_from_rotation(beta, n_tot),
-    )
+    sv = complex(np.vdot(*(_normalized(amps) for amps
+                           in _coherent_pair_window(alpha, beta, n_tot))))
     limit = math.exp(-abs(alpha - beta) ** 2 / 2.0)
     return OverlapRecord(exact, sv, limit, abs(abs(exact) - limit))
 

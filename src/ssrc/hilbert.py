@@ -156,17 +156,7 @@ class State:
                 f"amplitude vector has shape {amps.shape}, expected "
                 f"({basis.dimension},)"
             )
-        norm = float(np.linalg.norm(amps))
-        if norm < 1e-300:
-            raise ValueError("cannot normalize a zero amplitude vector")
-        if not math.isfinite(norm):
-            raise ValueError(f"amplitude vector has norm {norm}")
-        if check_drift and abs(norm - 1.0) > NORM_DRIFT_WARN:
-            logger.warning("normalization drift %.3e corrected", abs(norm - 1.0))
-        if abs(norm - 1.0) > 1e-12:
-            # Leave already-normalized vectors untouched so that JSON
-            # round-trips stay bit-faithful.
-            amps = amps / norm
+        amps = _normalized(amps, check_drift)
         amps.flags.writeable = False
         self.basis = basis
         self.amplitudes = amps
@@ -216,6 +206,24 @@ class State:
             amps[i] = complex(_real(re, f"{where}: re"),
                               _real(im, f"{where}: im"))
         return State(basis, amps)
+
+
+def _normalized(amps: np.ndarray, check_drift: bool = False) -> np.ndarray:
+    """``amps`` divided by its norm, or ``amps`` itself when the norm is
+    within 1e-12 of 1; ``check_drift`` logs a drift beyond
+    ``NORM_DRIFT_WARN``."""
+    norm = float(np.linalg.norm(amps))
+    if norm < 1e-300:
+        raise ValueError("cannot normalize a zero amplitude vector")
+    if not math.isfinite(norm):
+        raise ValueError(f"amplitude vector has norm {norm}")
+    if check_drift and abs(norm - 1.0) > NORM_DRIFT_WARN:
+        logger.warning("normalization drift %.3e corrected", abs(norm - 1.0))
+    if abs(norm - 1.0) > 1e-12:
+        # Leave already-normalized vectors untouched so that JSON
+        # round-trips stay bit-faithful.
+        amps = amps / norm
+    return amps
 
 
 def _fields(data, keys: Sequence[str], where: str) -> list:

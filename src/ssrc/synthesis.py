@@ -26,6 +26,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -442,6 +443,28 @@ def _sweep(
     return gens + gens + [pairs for pairs in gens if len(pairs) == 1]
 
 
+@lru_cache(maxsize=None)
+def _solver(
+    basis: FockBasis, max_order: int
+) -> tuple[tuple[tuple[tuple[int, int], ...], ...], _ProductSolver]:
+    """The sweep of ``_sweep`` and its ``_ProductSolver``, whose arrays are
+    made read-only; every plan on ``basis`` at ``max_order`` shares them.
+
+    The generators do not depend on the target, so their
+    eigendecompositions are taken once per process.
+    """
+    pairs_list = tuple(_sweep(basis, max_order))
+    solver = _ProductSolver(
+        [_hop_product(basis, pairs) for pairs in pairs_list],
+        _raised(basis),
+        [len(pairs) for pairs in pairs_list],
+    )
+    for value in vars(solver).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return pairs_list, solver
+
+
 def plan_multimode(
     target: State,
     small_angle: float = SMALL_ANGLE_DEFAULT,
@@ -469,13 +492,8 @@ def plan_multimode(
             f"target has support at {basis.occupation_of(beyond[0])}, "
             f"beyond max_order={max_order}"
         )
-    pairs_list = _sweep(basis, max_order)
+    pairs_list, solver = _solver(basis, max_order)
     reference = (0,) * (basis.num_modes - 1) + (basis.total_photons,)
-    solver = _ProductSolver(
-        [_hop_product(basis, pairs) for pairs in pairs_list],
-        _raised(basis),
-        [len(pairs) for pairs in pairs_list],
-    )
     sig, achieved = solver.solve(
         np.asarray(basis_state(basis, reference).amplitudes),
         np.asarray(target.amplitudes), fidelity_goal)

@@ -31,7 +31,7 @@ from ssrc.cvlimit import (
     truncated_squeezed_reference,
     uncertainty_check,
 )
-from ssrc.hilbert import State, basis_state, make_basis
+from ssrc.hilbert import State, basis_state, inner_product, make_basis
 from ssrc.schwinger import _hop_csr, exp_unitary, j_operator, rotation
 
 FIXTURES = json.loads(
@@ -329,6 +329,51 @@ class TestWindows:
         assert 0 < coherent_window_fidelity(1.1 + 0.2j, 901_042, 30) <= 1
         assert 0 < squeezed_window_fidelity(0.7, 0.3, 489_285, 20) <= 1
         assert 0 < displacement_residual(1.2, 6, 99_000, 60) < 1e-3
+        assert 0 < abs(overlap_asymptotics(1.1 + 0.3j, 0.4 - 0.2j,
+                                           99_000).statevector) <= 1
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 99_000, 10**6])
+    def test_overlap_window_has_the_full_bits(self, n):
+        # Fixed amplitudes inside the bound, and pairs with |alpha|^2 close
+        # to N, whose window reaches N.
+        pairs = [(0.0, 0.0), (0.0, 0.6 - 0.3j), (0.5j, -0.4),
+                 (1.1 + 0.3j, 0.4 - 0.2j), (-2.0 + 1.5j, 2.2 * cmath.exp(2j)),
+                 (9.0 * cmath.exp(0.7j), -8.5j)]
+        pairs = [(a, b) for a, b in pairs
+                 if abs(a) ** 2 < n and abs(b) ** 2 < n]
+        pairs += [(math.sqrt(0.999 * n) * cmath.exp(0.4j),
+                   math.sqrt(0.9 * n) * cmath.exp(-2j)),
+                  (0.0, 1j * math.sqrt(0.98 * n))]
+        for alpha, beta in pairs:
+            full = inner_product(coherent_from_rotation(alpha, n),
+                                 coherent_from_rotation(beta, n))
+            assert overlap_asymptotics(alpha, beta, n).statevector == full
+
+    def test_overlap_costs_o_window(self, monkeypatch):
+        import tracemalloc
+
+        import ssrc.cvlimit as cvlimit
+
+        windows = []
+        amplitudes = cvlimit._coherent_amplitudes
+
+        def recording(alpha, n_tot, k_max):
+            windows.append(k_max)
+            return amplitudes(alpha, n_tot, k_max)
+
+        monkeypatch.setattr(cvlimit, "_coherent_amplitudes", recording)
+        overlap_asymptotics(1.1 + 0.3j, 0.4 - 0.2j, 10**6)
+        assert windows and max(windows) <= 1023
+        monkeypatch.undo()
+        # Warm first: the first call in a process imports SciPy.
+        overlap_asymptotics(1.1 + 0.3j, 0.4 - 0.2j, 10**6)
+        tracemalloc.start()
+        try:
+            overlap_asymptotics(1.1 + 0.3j, 0.4 - 0.2j, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_windows_reject_out_of_range(self):
         with pytest.raises(ValueError):

@@ -294,6 +294,32 @@ class TestProductSolver:
             assert cost == ref_cost
             assert v.tobytes() == ref_v.tobytes()
 
+    def test_second_plan_takes_no_eigendecomposition(self, monkeypatch):
+        # The sweep's solver is cached per (basis, max_order): only the
+        # first plan diagonalises the generators.
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(0)
+            return eigh(*args, **kwargs)
+
+        first, second = bench_targets(make_basis(2, 6), 2, 31)
+        synthesis._solver.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        plan_two_mode(first)
+        assert len(calls) == 1
+        plan_multimode(second, max_order=6)
+        assert len(calls) == 1
+
+    def test_cached_solver_is_read_only(self):
+        pairs_list, solver = synthesis._solver(make_basis(3, 3), 2)
+        assert pairs_list == tuple(synthesis._sweep(make_basis(3, 3), 2))
+        arrays = [value for value in vars(solver).values()
+                  if isinstance(value, np.ndarray)]
+        assert len(arrays) == 7
+        assert not any(a.flags.writeable for a in arrays)
+
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_resid_jac_matches_frechet_and_differences(self, n):
         gens, solver = _sweep_solver(n)

@@ -27,12 +27,15 @@ restarts and the objective evaluations.  Each ``sg_gate_search`` time
 includes the 0.1 grid scan that gives its first start.  All run at the
 default seed.
 
-CV limit: the four kernels that dominate the ``cv`` benchmark workload, at
-that workload's largest sizes, with their values:
+CV limit: the kernels of the ``cv`` benchmark workload, at that workload's
+largest sizes (and the overlap also at N = 1e6), with their values:
 
 - ``coherent_window_fidelity(1.0, 901042, 30)``
 - ``squeezed_window_fidelity(0.5, 0.3, 489285, 20)``
 - ``displacement_residual(1.0, 6, 100000, 60)``
+- ``overlap_asymptotics(1.1+0.3j, 0.4-0.2j, N)`` at N = 99,000 (the
+  ``overlap`` shape that held the workload's tail) and N = 1e6, each
+  with the modulus of its ``statevector``
 - ``commutator_residual(78753, 10)``, once cold (the first call in the
   process) and then warm; it builds the two small quadrature blocks in
   closed form, with no basis and no hop matrix, so the two rows differ
@@ -74,6 +77,7 @@ from ssrc.cvlimit import (
     coherent_window_fidelity,
     commutator_residual,
     displacement_residual,
+    overlap_asymptotics,
     squeezed_window_fidelity,
 )
 from ssrc.encodings import (
@@ -107,10 +111,18 @@ FALLBACK_TARGETS = (
     (7, {2: 1.0, 6: 1.0}),
     (8, {3: 1.0, 6: 1.0}),
 )
+
+
+def _overlap_modulus(alpha, beta, n):
+    return abs(overlap_asymptotics(alpha, beta, n).statevector)
+
+
 CV_KERNELS = (
     ("coherent N=901042", coherent_window_fidelity, (1.0, 901042, 30)),
     ("squeezed N=489285", squeezed_window_fidelity, (0.5, 0.3, 489285, 20)),
     ("displacement N=1e5", displacement_residual, (1.0, 6, 100000, 60)),
+    ("overlap N=99000", _overlap_modulus, (1.1 + 0.3j, 0.4 - 0.2j, 99000)),
+    ("overlap N=1e6", _overlap_modulus, (1.1 + 0.3j, 0.4 - 0.2j, 10**6)),
     ("commutator N=78753", commutator_residual, (78753, 10)),
 )
 
