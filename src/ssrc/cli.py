@@ -7,6 +7,13 @@ scientific notation with 17 significant digits) or JSON, plus a
 time.  Identical config and seed produce byte-identical data files;
 only the sidecar's timestamp/walltime fields may differ.
 
+Validation asks the library: a rule that a library function enforces is
+its named ``_check_*`` (or the ``ValueError`` it raises), called at each
+grid point, and the violation is the library's message at the first point
+that breaks it.  Only the basis cap, the gate-search stack bound, an empty
+grid, gate target names, ``targets``, ``passes``, ``resolution`` and the
+``[output]`` section are checked here alone.
+
 Config grammar::
 
     [experiment]
@@ -108,49 +115,32 @@ class _ExperimentSpec:
     run: Callable[[dict, int], tuple[list[str], list[list], dict]]
 
 
+def _asks(check: Callable[..., object], *args) -> list[str]:
+    """The message of the ``ValueError`` that the library's ``check`` raises
+    on ``args``, or nothing."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return [str(exc)]
+    return []
+
+
 def _cap_check(n_list: list[int], modes: int, factor: int) -> list[str]:
     """The grid is non-empty and its largest basis, (modes, factor * max N),
     can be built."""
     if not n_list:
         return ["empty N grid"]
-    try:
-        make_basis(modes, factor * max(n_list))
-    except ValueError as exc:
-        return [f"{exc} for N={max(n_list)}"]
-    return []
+    return [f"{message} for N={max(n_list)}" for message
+            in _asks(make_basis, modes, factor * max(n_list))]
 
 
-def _increasing_check(n_list: list[int]) -> list[str]:
-    if sorted(set(n_list)) != n_list:
-        return ["N grid must be strictly increasing"]
-    return []
-
-
-def _amplitude_check(p: dict, names: tuple[str, ...],
-                     vacuum_ok: bool = False) -> list[str]:
-    """Each named amplitude must satisfy the library's |a|^2 < min N.
-
-    With ``vacuum_ok``, a zero amplitude also passes at min N = 0, where
-    the coherent construction returns the vacuum.
-    """
-    if not p["n_list"]:
-        return []
-    bound = min(p["n_list"])
-    # abs(a) * abs(a) is inf for a huge amplitude; abs(a) ** 2 would raise.
-    mod2 = {name: abs(p[name]) * abs(p[name]) for name in names}
-    return [f"|{name}|^2 = {mod2[name]:.4g} must be < min N = {bound}"
-            for name in names if mod2[name] >= bound
-            and not (vacuum_ok and mod2[name] == 0 and bound == 0)]
-
-
-def _window_check(n_list: list[int], n_max: int, factor: int = 1) -> list[str]:
-    """The n <= n_max window must be non-empty and fit in the smallest
-    sector, whose largest signal occupation is factor * min N."""
-    if n_max < 0:
-        return ["n_max must be >= 0"]
-    if n_list and n_max > factor * min(n_list):
-        return [f"n_max = {n_max} exceeds the largest occupation "
-                f"{factor * min(n_list)} at min N = {min(n_list)}"]
+def _each(n_list: list[int], check: Callable[[int], None]) -> list[str]:
+    """The library's message at the first grid point that breaks ``check``."""
+    for n in n_list:
+        try:
+            check(n)
+        except ValueError as exc:
+            return [str(exc)]
     return []
 
 
@@ -169,46 +159,45 @@ def _convergence(columns: list[str], report: cvlimit.ConvergenceReport):
 def _run_coherent(p: dict, seed: int):
     return _convergence(
         ["n", "infidelity", "fidelity"],
-        cvlimit.coherent_convergence(p["alpha"], p["n_list"], p["n_max"]),
-    )
+        cvlimit.coherent_convergence(p["alpha"], p["n_list"], p["n_max"]))
 
 
 def _check_coherent(p: dict, vacuum_ok: bool = True) -> list[str]:
-    out = _cap_check(p["n_list"], 2, 1) + _increasing_check(p["n_list"])
-    out += _amplitude_check(p, ("alpha",), vacuum_ok)
-    return out + _window_check(p["n_list"], p["n_max"])
+    n_list = p["n_list"]
+    return (_cap_check(n_list, 2, 1)
+            + _asks(cvlimit._check_increasing, n_list)
+            + _each(n_list, lambda n: cvlimit._check_amplitude(
+                p["alpha"], n, vacuum_ok=vacuum_ok))
+            + _each(n_list, lambda n: cvlimit._check_window(p["n_max"], n)))
 
 
 def _run_displacement(p: dict, seed: int):
     return _convergence(
         ["n", "residual"],
         cvlimit.displacement_convergence(
-            p["alpha"], p["k"], p["n_list"], p["n_max"]),
-    )
+            p["alpha"], p["k"], p["n_list"], p["n_max"]))
 
 
 def _check_displacement(p: dict) -> list[str]:
     # displacement_residual rejects |alpha|^2 = N = 0
-    out = _check_coherent(p, vacuum_ok=False)
-    if not 0 <= p["k"] <= p["n_max"]:
-        out.append(f"need 0 <= k <= n_max, got k={p['k']} n_max={p['n_max']}")
-    return out
+    return _check_coherent(p, vacuum_ok=False) + _asks(
+        cvlimit._check_displacement_k, p["k"], p["n_max"])
 
 
 def _run_squeezed(p: dict, seed: int):
     return _convergence(
         ["n_pairs", "infidelity", "fidelity"],
         cvlimit.squeezed_convergence(
-            p["r"], p["phi"], p["n_list"], p["n_max"]),
-    )
+            p["r"], p["phi"], p["n_list"], p["n_max"]))
 
 
 def _check_squeezed(p: dict) -> list[str]:
-    out = _cap_check(p["n_list"], 2, 2) + _increasing_check(p["n_list"])
-    out += [f"N={n} must be >= 1" for n in p["n_list"] if n < 1]
-    if p["r"] < 0:
-        out.append("squeezing magnitude r must be >= 0")
-    return out + _window_check(p["n_list"], p["n_max"], factor=2)
+    n_list = p["n_list"]
+    return (_cap_check(n_list, 2, 2)
+            + _asks(cvlimit._check_increasing, n_list)
+            + _asks(cvlimit._check_squeezing, p["r"])
+            + _each(n_list, lambda n: cvlimit._check_squeezed_window(
+                p["n_max"], n)))
 
 
 def _run_commutator(p: dict, seed: int):
@@ -219,53 +208,34 @@ def _run_commutator(p: dict, seed: int):
 
 
 def _check_commutator(p: dict) -> list[str]:
-    window = _window_check(p["n_list"], p["n_max"])
-    if not window and p["n_list"] and p["n_max"] >= min(p["n_list"]):
-        window = [f"need n_max < min N; got n_max={p['n_max']} "
-                  f"min N={min(p['n_list'])}"]
-    return _cap_check(p["n_list"], 2, 1) + window
+    return _cap_check(p["n_list"], 2, 1) + _each(
+        p["n_list"],
+        lambda n: cvlimit._check_commutator_window(p["n_max"], n))
 
 
 def _run_phase_locking(p: dict, seed: int):
     report = cvlimit.phase_locking_curve(p["theta"], p["n_list"])
-
-    rows = [
-        [n, ex, asy, ra, ab]
-        for n, ex, asy, ra, ab in zip(
-            report.n_list,
-            report.extras["exact"],
-            report.extras["asymptote"],
-            report.extras["ratio"],
-            report.values,
-        )
-    ]
+    extras = (report.extras[key] for key in ("exact", "asymptote", "ratio"))
+    rows = [list(row) for row in zip(report.n_list, *extras, report.values)]
     return ["n", "exact", "asymptote", "ratio", "abs_diff"], rows, {}
 
 
 def _check_phase_locking(p: dict) -> list[str]:
-    out = [] if p["n_list"] else ["empty N grid"]
-    if not 0 < p["theta"] < math.pi:
-        out.append("theta must lie in (0, pi)")
-    out += _increasing_check(p["n_list"])
-    out += [f"N={n} must be >= 0" for n in p["n_list"] if n < 0]
-    if not out and math.exp(-max(p["n_list"]) * p["theta"] ** 2 / 8) == 0:
-        out.append(f"asymptote e^(-N theta^2/8) underflows to 0 at "
-                   f"N={max(p['n_list'])}")
-    return out
+    n_list, theta = p["n_list"], p["theta"]
+    out = ([] if n_list else ["empty N grid"]) + _asks(
+        cvlimit._check_increasing, n_list)
+    theta_out = _asks(cvlimit._check_theta, theta)
+    if not theta_out:  # the point check needs a valid theta
+        out += _each(n_list,
+                     lambda n: cvlimit._phase_asymptote(theta, n))
+    return out + theta_out
 
 
 def _run_overlap(p: dict, seed: int):
     def row(n: int):
         rec = cvlimit.overlap_asymptotics(p["alpha"], p["beta"], n)
-        return [
-            n,
-            rec.exact.real,
-            rec.exact.imag,
-            abs(rec.exact),
-            rec.limit,
-            rec.residual,
-            abs(rec.exact - rec.statevector),
-        ]
+        return [n, rec.exact.real, rec.exact.imag, abs(rec.exact), rec.limit,
+                rec.residual, abs(rec.exact - rec.statevector)]
 
     cols = ["n", "exact_re", "exact_im", "exact_abs", "limit",
             "residual", "statevector_agreement"]
@@ -273,8 +243,10 @@ def _run_overlap(p: dict, seed: int):
 
 
 def _check_overlap(p: dict) -> list[str]:
-    return _cap_check(p["n_list"], 2, 1) + _amplitude_check(
-        p, ("alpha", "beta"))
+    return _cap_check(p["n_list"], 2, 1) + [
+        message for name in ("alpha", "beta") for message in _each(
+            p["n_list"],
+            lambda n: cvlimit._check_amplitude(p[name], n, name))]
 
 
 def _run_synthesis_bench(p: dict, seed: int):
@@ -285,9 +257,8 @@ def _run_synthesis_bench(p: dict, seed: int):
         targets = synthesis.bench_targets(basis, p["targets"], sub_seed)
         start = basis_state(basis, (0, n))
         for idx, target in enumerate(targets):
-            plan = synthesis.plan_two_mode(
-                target, small_angle=p["small_angle"]
-            )
+            plan = synthesis.plan_two_mode(target,
+                                           small_angle=p["small_angle"])
             result = synthesis.execute_plan(plan, start)
             rows.append([n, idx, len(plan.steps), plan.total_repetitions,
                          result.fidelity])
@@ -296,15 +267,11 @@ def _run_synthesis_bench(p: dict, seed: int):
 
 
 def _check_synthesis(p: dict) -> list[str]:
-    """Grid and step-size rules shared by both synthesis experiments."""
-    out = _cap_check(p["n_list"], 2, 1)
-    out += [f"N={n} must be positive" for n in p["n_list"] if n <= 0]
-    out += [f"N={n} exceeds the probe's limit {synthesis.PROBE_N_MAX}, "
-            "which both synthesis experiments share"
-            for n in p["n_list"] if n > synthesis.PROBE_N_MAX]
-    if not 0 < p["small_angle"] <= 1:
-        out.append("small_angle must lie in (0, 1]")
-    return out
+    """Grid and step-size rules shared by both synthesis experiments: the
+    bench keeps to the complexity probe's N range too."""
+    return (_cap_check(p["n_list"], 2, 1)
+            + _each(p["n_list"], synthesis._check_probe_n)
+            + _asks(synthesis._check_small_angle, p["small_angle"]))
 
 
 def _check_synthesis_bench(p: dict) -> list[str]:
@@ -318,12 +285,8 @@ def _check_synthesis_bench(p: dict) -> list[str]:
 
 def _run_synthesis_complexity(p: dict, seed: int):
     probe = synthesis.synthesis_complexity_probe(
-        p["n_list"],
-        p["fidelity_target"],
-        small_angle=p["small_angle"],
-        targets_per_n=p["targets_per_n"],
-        seed=seed,
-    )
+        p["n_list"], p["fidelity_target"], small_angle=p["small_angle"],
+        targets_per_n=p["targets_per_n"], seed=seed)
     rows = [list(row) for row in probe.rows]
     cols = ["n", "median_steps", "median_total_repetitions", "min_fidelity"]
     derived = {
@@ -334,12 +297,10 @@ def _run_synthesis_complexity(p: dict, seed: int):
 
 
 def _check_synthesis_complexity(p: dict) -> list[str]:
-    out = _check_synthesis(p) + _increasing_check(p["n_list"])
-    if not 0 < p["fidelity_target"] <= 1:
-        out.append("fidelity_target must lie in (0, 1]")
-    if p["targets_per_n"] < 1:
-        out.append("targets_per_n must be >= 1")
-    return out
+    return (_check_synthesis(p)
+            + _asks(cvlimit._check_increasing, p["n_list"])
+            + _asks(synthesis._check_fidelity_target, p["fidelity_target"])
+            + _asks(synthesis._check_targets_per_n, p["targets_per_n"]))
 
 
 _TARGETS: dict[str, Callable[[], np.ndarray]] = {
@@ -372,20 +333,18 @@ def _target_matrix(name: str) -> np.ndarray:
 #: 3 derivative generators per start at each BFGS step, and its seed scan
 #: 16 rotations per block.  The mesh search (dim = C(2N + 3, 3)) stacks
 #: 6 pair rotations per start.  Two or three such stacks are alive at once.
-ENCODING_STACK_BYTES = 1 << 30
-CNOT_STACK_BYTES = 1 << 30
+STACK_BYTES = 1 << 30
 
 
-def _stack_check(n_list: list[int], matrices: int, dim: int,
-                 bound: int) -> list[str]:
+def _stack_check(n_list: list[int], matrices: int, dim: int) -> list[str]:
     """A stack of ``matrices`` complex dim x dim matrices at the largest N
-    must fit in ``bound`` bytes."""
+    must fit in ``STACK_BYTES``."""
     size = matrices * dim * dim * 16
-    if size <= bound:
+    if size <= STACK_BYTES:
         return []
     return [f"N={max(n_list)} needs a stack of {matrices} complex "
             f"{dim} x {dim} matrices, {size:.3g} bytes, above the bound of "
-            f"{bound} bytes"]
+            f"{STACK_BYTES} bytes"]
 
 
 def _run_encoding_feasibility(p: dict, seed: int):
@@ -410,17 +369,14 @@ def _run_encoding_feasibility(p: dict, seed: int):
 
 
 def _check_encoding_feasibility(p: dict) -> list[str]:
-    out = _cap_check(p["n_list"], 2, 1)
-    out += [f"N={n} must be >= 1" for n in p["n_list"] if n < 1]
-    try:
-        _target_matrix(p["target"])
-    except ValueError as exc:
-        out.append(str(exc))
-    if p["restarts"] < 1:
-        out.append("restarts must be >= 1")
-    elif p["n_list"]:
-        out += _stack_check(p["n_list"], max(3 * p["restarts"], 16),
-                            max(p["n_list"]) + 1, ENCODING_STACK_BYTES)
+    n_list = p["n_list"]
+    out = (_cap_check(n_list, 2, 1)
+           + _each(n_list, encodings._check_fock_pair)
+           + _asks(_target_matrix, p["target"])
+           + _asks(encodings._check_restarts, p["restarts"]))
+    if not out:
+        out = _stack_check(n_list, max(3 * p["restarts"], 16),
+                           max(n_list) + 1)
     # The floor is closed-form and no longer scans; resolution is still
     # checked so that configs written for the scan stay valid.
     if not 0 < p["resolution"] <= 0.5:
@@ -445,14 +401,13 @@ def _run_cnot_feasibility(p: dict, seed: int):
 
 
 def _check_cnot_feasibility(p: dict) -> list[str]:
-    out = _cap_check(p["n_list"], 4, 2)
-    out += [f"N={n} must be >= 1" for n in p["n_list"] if n < 1]
-    if p["restarts"] < 1:
-        out.append("restarts must be >= 1")
-    elif p["n_list"]:
-        dim = math.comb(2 * max(p["n_list"]) + 3, 3)
-        out += _stack_check(p["n_list"], 6 * p["restarts"], dim,
-                            CNOT_STACK_BYTES)
+    n_list = p["n_list"]
+    out = (_cap_check(n_list, 4, 2)
+           + _each(n_list, encodings._check_fock_pair)
+           + _asks(encodings._check_restarts, p["restarts"]))
+    if not out:
+        out = _stack_check(n_list, 6 * p["restarts"],
+                           math.comb(2 * max(n_list) + 3, 3))
     return out
 
 
@@ -460,69 +415,47 @@ EXPERIMENTS: dict[str, _ExperimentSpec] = {
     "convergence-coherent": _ExperimentSpec(
         {"alpha": _parse_complex, "n_list": _parse_int_list, "n_max": int},
         {"n_max": 30},
-        _check_coherent,
-        _run_coherent,
-    ),
+        _check_coherent, _run_coherent),
     "convergence-displacement": _ExperimentSpec(
         {"alpha": _parse_complex, "k": int, "n_list": _parse_int_list,
          "n_max": int},
         {"k": 2, "n_max": 40},
-        _check_displacement,
-        _run_displacement,
-    ),
+        _check_displacement, _run_displacement),
     "convergence-squeezed": _ExperimentSpec(
         {"r": _parse_float, "phi": _parse_float, "n_list": _parse_int_list,
          "n_max": int},
         {"phi": 0.0, "n_max": 20},
-        _check_squeezed,
-        _run_squeezed,
-    ),
+        _check_squeezed, _run_squeezed),
     "commutator": _ExperimentSpec(
         {"n_list": _parse_int_list, "n_max": int},
         {"n_max": 10},
-        _check_commutator,
-        _run_commutator,
-    ),
+        _check_commutator, _run_commutator),
     "phase-locking": _ExperimentSpec(
-        {"theta": _parse_float, "n_list": _parse_int_list},
-        {},
-        _check_phase_locking,
-        _run_phase_locking,
-    ),
+        {"theta": _parse_float, "n_list": _parse_int_list}, {},
+        _check_phase_locking, _run_phase_locking),
     "overlap": _ExperimentSpec(
         {"alpha": _parse_complex, "beta": _parse_complex,
-         "n_list": _parse_int_list},
-        {},
-        _check_overlap,
-        _run_overlap,
-    ),
+         "n_list": _parse_int_list}, {},
+        _check_overlap, _run_overlap),
     "synthesis-bench": _ExperimentSpec(
         {"n_list": _parse_int_list, "targets": int,
          "small_angle": _parse_float, "passes": int},
         {"targets": 5, "small_angle": 1e-3, "passes": 2},
-        _check_synthesis_bench,
-        _run_synthesis_bench,
-    ),
+        _check_synthesis_bench, _run_synthesis_bench),
     "synthesis-complexity": _ExperimentSpec(
         {"n_list": _parse_int_list, "fidelity_target": _parse_float,
          "small_angle": _parse_float, "targets_per_n": int},
         {"fidelity_target": 0.99, "small_angle": 1e-3, "targets_per_n": 3},
-        _check_synthesis_complexity,
-        _run_synthesis_complexity,
-    ),
+        _check_synthesis_complexity, _run_synthesis_complexity),
     "encoding-feasibility": _ExperimentSpec(
         {"n_list": _parse_int_list, "target": str, "restarts": int,
          "resolution": _parse_float},
         {"target": "hadamard", "restarts": 8, "resolution": 1e-2},
-        _check_encoding_feasibility,
-        _run_encoding_feasibility,
-    ),
+        _check_encoding_feasibility, _run_encoding_feasibility),
     "cnot-feasibility": _ExperimentSpec(
         {"n_list": _parse_int_list, "restarts": int},
         {"restarts": 8},
-        _check_cnot_feasibility,
-        _run_cnot_feasibility,
-    ),
+        _check_cnot_feasibility, _run_cnot_feasibility),
 }
 
 
@@ -587,6 +520,10 @@ def load_config(path: str | pathlib.Path) -> ExperimentConfig:
         filename = parser.get("output", "filename", fallback=name).strip()
         if fmt not in ("csv", "json"):
             violations.append(f"unknown output format {fmt!r}")
+        if filename in ("", ".", "..") or "/" in filename or "\\" in filename:
+            violations.append(
+                f"output filename {filename!r} must be a file stem: not "
+                "empty, '.' or '..', and without a path separator")
 
     if not violations:
         violations.extend(spec.check(params))
@@ -610,11 +547,9 @@ def _fmt_cell(value) -> str:
 
 
 def _plain(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
+    """A NumPy scalar as the Python int or float JSON writes."""
+    numpy_scalar = isinstance(value, (np.integer, np.floating))
+    return value.item() if numpy_scalar else value
 
 
 def run_experiment(
@@ -629,7 +564,6 @@ def run_experiment(
 
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     data_path = out / f"{config.filename}.{config.fmt}"
     if config.fmt == "csv":
         lines = [",".join(columns)]
@@ -641,7 +575,6 @@ def run_experiment(
             json.dumps(doc, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
-    written.append(data_path)
 
     meta = {
         "experiment": config.name,
@@ -659,8 +592,7 @@ def run_experiment(
     meta_path.write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    written.append(meta_path)
-    return written
+    return [data_path, meta_path]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ its window, with the window set to N.  Likewise a quadrature is a
 ``scipy.sparse`` CSR matrix built in closed form from the J+/J- entries,
 whole for ``quadrature_operator`` and as the leading block for the
 commutator residual; neither builds a basis.
+
+Each precondition is a named ``_check_*`` that raises ``ValueError``, and
+``ssrc validate`` calls the same checks.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .hilbert import FockBasis, State, _normalized, make_basis
+from .hilbert import FockBasis, State, _check_at_least, _normalized, make_basis
 from .schwinger import j_operator
 
 if TYPE_CHECKING:
@@ -44,16 +47,33 @@ class WindowTooSmallError(ValueError):
     """More than the allowed probability mass lies outside the window."""
 
 
-def _check_amplitude(value: complex, n_tot: int, name: str = "alpha") -> None:
+def _check_amplitude(value: complex, n_tot: int, name: str = "alpha",
+                     vacuum_ok: bool = False) -> None:
     """Raise ``AmplitudeBoundError`` unless |value|^2 < N.
 
-    |value|·|value| is inf for a huge amplitude, where |value| ** 2 would
-    raise ``OverflowError``.
+    With ``vacuum_ok``, value = 0 also passes at N = 0, where the coherent
+    construction is the vacuum.  |value|·|value| is inf for a huge
+    amplitude, where |value| ** 2 would raise ``OverflowError``.
     """
     mod2 = abs(value) * abs(value)
-    if mod2 >= n_tot:
+    if mod2 >= n_tot and not (vacuum_ok and mod2 == 0 == n_tot):
         raise AmplitudeBoundError(
             f"|{name}|^2 = {mod2:.6g} must be < N = {n_tot}")
+
+
+def _check_increasing(n_list: Sequence[int]) -> None:
+    """An N grid must be strictly increasing."""
+    if list(n_list) != sorted(set(n_list)):
+        raise ValueError("N grid must be strictly increasing")
+
+
+def _check_window(n_max: int, n_tot: int, factor: int = 1) -> None:
+    """The window k <= n_max must lie in the occupations 0..factor * N."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if n_max > factor * n_tot:
+        raise ValueError(f"n_max = {n_max} exceeds the largest occupation "
+                         f"{factor * n_tot} at N = {n_tot}")
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +93,7 @@ def _coherent_amplitudes(
     """
     from scipy.special import gammaln
 
-    if alpha != 0 or n_tot != 0:  # alpha = 0 is allowed at N = 0
-        _check_amplitude(alpha, n_tot)
+    _check_amplitude(alpha, n_tot, vacuum_ok=True)
     mod2 = abs(alpha) ** 2
     if alpha == 0:
         amps = np.zeros(k_max + 1, dtype=np.complex128)
@@ -122,12 +141,6 @@ def _window_fidelity(window: np.ndarray, ref: TruncatedReference) -> float:
     """|<ref|window>|^2, ``window`` holding the finite-N amplitudes of the
     signal occupations k <= n_max."""
     return min(1.0, abs(np.vdot(ref.coefficients, window)) ** 2)
-
-
-def _check_window(n_max: int, top: int) -> None:
-    """The window k <= n_max must lie inside the occupations 0..top."""
-    if not 0 <= n_max <= top:
-        raise ValueError(f"need 0 <= n_max <= {top}, got n_max={n_max}")
 
 
 def truncated_coherent_reference(
@@ -198,7 +211,7 @@ def _displaced_window(
     log1p(-i/N).  The exact P is at most e^{|alpha|^2/2} (a classical
     Laguerre bound), so only windows with |alpha|^2 above about 1400 can
     overflow; that raises OverflowError.  The cost is O(n_max k), whatever
-    N is; rows m > N are zero.
+    N is; the finite-N window needs n_max <= N.
     """
     from scipy.special import gammaln
 
@@ -239,8 +252,6 @@ def _displaced_window(
             diff = np.where(live, step, diff)
             poly = np.where(live, poly + step, poly)
         mag = np.sign(poly) * np.exp(log_g + np.log(np.abs(poly)))
-    if n_tot is not None:
-        mag[m > n_tot] = 0.0
     if not np.all(np.isfinite(mag)):
         raise OverflowError(
             f"displacement series exceeds double range at n_max={n_max}"
@@ -255,6 +266,12 @@ def displaced_fock_window(alpha: complex, k: int, n_max: int) -> np.ndarray:
     return _displaced_window(alpha, k, n_max)
 
 
+def _check_displacement_k(k: int, n_max: int) -> None:
+    """The displaced Fock state |k⟩ must lie inside the window."""
+    if not 0 <= k <= n_max:
+        raise ValueError(f"need 0 <= k <= n_max, got k={k} n_max={n_max}")
+
+
 def displacement_residual(
     alpha: complex, k: int, n_photons: int, n_max: int
 ) -> float:
@@ -265,9 +282,9 @@ def displacement_residual(
     window (both are normalized over their full spaces).
     """
     n_tot = int(n_photons)
-    if not 0 <= k <= min(n_max, n_tot):
-        raise ValueError("need 0 <= k <= n_max and k <= N")
     _check_amplitude(alpha, n_tot)
+    _check_window(n_max, n_tot)
+    _check_displacement_k(k, n_max)
     ssrc = _displaced_window(alpha, k, n_max, n_tot)
     fock = displaced_fock_window(alpha, k, n_max)
     for name, vec in (("finite-N", ssrc), ("displaced-Fock", fock)):
@@ -283,6 +300,17 @@ def displacement_residual(
 
 # ---------------------------------------------------------------------------
 # Squeezed vacuum
+
+
+def _check_squeezing(r: float) -> None:
+    if r < 0:
+        raise ValueError("squeezing magnitude r must be >= 0")
+
+
+def _check_squeezed_window(n_max: int, n_pairs: int) -> None:
+    """At least one pair, and n_max inside the occupations 0..2N of N pairs."""
+    _check_at_least(n_pairs, 1, f"N={n_pairs}")
+    _check_window(n_max, n_pairs, factor=2)
 
 
 # Truncation tolerance of the squeezed normalization: the weights left out
@@ -313,8 +341,7 @@ def _squeezed_amplitudes(
     below double rounding.  K = N is exact.  A window therefore costs
     O(k_max + K), whatever N is.
     """
-    if r < 0:
-        raise ValueError("squeezing magnitude r must be >= 0")
+    _check_squeezing(r)
     if r == 0 or n_tot == 0:
         amps = np.zeros(k_max + 1, dtype=np.complex128)
         amps[0] = 1.0
@@ -364,8 +391,7 @@ def squeezed_log_norm_closed_form(r: float, n_pairs: int) -> float:
     beyond N ~ 80)."""
     from scipy.special import gammaln, logsumexp
 
-    if r < 0:
-        raise ValueError("squeezing magnitude r must be >= 0")
+    _check_squeezing(r)
     n_tot = int(n_pairs)
     k = np.arange(n_tot + 1)
     base = 2.0 * n_tot * (math.log(math.cosh(r)) - r)
@@ -387,8 +413,7 @@ def truncated_squeezed_reference(
     / sqrt(cosh r), truncated at occupation n_max and renormalized."""
     from scipy.special import gammaln
 
-    if r < 0:
-        raise ValueError("squeezing magnitude r must be >= 0")
+    _check_squeezing(r)
     coeffs = np.zeros(n_max + 1, dtype=np.complex128)
     if r == 0:
         coeffs[0] = 1.0
@@ -416,7 +441,7 @@ def squeezed_window_fidelity(
     ``_squeezed_amplitudes`` needs are computed, not all N + 1.
     """
     n_tot = int(n_pairs)
-    _check_window(n_max, 2 * n_tot)
+    _check_squeezed_window(n_max, n_tot)
     window = np.zeros(n_max + 1, dtype=np.complex128)
     window[::2] = _squeezed_amplitudes(r, phi, n_tot, n_max // 2)
     return _window_fidelity(window,
@@ -437,8 +462,7 @@ def _quadrature_block(n_tot: int, phi: float, size: int) -> sp.csr_matrix:
     """
     import scipy.sparse as sp
 
-    if n_tot < 1:
-        raise ValueError("need at least one photon")
+    _check_at_least(n_tot, 1, f"N={n_tot}")
     n = np.arange(size - 1)
     v = np.sqrt((n + 1) * (n_tot - n)).astype(np.complex128)
     scale = 1 / math.sqrt(2.0 * n_tot)
@@ -462,6 +486,13 @@ def quadrature_operator(basis: FockBasis, phi: float) -> sp.csr_matrix:
     return _quadrature_block(basis.total_photons, phi, basis.dimension)
 
 
+def _check_commutator_window(n_max: int, n_tot: int) -> None:
+    """The sector n <= n_max must lie below the top occupation N."""
+    _check_window(n_max, n_tot)
+    if n_max == n_tot:
+        raise ValueError(f"need n_max < N; got n_max={n_max} N={n_tot}")
+
+
 def commutator_residual(n_photons: int, n_max: int) -> float:
     """Max deviation of [Q(N,0), Q(N,pi/2)] from i on the n <= n_max sector.
 
@@ -471,8 +502,7 @@ def commutator_residual(n_photons: int, n_max: int) -> float:
     whatever N is, and give the same bits as the full matrices.
     """
     n_tot = int(n_photons)
-    if not 0 <= n_max < n_tot:
-        raise ValueError("need 0 <= n_max < N")
+    _check_commutator_window(n_max, n_tot)
     q0 = _quadrature_block(n_tot, 0.0, n_max + 2)
     q1 = _quadrature_block(n_tot, math.pi / 2, n_max + 2)
     comm = (q0 @ q1 - q1 @ q0).tocsr()
@@ -600,8 +630,7 @@ class ConvergenceReport:
     r_squared: float | None = None
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
-            raise ValueError("N grid must be strictly increasing")
+        _check_increasing(self.n_list)
         if any(v < 0 for v in self.values):
             raise ValueError("residuals must be non-negative")
 
@@ -649,34 +678,37 @@ def _sweep(
                              tuple(values), rate=rate, r_squared=r2)
 
 
+def _check_theta(theta: float) -> None:
+    if not 0 < theta < math.pi:
+        raise ValueError("theta must lie in (0, pi)")
+
+
+def _phase_asymptote(theta: float, n_tot: int) -> float:
+    """e^{-N theta^2/8} at N >= 0, for a ``theta`` that passes
+    ``_check_theta``; it must not underflow to 0, since the ratio column
+    divides by it."""
+    _check_at_least(n_tot, 0, f"N={n_tot}")
+    asym = math.exp(-n_tot * theta**2 / 8.0)
+    if asym == 0:
+        raise ValueError(
+            f"asymptote e^(-N theta^2/8) underflows to 0 at N={n_tot}")
+    return asym
+
+
 def phase_locking_curve(
     theta: float, n_list: Sequence[int]
 ) -> ConvergenceReport:
     """(cos(theta/2))^N against its Gaussian asymptote e^{-N theta^2/8}."""
-    if not 0 < theta < math.pi:
-        raise ValueError("theta must lie in (0, pi)")
-    exact, asym, ratio, resid = [], [], [], []
-    for n_tot in n_list:
-        e = math.exp(n_tot * math.log(math.cos(theta / 2.0)))
-        a = math.exp(-n_tot * theta**2 / 8.0)
-        exact.append(e)
-        asym.append(a)
-        try:
-            ratio.append(e / a)
-        except ZeroDivisionError:
-            raise ValueError(
-                f"asymptote e^(-N theta^2/8) underflows to 0 at N={n_tot}"
-            ) from None
-        resid.append(abs(e - a))
+    _check_theta(theta)
+    asym = [_phase_asymptote(theta, n_tot) for n_tot in n_list]
+    exact = [math.exp(n_tot * math.log(math.cos(theta / 2.0)))
+             for n_tot in n_list]
     return ConvergenceReport(
         tuple(int(n) for n in n_list),
         "abs(exact - asymptote)",
-        tuple(resid),
-        extras={
-            "exact": tuple(exact),
-            "asymptote": tuple(asym),
-            "ratio": tuple(ratio),
-        },
+        tuple(abs(e - a) for e, a in zip(exact, asym)),
+        extras={"exact": tuple(exact), "asymptote": tuple(asym),
+                "ratio": tuple(e / a for e, a in zip(exact, asym))},
     )
 
 

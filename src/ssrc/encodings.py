@@ -18,6 +18,8 @@ gives a rotation search its first start takes blocks of theta' values at
 once, and all restarts of a search run one BFGS each in lockstep, with the
 trial points of each iteration evaluated as one batch.  Batched arithmetic
 is row by row, so every restart ends on the same bits as it would alone.
+A search needs ``restarts >= 1`` and a Fock pair N >= 1; ``ssrc validate``
+calls the same checks.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .hilbert import (
     BasisMismatchError,
     FockBasis,
     State,
+    _check_at_least,
     basis_state,
     inner_product,
     make_basis,
@@ -94,11 +97,17 @@ def _check_shape(unitary, basis: FockBasis) -> None:
         )
 
 
+def _check_fock_pair(n_photons: int) -> None:
+    """|0, N> and |N, 0> are two states only for N >= 1."""
+    _check_at_least(n_photons, 1, f"N={n_photons}")
+
+
 def _fock_pair(basis: FockBasis) -> tuple[State, State]:
     """|N>_b = |0, N> and |N>_a = |N, 0> on a two-mode basis."""
     if basis.num_modes != 2:
         raise ValueError("qubit encodings are defined on two-mode bases")
     n_tot = basis.total_photons
+    _check_fock_pair(n_tot)
     return basis_state(basis, (0, n_tot)), basis_state(basis, (n_tot, 0))
 
 
@@ -278,8 +287,7 @@ def fock_pair_floor(target: np.ndarray, n_photons: int) -> float:
     g = np.asarray(target, dtype=np.complex128)
     if g.shape != (2, 2):
         raise ValueError(f"target must be 2x2, got shape {g.shape}")
-    if n_photons < 1:
-        raise ValueError(f"need at least one photon, got N = {n_photons}")
+    _check_fock_pair(n_photons)
     if n_photons == 1:
         best = float(np.sum(np.linalg.svd(g, compute_uv=False)))
     else:
@@ -610,6 +618,20 @@ def _descend(
     return x, errors, iterations, evaluations
 
 
+def _check_restarts(restarts: int) -> None:
+    _check_at_least(restarts, 1, "restarts")
+
+
+def _uniform_starts(
+    seed: int, count: int, ranges: Sequence[float]
+) -> list[np.ndarray]:
+    """``count`` starts, coordinate i uniform on [0, ranges[i]), drawn in
+    order from ``SplitMix64(seed)``."""
+    rng = SplitMix64(seed)
+    return [np.array([rng.uniform() * top for top in ranges])
+            for _ in range(count)]
+
+
 def _multistart(
     manifold: _Manifold,
     target: np.ndarray,
@@ -647,20 +669,11 @@ def sg_gate_search(
     descend in lockstep.  The lowest error wins, the earliest start on
     ties, so the result is deterministic given the seed.
     """
+    _check_restarts(restarts)
     target = np.asarray(target, dtype=np.complex128)
     manifold = _RotationManifold(enc, target)
-    rng = SplitMix64(seed)
-    starts = [_seed_scan(manifold)]
-    for _ in range(max(0, restarts - 1)):
-        starts.append(
-            np.array(
-                [
-                    rng.uniform() * math.pi,
-                    rng.uniform() * 2.0 * math.pi,
-                    rng.uniform() * 2.0 * math.pi,
-                ]
-            )
-        )
+    starts = [_seed_scan(manifold)] + _uniform_starts(
+        seed, restarts - 1, (math.pi, 2.0 * math.pi, 2.0 * math.pi))
     return _multistart(manifold, target, starts, seed)
 
 
@@ -797,6 +810,7 @@ def cnot_search(
     in lockstep as in ``sg_gate_search``.  The result is a search result,
     an upper bound on the mesh minimum, not a certificate.
     """
+    _check_restarts(restarts)
     if isinstance(enc_pair, Encoding):
         enc_a = enc_b = enc_pair
     else:
@@ -807,17 +821,8 @@ def cnot_search(
     if target is None:
         target = cnot_gate()
     manifold = _MeshManifold(basis, codes, target)
-    rng = SplitMix64(seed)
-    starts = [np.full(16, 1e-3)]
-    for _ in range(max(0, restarts - 1)):
-        draw = [rng.uniform() for _ in range(16)]
-        start = np.empty(16)
-        for k in range(6):
-            start[2 * k] = draw[2 * k] * math.pi
-            start[2 * k + 1] = draw[2 * k + 1] * 2.0 * math.pi
-        for k in range(12, 16):
-            start[k] = draw[k] * 2.0 * math.pi
-        starts.append(start)
+    ranges = (math.pi, 2.0 * math.pi) * 6 + (2.0 * math.pi,) * 4
+    starts = [np.full(16, 1e-3)] + _uniform_starts(seed, restarts - 1, ranges)
     return _multistart(manifold, target, starts, seed)
 
 

@@ -43,6 +43,12 @@ class BasisMismatchError(ValueError):
     """Operands live on different bases."""
 
 
+def _check_at_least(value: int, minimum: int, name: str) -> None:
+    """Raise ``ValueError("<name> must be >= <minimum>")`` below it."""
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
 def _comb(x: np.ndarray, r: int) -> np.ndarray:
     """C(x + r, r) elementwise, exact in the dtype of ``x``."""
     c = np.ones_like(x)

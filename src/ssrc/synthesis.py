@@ -17,6 +17,8 @@ A plan is plain data: its steps, target and ``small_angle``.  Planning
 executes nothing; ``execute_plan`` is the one place steps are applied, with
 ``scipy.linalg.expm``, independently of the solver.  Both read the dense
 generators from ``schwinger._hop_product``, cached for the process.
+The arguments are checked up front by named ``_check_*`` functions, which
+``ssrc validate`` also calls.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cvlimit import _loglog_fit
+from .cvlimit import _check_increasing, _loglog_fit
 from .hilbert import (
     BasisMismatchError,
     FockBasis,
     State,
     _array,
+    _check_at_least,
     _fields,
     _integer,
     _real,
@@ -70,9 +73,25 @@ LM_MAXIT = 200
 
 
 def _check_small_angle(small_angle: float) -> None:
-    if not (math.isfinite(small_angle) and small_angle > 0):
+    if not 0 < small_angle <= 1:
         raise ValueError(
-            f"small_angle must be finite and > 0, got {small_angle!r}")
+            f"small_angle must lie in (0, 1], got {small_angle!r}")
+
+
+def _check_probe_n(n_tot: int) -> None:
+    """The complexity probe plans at 1 <= N <= ``PROBE_N_MAX``."""
+    _check_at_least(n_tot, 1, f"N={n_tot}")
+    if n_tot > PROBE_N_MAX:
+        raise ValueError(f"N={n_tot} exceeds the probe's limit {PROBE_N_MAX}")
+
+
+def _check_fidelity_target(fidelity_target: float) -> None:
+    if not 0 < fidelity_target <= 1:
+        raise ValueError("fidelity_target must lie in (0, 1]")
+
+
+def _check_targets_per_n(targets_per_n: int) -> None:
+    _check_at_least(targets_per_n, 1, "targets_per_n")
 
 
 class TargetOrderError(ValueError):
@@ -579,13 +598,17 @@ def synthesis_complexity_probe(
 
     Reports the median step count, median total repetition count, and
     minimum achieved fidelity per N; slopes are least-squares fits of
-    log(size) against log(N) (exploratory, no pass/fail attached).
+    log(size) against log(N) (exploratory, no pass/fail attached).  The
+    grid must be strictly increasing, each N in 1..``PROBE_N_MAX``.
     """
+    _check_increasing(n_list)
+    for n_tot in n_list:
+        _check_probe_n(n_tot)
+    _check_fidelity_target(fidelity_target)
+    _check_small_angle(small_angle)
+    _check_targets_per_n(targets_per_n)
     rows = []
     for n_idx, n_tot in enumerate(n_list):
-        if n_tot > PROBE_N_MAX:
-            raise ValueError(
-                f"probe is desk-scale: N must be <= {PROBE_N_MAX}")
         basis = make_basis(2, n_tot)
         start = basis_state(basis, (0, n_tot))
         steps_counts, reps_counts, fids = [], [], []

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssrc import __version__
+from ssrc import __version__, cvlimit, encodings, synthesis
 from ssrc.cli import (
     ConfigError,
     EXPERIMENTS,
@@ -26,6 +26,7 @@ from ssrc.cli import (
     run_experiment,
 )
 from ssrc.encodings import hadamard_gate, r_y
+from ssrc.hilbert import make_basis, random_state
 from ssrc.prng import DEFAULT_SEED
 
 
@@ -188,7 +189,7 @@ class TestLoadConfig:
                 alpha = 1.0
                 n_list =
                 """),
-            ("must be < min N", """
+            ("must be < N = 100", """
                 [experiment]
                 name = convergence-coherent
                 [parameters]
@@ -202,7 +203,7 @@ class TestLoadConfig:
                 theta = 3.5
                 n_list = 100
                 """),
-            ("need n_max < min N", """
+            ("need n_max < N", """
                 [experiment]
                 name = commutator
                 [parameters]
@@ -422,14 +423,14 @@ class TestLoadConfig:
                 [parameters]
                 n_list = 1, 1
                 """),
-            ("|alpha|^2 = inf must be < min N", """
+            ("|alpha|^2 = inf must be < N = 100", """
                 [experiment]
                 name = convergence-coherent
                 [parameters]
                 alpha = 1e300
                 n_list = 100
                 """),
-            ("|beta|^2 = inf must be < min N", """
+            ("|beta|^2 = inf must be < N = 100", """
                 [experiment]
                 name = overlap
                 [parameters]
@@ -437,8 +438,15 @@ class TestLoadConfig:
                 beta = 1e300
                 n_list = 100
                 """),
+            # The mesh stack bound once raised math.comb's ValueError here.
+            ("N=-2 must be >= 1", """
+                [experiment]
+                name = cnot-feasibility
+                [parameters]
+                n_list = -2
+                """),
             # displacement_residual rejects the vacuum at N = 0
-            ("|alpha|^2 = 0 must be < min N = 0", """
+            ("|alpha|^2 = 0 must be < N = 0", """
                 [experiment]
                 name = convergence-displacement
                 [parameters]
@@ -508,6 +516,23 @@ class TestLoadConfig:
         assert [v for v in err.value.violations if message in v
                 and "above the bound of 1073741824 bytes" in v]
 
+    @pytest.mark.parametrize("stem", ["", ".", "..", "../escaped", "sub/x",
+                                      "sub\\x"])
+    def test_filename_must_be_a_stem(self, tmp_path, stem):
+        # Each of these once passed: an empty stem wrote the hidden files
+        # out/.csv and out/.meta.json, "../escaped" wrote outside --out,
+        # and "sub/x" failed in run with an I/O error.
+        path = write_ini(tmp_path, textwrap.dedent(PHASE_LOCKING)
+                         + f"[output]\nfilename = {stem}\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.violations == [
+            f"output filename {stem!r} must be a file stem: not empty, "
+            "'.' or '..', and without a path separator"]
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+        assert not out_dir.exists() and not (tmp_path / "escaped.csv").exists()
+
     def test_unknown_format(self, tmp_path):
         path = write_ini(
             tmp_path,
@@ -523,6 +548,120 @@ class TestLoadConfig:
         )
         with pytest.raises(ConfigError, match="unknown output format"):
             load_config(path)
+
+
+def _hadamard_search(restarts):
+    enc = encodings.fock_encoding(make_basis(2, 1))
+    return encodings.sg_gate_search(hadamard_gate(), enc, restarts=restarts)
+
+
+def _cnot_search(restarts):
+    enc = encodings.fock_encoding(make_basis(2, 1))
+    return encodings.cnot_search(enc, restarts=restarts)
+
+
+# For each rule that validation asks the library, a config that breaks it
+# and nothing else, and the library call on the same values.
+_LIBRARY_RULES = {
+    "coherent-amplitude": (
+        "convergence-coherent", "alpha = 11.0\nn_list = 100",
+        lambda: cvlimit.coherent_window_fidelity(11.0, 100, 30)),
+    "coherent-window": (
+        "convergence-coherent", "alpha = 1.0\nn_list = 10, 20\nn_max = 11",
+        lambda: cvlimit.coherent_window_fidelity(1.0, 10, 11)),
+    "coherent-n-max": (
+        "convergence-coherent", "alpha = 1.0\nn_list = 100\nn_max = -1",
+        lambda: cvlimit.coherent_window_fidelity(1.0, 100, -1)),
+    "increasing-grid": (
+        "convergence-coherent", "alpha = 1.0\nn_list = 316, 100",
+        lambda: cvlimit.coherent_convergence(1.0, [316, 100], 30)),
+    "displacement-vacuum": (
+        "convergence-displacement",
+        "alpha = 0\nk = 0\nn_list = 0\nn_max = 0",
+        lambda: cvlimit.displacement_residual(0, 0, 0, 0)),
+    "displacement-window": (
+        "convergence-displacement",
+        "alpha = 0.1\nn_list = 10, 20\nn_max = 11",
+        lambda: cvlimit.displacement_residual(0.1, 2, 10, 11)),
+    "displacement-k": (
+        "convergence-displacement", "alpha = 1.0\nk = 5\nn_list = 100\n"
+        "n_max = 4", lambda: cvlimit.displacement_residual(1.0, 5, 100, 4)),
+    "squeezing": (
+        "convergence-squeezed", "r = -1.0\nn_list = 50",
+        lambda: cvlimit.squeezed_window_fidelity(-1.0, 0.0, 50, 20)),
+    "squeezed-pairs": (
+        "convergence-squeezed", "r = 0.5\nn_list = 0, 6\nn_max = 0",
+        lambda: cvlimit.squeezed_window_fidelity(0.5, 0.0, 0, 0)),
+    "squeezed-window": (
+        "convergence-squeezed", "r = 0.1\nn_list = 5, 10\nn_max = 11",
+        lambda: cvlimit.squeezed_window_fidelity(0.1, 0.0, 5, 11)),
+    "commutator-window": (
+        "commutator", "n_list = 100\nn_max = 100",
+        lambda: cvlimit.commutator_residual(100, 100)),
+    "commutator-n-max": (
+        "commutator", "n_list = 100\nn_max = -1",
+        lambda: cvlimit.commutator_residual(100, -1)),
+    "theta": (
+        "phase-locking", "theta = 3.5\nn_list = 100",
+        lambda: cvlimit.phase_locking_curve(3.5, [100])),
+    "phase-negative-n": (
+        "phase-locking", "theta = 0.2\nn_list = -5",
+        lambda: cvlimit.phase_locking_curve(0.2, [-5])),
+    "phase-underflow": (
+        "phase-locking", "theta = 3.0\nn_list = 10, 1000, 2000",
+        lambda: cvlimit.phase_locking_curve(3.0, [10, 1000, 2000])),
+    "overlap-beta": (
+        "overlap", "alpha = 1.0\nbeta = 1e300\nn_list = 100",
+        lambda: cvlimit.overlap_asymptotics(1.0, 1e300, 100)),
+    "bench-small-angle": (
+        "synthesis-bench", "n_list = 2\nsmall_angle = 2.0",
+        lambda: synthesis.plan_two_mode(
+            random_state(make_basis(2, 2), 1), small_angle=2.0)),
+    "probe-small-angle": (
+        "synthesis-complexity", "n_list = 2\nsmall_angle = 0",
+        lambda: synthesis.synthesis_complexity_probe(
+            [2], 0.99, small_angle=0.0)),
+    "probe-n-limit": (
+        "synthesis-complexity", "n_list = 40",
+        lambda: synthesis.synthesis_complexity_probe([40], 0.99)),
+    "probe-n-positive": (
+        "synthesis-bench", "n_list = 0, 2",
+        lambda: synthesis.synthesis_complexity_probe([0, 2], 0.99)),
+    "probe-grid": (
+        "synthesis-complexity", "n_list = 2, 2",
+        lambda: synthesis.synthesis_complexity_probe([2, 2], 0.99)),
+    "probe-fidelity-target": (
+        "synthesis-complexity", "n_list = 2, 4\nfidelity_target = 1.5",
+        lambda: synthesis.synthesis_complexity_probe([2, 4], 1.5)),
+    "probe-targets-per-n": (
+        "synthesis-complexity", "n_list = 2, 4\ntargets_per_n = 0",
+        lambda: synthesis.synthesis_complexity_probe(
+            [2, 4], 0.99, targets_per_n=0)),
+    "encoding-photons": (
+        "encoding-feasibility", "n_list = 0",
+        lambda: encodings.fock_pair_floor(hadamard_gate(), 0)),
+    "encoding-restarts": (
+        "encoding-feasibility", "n_list = 1\nrestarts = 0",
+        lambda: _hadamard_search(0)),
+    "cnot-photons": (
+        "cnot-feasibility", "n_list = 0",
+        lambda: encodings.fock_encoding(make_basis(2, 0))),
+    "cnot-restarts": (
+        "cnot-feasibility", "n_list = 1\nrestarts = 0",
+        lambda: _cnot_search(0)),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_LIBRARY_RULES))
+def test_violation_is_the_library_message(tmp_path, rule):
+    name, params, call = _LIBRARY_RULES[rule]
+    path = write_ini(tmp_path, f"[experiment]\nname = {name}\n"
+                               f"[parameters]\n{params}\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert err.value.violations == [str(exc.value)]
 
 
 class TestRunExperiment:
@@ -916,6 +1055,47 @@ class TestGeneratedConfigs:
             code = main(["run", "--config", str(path), "--out", str(out_dir)])
             assert code in (0, 2), text
             assert (code == 0) == any(out_dir.glob("*.csv")), text
+
+
+# Gate grids near the basis caps and stack bounds, beside small and
+# negative ones.
+_GATE_GRID = _grid(10) | st.sampled_from(
+    ["-2", "-1, 0", "1671", "1672", "2048", "1, 100000", "8", "9", "90",
+     "100"])
+_VALIDATED = {
+    **_GENERATED,
+    "encoding-feasibility": {
+        "n_list": _GATE_GRID, "restarts": st.integers(-1, 13),
+        "target": st.sampled_from(["hadamard", "t", "ry:0.3", "RZ:-2",
+                                   "ry:nan", "phase:", "toffoli"]),
+        "resolution": _FLOATS},
+    "cnot-feasibility": {"n_list": _GATE_GRID,
+                         "restarts": st.integers(-1, 13)},
+}
+
+
+@st.composite
+def _validated_config(draw):
+    # Half the draws go to the gate experiments, which only this test
+    # generates.
+    name = draw(st.sampled_from(sorted(_VALIDATED)) | st.sampled_from(
+        ["encoding-feasibility", "cnot-feasibility"]))
+    lines = [f"{key} = {draw(strategy)}"
+             for key, strategy in _VALIDATED[name].items()]
+    stem = draw(st.sampled_from(["data", "", ".", "..", "a/b", "a.b"]))
+    return (f"[experiment]\nname = {name}\n[parameters]\n"
+            + "\n".join(lines) + f"\n[output]\nfilename = {stem}\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_validated_config())
+def test_validate_answers_every_config(text):
+    """``validate`` exits 0 or 1 on any config of the ten experiments, gate
+    keys and output stems included; it never raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "config.ini"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) in (0, 1), text
 
 
 _REPO = pathlib.Path(__file__).resolve().parent.parent

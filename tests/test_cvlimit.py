@@ -522,6 +522,27 @@ class TestConvergenceMachinery:
         with pytest.raises(ValueError, match="underflows to 0 at N=1000"):
             phase_locking_curve(3.0, [10, 1000])
 
+    @pytest.mark.parametrize("call, message", [
+        # Each call below once returned a value.
+        pytest.param(lambda: phase_locking_curve(0.2, [-5]),
+                     "N=-5 must be >= 0", id="phase-locking"),
+        pytest.param(lambda: squeezed_window_fidelity(0.5, 0.0, 0, 0),
+                     "N=0 must be >= 1", id="squeezed"),
+        pytest.param(lambda: displacement_residual(0.1, 2, 10, 11),
+                     "n_max = 11 exceeds the largest occupation 10 at N = 10",
+                     id="displacement"),
+    ])
+    def test_rejects_what_validation_rejects(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_phase_locking_checks_every_point_first(self, monkeypatch):
+        # The underflow at the last point is found before any point is
+        # computed.
+        monkeypatch.setattr(math, "cos", None)
+        with pytest.raises(ValueError, match="underflows to 0 at N=1000"):
+            phase_locking_curve(3.0, [10, 100, 1000])
+
     def test_coherent_convergence_rate_near_two(self):
         # Window infidelity of the |alpha| = 1 construction falls off as
         # 1/N^2 on this grid (the 1/N overlap corrections cancel in

@@ -286,8 +286,18 @@ class TestGateFloors:
         for target in FLOOR_TARGETS.values():
             assert fock_pair_floor(target, 1) <= ROUNDING
 
+    def test_searches_need_a_start(self):
+        # restarts = 0 once ran one start and reported restarts = 1.
+        enc = fock_encoding(make_basis(2, 1))
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            sg_gate_search(hadamard_gate(), enc, restarts=0)
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            cnot_search(enc, restarts=0)
+        with pytest.raises(ValueError, match="N=0 must be >= 1"):
+            fock_encoding(make_basis(2, 0))
+
     def test_floor_rejects_bad_input(self):
-        with pytest.raises(ValueError, match="at least one photon"):
+        with pytest.raises(ValueError, match="N=0 must be >= 1"):
             fock_pair_floor(hadamard_gate(), 0)
         with pytest.raises(ValueError, match="must be 2x2"):
             fock_pair_floor(np.eye(3), 2)

@@ -113,12 +113,39 @@ class TestTwoPass:
             with pytest.raises(ValueError, match="small_angle"):
                 plan(target, small_angle=small_angle)
 
+    @pytest.mark.parametrize("call, message", [
+        # Each call below once planned: the first two returned a result,
+        # the third failed converting NaN to an integer, and the fourth
+        # ran every restart on an unreachable goal.
+        pytest.param(lambda: plan_two_mode(random_state(make_basis(2, 3), 1),
+                                           small_angle=2.0),
+                     r"small_angle must lie in \(0, 1\], got 2.0",
+                     id="small-angle"),
+        pytest.param(lambda: synthesis_complexity_probe([2, 2], 0.99),
+                     "N grid must be strictly increasing", id="grid"),
+        pytest.param(lambda: synthesis_complexity_probe([2, 4], 0.99,
+                                                        targets_per_n=0),
+                     "targets_per_n must be >= 1", id="targets-per-n"),
+        pytest.param(lambda: synthesis_complexity_probe([2, 4], 1.5),
+                     r"fidelity_target must lie in \(0, 1\]",
+                     id="fidelity-target"),
+        pytest.param(lambda: synthesis_complexity_probe([0, 2], 0.99),
+                     "N=0 must be >= 1", id="n-positive"),
+        pytest.param(lambda: synthesis_complexity_probe([2, 40], 0.99),
+                     "N=40 exceeds the probe's limit 32", id="n-limit"),
+    ])
+    def test_arguments_checked_before_planning(self, monkeypatch, call,
+                                               message):
+        monkeypatch.setattr(synthesis, "plan_multimode", None)
+        with pytest.raises(ValueError, match=message):
+            call()
+
     @pytest.mark.parametrize(
-        "small_angle", [-5, -1e-3, 0.0, float("nan"), float("inf")])
+        "small_angle", [-5, -1e-3, 0.0, 1.5, float("nan"), float("inf")])
     def test_small_angle_validated_without_steps(self, small_angle):
         # These plans have no step, and a plan read back from JSON is
         # never planned, so only the plan itself can check small_angle.
-        message = "small_angle must be finite and > 0"
+        message = r"small_angle must lie in \(0, 1\]"
         for plan, target in (
             (plan_two_mode, basis_state(make_basis(2, 0), (0, 0))),
             (plan_two_mode, basis_state(make_basis(2, 1), (0, 1))),

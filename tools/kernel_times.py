@@ -41,6 +41,11 @@ largest sizes (and the overlap also at N = 1e6), with their values:
   closed form, with no basis and no hop matrix, so the two rows differ
   only by first-call overhead
 
+Validation: ``ssrc.cli.load_config`` on all ten shipped ``configs/*.ini``
+in turn, in process, imports done: the median of ``VALIDATE_PASSES`` passes,
+so the validation that the benchmark's ``setup_s`` includes can be
+compared before and after a change.
+
 Cold start: the CPU time of one ``python -m ssrc.cli validate`` and one
 ``python -m ssrc.cli run`` child process per shipped ``configs/*.ini``,
 imports included, which is what a user pays per config.  Process start-up
@@ -87,6 +92,7 @@ from ssrc.encodings import (
     sg_gate_search,
 )
 from ssrc import schwinger
+from ssrc.cli import load_config
 from ssrc.hilbert import State, basis_state, make_basis
 from ssrc.synthesis import (
     _ProductSolver,
@@ -99,6 +105,7 @@ from ssrc.synthesis import (
 
 REPEATS = 5
 COLD_ROUNDS = 10
+VALIDATE_PASSES = 20
 CONFIGS = sorted(pathlib.Path(__file__).resolve().parent.parent.glob(
     "configs/*.ini"))
 RESTARTS = 8
@@ -247,6 +254,12 @@ def cv_rows() -> None:
         print(f"{name:25s} {_millis(times)}  value {value:.16e}", flush=True)
 
 
+def validate_row() -> None:
+    times, _ = _time(lambda: [load_config(path) for path in CONFIGS],
+                     repeats=VALIDATE_PASSES)
+    print(f"validate configs x{len(CONFIGS)}  {_millis(times)}", flush=True)
+
+
 def _child_cpu(args) -> float:
     """User plus system CPU seconds of one ``python -m ssrc.cli`` child."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -283,6 +296,7 @@ def main() -> None:
     fallback_row()
     gate_rows()
     cv_rows()
+    validate_row()
     cold_rows()
 
 
