@@ -10,9 +10,10 @@ only the sidecar's timestamp/walltime fields may differ.
 Validation asks the library: a rule that a library function enforces is
 its named ``_check_*`` (or the ``ValueError`` it raises), called at each
 grid point, and the violation is the library's message at the first point
-that breaks it.  Only the basis cap, the gate-search stack bound, an empty
-grid, gate target names, ``targets``, ``passes``, ``resolution`` and the
-``[output]`` section are checked here alone.
+that breaks it.  Size rules belong to the code that builds each array:
+``cvlimit`` caps windows, not N, and ``encodings`` bounds search stacks.
+Only the config grammar (sections, keys, values, an empty grid), gate
+target names, ``targets``, ``passes`` and ``resolution`` are checked here.
 
 Config grammar::
 
@@ -70,8 +71,7 @@ class ConfigError(ValueError):
 
 
 def _parse_int_list(text: str) -> list[int]:
-    tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
-    return [int(t) for t in tokens]
+    return [int(t) for t in re.split(r"[,\s]+", text.strip()) if t]
 
 
 def _finite(value, text: str):
@@ -125,23 +125,14 @@ def _asks(check: Callable[..., object], *args) -> list[str]:
     return []
 
 
-def _cap_check(n_list: list[int], modes: int, factor: int) -> list[str]:
-    """The grid is non-empty and its largest basis, (modes, factor * max N),
-    can be built."""
-    if not n_list:
-        return ["empty N grid"]
-    return [f"{message} for N={max(n_list)}" for message
-            in _asks(make_basis, modes, factor * max(n_list))]
-
-
 def _each(n_list: list[int], check: Callable[[int], None]) -> list[str]:
     """The library's message at the first grid point that breaks ``check``."""
-    for n in n_list:
-        try:
-            check(n)
-        except ValueError as exc:
-            return [str(exc)]
-    return []
+    return next(filter(None, (_asks(check, n) for n in n_list)), [])
+
+
+def _seed_at(seed: int, n: int) -> int:
+    """The seed of grid point N: a substream of the experiment seed."""
+    return SplitMix64(seed).derive(n).next_u64()
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +155,7 @@ def _run_coherent(p: dict, seed: int):
 
 def _check_coherent(p: dict, vacuum_ok: bool = True) -> list[str]:
     n_list = p["n_list"]
-    return (_cap_check(n_list, 2, 1)
-            + _asks(cvlimit._check_increasing, n_list)
+    return (_asks(cvlimit._check_increasing, n_list)
             + _each(n_list, lambda n: cvlimit._check_amplitude(
                 p["alpha"], n, vacuum_ok=vacuum_ok))
             + _each(n_list, lambda n: cvlimit._check_window(p["n_max"], n)))
@@ -193,8 +183,7 @@ def _run_squeezed(p: dict, seed: int):
 
 def _check_squeezed(p: dict) -> list[str]:
     n_list = p["n_list"]
-    return (_cap_check(n_list, 2, 2)
-            + _asks(cvlimit._check_increasing, n_list)
+    return (_asks(cvlimit._check_increasing, n_list)
             + _asks(cvlimit._check_squeezing, p["r"])
             + _each(n_list, lambda n: cvlimit._check_squeezed_window(
                 p["n_max"], n)))
@@ -208,9 +197,8 @@ def _run_commutator(p: dict, seed: int):
 
 
 def _check_commutator(p: dict) -> list[str]:
-    return _cap_check(p["n_list"], 2, 1) + _each(
-        p["n_list"],
-        lambda n: cvlimit._check_commutator_window(p["n_max"], n))
+    return _each(p["n_list"],
+                 lambda n: cvlimit._check_commutator_window(p["n_max"], n))
 
 
 def _run_phase_locking(p: dict, seed: int):
@@ -222,8 +210,7 @@ def _run_phase_locking(p: dict, seed: int):
 
 def _check_phase_locking(p: dict) -> list[str]:
     n_list, theta = p["n_list"], p["theta"]
-    out = ([] if n_list else ["empty N grid"]) + _asks(
-        cvlimit._check_increasing, n_list)
+    out = _asks(cvlimit._check_increasing, n_list)
     theta_out = _asks(cvlimit._check_theta, theta)
     if not theta_out:  # the point check needs a valid theta
         out += _each(n_list,
@@ -243,18 +230,16 @@ def _run_overlap(p: dict, seed: int):
 
 
 def _check_overlap(p: dict) -> list[str]:
-    return _cap_check(p["n_list"], 2, 1) + [
-        message for name in ("alpha", "beta") for message in _each(
-            p["n_list"],
-            lambda n: cvlimit._check_amplitude(p[name], n, name))]
+    return _each(p["n_list"], lambda n: cvlimit._check_overlap(
+        p["alpha"], p["beta"], n))
 
 
 def _run_synthesis_bench(p: dict, seed: int):
     rows = []
     for n in p["n_list"]:
         basis = make_basis(2, n)
-        sub_seed = SplitMix64(seed).derive(n).next_u64()
-        targets = synthesis.bench_targets(basis, p["targets"], sub_seed)
+        targets = synthesis.bench_targets(basis, p["targets"],
+                                          _seed_at(seed, n))
         start = basis_state(basis, (0, n))
         for idx, target in enumerate(targets):
             plan = synthesis.plan_two_mode(target,
@@ -269,8 +254,7 @@ def _run_synthesis_bench(p: dict, seed: int):
 def _check_synthesis(p: dict) -> list[str]:
     """Grid and step-size rules shared by both synthesis experiments: the
     bench keeps to the complexity probe's N range too."""
-    return (_cap_check(p["n_list"], 2, 1)
-            + _each(p["n_list"], synthesis._check_probe_n)
+    return (_each(p["n_list"], synthesis._check_probe_n)
             + _asks(synthesis._check_small_angle, p["small_angle"]))
 
 
@@ -289,11 +273,8 @@ def _run_synthesis_complexity(p: dict, seed: int):
         targets_per_n=p["targets_per_n"], seed=seed)
     rows = [list(row) for row in probe.rows]
     cols = ["n", "median_steps", "median_total_repetitions", "min_fidelity"]
-    derived = {
-        "slope_steps": probe.slope_steps,
-        "slope_repetitions": probe.slope_repetitions,
-    }
-    return cols, rows, derived
+    return cols, rows, {"slope_steps": probe.slope_steps,
+                        "slope_repetitions": probe.slope_repetitions}
 
 
 def _check_synthesis_complexity(p: dict) -> list[str]:
@@ -328,23 +309,13 @@ def _target_matrix(name: str) -> np.ndarray:
     )
 
 
-#: Bytes the largest stack of complex dim x dim matrices of a gate search
-#: may take, at its largest N.  The rotation search (dim = N + 1) stacks
-#: 3 derivative generators per start at each BFGS step, and its seed scan
-#: 16 rotations per block.  The mesh search (dim = C(2N + 3, 3)) stacks
-#: 6 pair rotations per start.  Two or three such stacks are alive at once.
-STACK_BYTES = 1 << 30
-
-
-def _stack_check(n_list: list[int], matrices: int, dim: int) -> list[str]:
-    """A stack of ``matrices`` complex dim x dim matrices at the largest N
-    must fit in ``STACK_BYTES``."""
-    size = matrices * dim * dim * 16
-    if size <= STACK_BYTES:
-        return []
-    return [f"N={max(n_list)} needs a stack of {matrices} complex "
-            f"{dim} x {dim} matrices, {size:.3g} bytes, above the bound of "
-            f"{STACK_BYTES} bytes"]
+def _check_gate(p: dict, mesh: bool = False) -> list[str]:
+    """N >= 1 at every point and ``restarts`` >= 1; then the search's matrix
+    stacks at the largest N."""
+    out = (_each(p["n_list"], encodings._check_fock_pair)
+           + _asks(encodings._check_restarts, p["restarts"]))
+    return out or _asks(encodings._check_stack, max(p["n_list"]),
+                        p["restarts"], mesh)
 
 
 def _run_encoding_feasibility(p: dict, seed: int):
@@ -357,7 +328,7 @@ def _run_encoding_feasibility(p: dict, seed: int):
             target,
             enc,
             restarts=p["restarts"],
-            seed=SplitMix64(seed).derive(n).next_u64(),
+            seed=_seed_at(seed, n),
         )
         reports.append(
             encodings.feasibility_report(enc, p["target"], search, floor))
@@ -369,14 +340,7 @@ def _run_encoding_feasibility(p: dict, seed: int):
 
 
 def _check_encoding_feasibility(p: dict) -> list[str]:
-    n_list = p["n_list"]
-    out = (_cap_check(n_list, 2, 1)
-           + _each(n_list, encodings._check_fock_pair)
-           + _asks(_target_matrix, p["target"])
-           + _asks(encodings._check_restarts, p["restarts"]))
-    if not out:
-        out = _stack_check(n_list, max(3 * p["restarts"], 16),
-                           max(n_list) + 1)
+    out = _check_gate(p) + _asks(_target_matrix, p["target"])
     # The floor is closed-form and no longer scans; resolution is still
     # checked so that configs written for the scan stay valid.
     if not 0 < p["resolution"] <= 0.5:
@@ -391,24 +355,13 @@ def _run_cnot_feasibility(p: dict, seed: int):
         res = encodings.cnot_search(
             enc,
             restarts=p["restarts"],
-            seed=SplitMix64(seed).derive(n).next_u64(),
+            seed=_seed_at(seed, n),
         )
         reports.append(encodings.feasibility_report(enc, "cnot", res, None))
         rows.append([n, res.error, res.leakage, res.restarts,
                      make_basis(4, 2 * n).dimension])
     cols = ["n", "best_error", "leakage", "restarts", "dimension"]
     return cols, rows, {"reports": reports}
-
-
-def _check_cnot_feasibility(p: dict) -> list[str]:
-    n_list = p["n_list"]
-    out = (_cap_check(n_list, 4, 2)
-           + _each(n_list, encodings._check_fock_pair)
-           + _asks(encodings._check_restarts, p["restarts"]))
-    if not out:
-        out = _stack_check(n_list, 6 * p["restarts"],
-                           math.comb(2 * max(n_list) + 3, 3))
-    return out
 
 
 EXPERIMENTS: dict[str, _ExperimentSpec] = {
@@ -455,12 +408,17 @@ EXPERIMENTS: dict[str, _ExperimentSpec] = {
     "cnot-feasibility": _ExperimentSpec(
         {"n_list": _parse_int_list, "restarts": int},
         {"restarts": 8},
-        _check_cnot_feasibility, _run_cnot_feasibility),
+        lambda p: _check_gate(p, mesh=True), _run_cnot_feasibility),
 }
 
 
 # ---------------------------------------------------------------------------
 # Config loading and validation
+
+
+#: Each section's keys, beside [DEFAULT]'s; [parameters] has the experiment's.
+_SECTION_KEYS = {"experiment": ("name", "seed"), "parameters": None,
+                 "output": ("format", "filename")}
 
 
 def load_config(path: str | pathlib.Path) -> ExperimentConfig:
@@ -487,6 +445,14 @@ def load_config(path: str | pathlib.Path) -> ExperimentConfig:
              f"{sorted(EXPERIMENTS)}"]
         )
     spec = EXPERIMENTS[name]
+    for section in parser.sections():
+        if section not in _SECTION_KEYS:
+            violations.append(f"unknown section [{section}]")
+        elif _SECTION_KEYS[section] is not None:
+            known = _SECTION_KEYS[section] + tuple(parser.defaults())
+            violations += [f"unknown key {key!r} in [{section}]"
+                           for key in parser.options(section)
+                           if key not in known]
 
     seed = DEFAULT_SEED
     seed_text = parser.get("experiment", "seed", fallback=None)
@@ -512,6 +478,8 @@ def load_config(path: str | pathlib.Path) -> ExperimentConfig:
     for key in raw:
         if key not in spec.params:
             violations.append(f"unknown parameter {key!r} for {name}")
+    if params.get("n_list") == []:  # every experiment has an N grid
+        violations.append("empty N grid")
 
     fmt = "csv"
     filename = name
@@ -568,13 +536,11 @@ def run_experiment(
     if config.fmt == "csv":
         lines = [",".join(columns)]
         lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
-        data_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = "\n".join(lines) + "\n"
     else:
         doc = {"columns": columns, "rows": rows, "derived": derived}
-        data_path.write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    data_path.write_text(text, encoding="utf-8")
 
     meta = {
         "experiment": config.name,
@@ -589,9 +555,8 @@ def run_experiment(
         "walltime_s": walltime,
     }
     meta_path = out / f"{config.filename}.meta.json"
-    meta_path.write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
+                         encoding="utf-8")
     return [data_path, meta_path]
 
 
@@ -617,22 +582,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config file not found: {args.config}", file=sys.stderr)
         return 2
 
-    if args.command == "validate":
-        try:
-            config = load_config(args.config)
-        except ConfigError as exc:
-            for violation in exc.violations:
-                print(f"violation: {violation}")
-            return 1
-        print(f"OK: {config.name} (seed {config.seed:#x})")
-        return 0
-
+    validate = args.command == "validate"
     try:
         config = load_config(args.config)
     except ConfigError as exc:
         for violation in exc.violations:
-            print(f"error: {violation}", file=sys.stderr)
-        return 2
+            print(f"{'violation' if validate else 'error'}: {violation}",
+                  file=sys.stdout if validate else sys.stderr)
+        return 1 if validate else 2
+    if validate:
+        print(f"OK: {config.name} (seed {config.seed:#x})")
+        return 0
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     try:

@@ -20,7 +20,7 @@ whole for ``quadrature_operator`` and as the leading block for the
 commutator residual; neither builds a basis.
 
 Each precondition is a named ``_check_*`` that raises ``ValueError``, and
-``ssrc validate`` calls the same checks.
+``ssrc validate`` calls the same checks; the size rules cap each array.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .hilbert import FockBasis, State, _check_at_least, _normalized, make_basis
+from .hilbert import (FockBasis, State, _check_at_least, _check_cap,
+                      _normalized, make_basis)
 from .schwinger import j_operator
 
 if TYPE_CHECKING:
@@ -67,13 +68,20 @@ def _check_increasing(n_list: Sequence[int]) -> None:
         raise ValueError("N grid must be strictly increasing")
 
 
+#: Largest N of a window: the int64 products of the displacement recurrence
+#: and the quadrature block, up to about 4 n_max N, then stay below 2^63.
+WINDOW_N_MAX = 1 << 40
+
+
 def _check_window(n_max: int, n_tot: int, factor: int = 1) -> None:
-    """The window k <= n_max must lie in the occupations 0..factor * N."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    """The window k <= n_max must lie in the occupations 0..factor * N, its
+    n_max + 1 entries must fit the cap, and N must be <= ``WINDOW_N_MAX``."""
+    _check_at_least(n_max, 0, "n_max")
     if n_max > factor * n_tot:
         raise ValueError(f"n_max = {n_max} exceeds the largest occupation "
                          f"{factor * n_tot} at N = {n_tot}")
+    _check_cap(n_max + 1, "window size")
+    _check_cap(n_tot, "N", WINDOW_N_MAX)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +158,7 @@ def truncated_coherent_reference(
     renormalized, with the discarded Poisson tail mass reported."""
     from scipy.special import gammaln
 
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _check_at_least(n_max, 0, "n_max")
     k = np.arange(n_max + 1)
     if alpha == 0:
         coeffs = np.zeros(n_max + 1, dtype=np.complex128)
@@ -303,14 +310,14 @@ def displacement_residual(
 
 
 def _check_squeezing(r: float) -> None:
-    if r < 0:
-        raise ValueError("squeezing magnitude r must be >= 0")
+    _check_at_least(r, 0, "squeezing magnitude r")
 
 
 def _check_squeezed_window(n_max: int, n_pairs: int) -> None:
-    """At least one pair, and n_max inside the occupations 0..2N of N pairs."""
+    """N >= 1 pairs, 0 <= n_max <= 2N, and N + 1 pair weights within the cap."""
     _check_at_least(n_pairs, 1, f"N={n_pairs}")
     _check_window(n_max, n_pairs, factor=2)
+    _check_cap(n_pairs + 1, "pair weight count")
 
 
 # Truncation tolerance of the squeezed normalization: the weights left out
@@ -498,17 +505,18 @@ def commutator_residual(n_photons: int, n_max: int) -> float:
 
     The commutator is diagonal with entries i(1 - 2n/N), so the result
     equals 2*n_max/N exactly.  Q is tridiagonal, so the sector needs only
-    the leading (n_max + 2) block of each Q: the products cost O(n_max),
-    whatever N is, and give the same bits as the full matrices.
+    the leading (n_max + 2) block of each Q: the products, and the sector's
+    diagonal minus i and stored off-diagonal entries, cost O(n_max),
+    whatever N is, and give the same bits as the full dense matrices.
     """
     n_tot = int(n_photons)
     _check_commutator_window(n_max, n_tot)
     q0 = _quadrature_block(n_tot, 0.0, n_max + 2)
     q1 = _quadrature_block(n_tot, math.pi / 2, n_max + 2)
-    comm = (q0 @ q1 - q1 @ q0).tocsr()
-    sector = comm[: n_max + 1, : n_max + 1].toarray()
-    sector -= 1j * np.eye(n_max + 1)
-    return float(np.max(np.abs(sector)))
+    comm = (q0 @ q1 - q1 @ q0).tocsr()[: n_max + 1, : n_max + 1]
+    rows = np.repeat(np.arange(n_max + 1), np.diff(comm.indptr))
+    dev = np.r_[comm.diagonal() - 1j, comm.data[rows != comm.indices]]
+    return float(np.max(np.abs(dev)))
 
 
 @dataclass(frozen=True)
@@ -567,6 +575,13 @@ def _coherent_pair_window(
         k_max = 2 * k_max + 1
 
 
+def _check_overlap(alpha: complex, beta: complex, n_tot: int) -> None:
+    """|alpha|^2, |beta|^2 < N, and all N + 1 amplitudes within the cap."""
+    _check_amplitude(alpha, n_tot)
+    _check_amplitude(beta, n_tot, "beta")
+    _check_window(n_tot, n_tot)
+
+
 @dataclass(frozen=True)
 class OverlapRecord:
     exact: complex
@@ -604,8 +619,7 @@ def overlap_asymptotics(
     partial sums of 0.
     """
     n_tot = int(n_photons)
-    _check_amplitude(alpha, n_tot)
-    _check_amplitude(beta, n_tot, "beta")
+    _check_overlap(alpha, beta, n_tot)
     base = (
         math.sqrt(1.0 - abs(alpha) ** 2 / n_tot)
         * math.sqrt(1.0 - abs(beta) ** 2 / n_tot)

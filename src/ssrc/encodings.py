@@ -18,8 +18,8 @@ gives a rotation search its first start takes blocks of theta' values at
 once, and all restarts of a search run one BFGS each in lockstep, with the
 trial points of each iteration evaluated as one batch.  Batched arithmetic
 is row by row, so every restart ends on the same bits as it would alone.
-A search needs ``restarts >= 1`` and a Fock pair N >= 1; ``ssrc validate``
-calls the same checks.
+A search needs ``restarts >= 1``, a Fock pair N >= 1, and stacks of dense
+matrices within ``STACK_BYTES``; ``ssrc validate`` calls the same checks.
 """
 
 from __future__ import annotations
@@ -498,6 +498,30 @@ class GateSearchResult:
 # changes the searches' results.
 _SCAN_BLOCK = 1 << 16
 _SEED_SPACING = 0.1
+# The scan's theta' values, its phi' and eta values, and theta's per block.
+_SCAN_THETAS = np.linspace(0.0, math.pi,
+                           math.ceil(math.pi / _SEED_SPACING) + 1)
+_SCAN_CIRCLE = np.arange(0.0, 2.0 * math.pi, _SEED_SPACING)
+_SCAN_ROTATIONS = max(1, _SCAN_BLOCK // len(_SCAN_CIRCLE) ** 2)
+
+#: Bytes one stack of complex dim x dim matrices of a gate search may take.
+#: Two or three such stacks are alive at once.
+STACK_BYTES = 1 << 30
+
+
+def _check_stack(n_photons: int, restarts: int, mesh: bool = False) -> None:
+    """The largest matrix stack of a search at N fits in ``STACK_BYTES``:
+    ``sg_gate_search`` (N + 1 states) stacks 3 generators per start in each
+    BFGS step and ``_SCAN_ROTATIONS`` per scan block; the ``mesh`` of
+    ``cnot_search`` (qubits of at most N photons, at most C(2N + 3, 3)
+    states) stacks 6 pair rotations per start."""
+    matrices, dim = ((6 * restarts, math.comb(2 * n_photons + 3, 3)) if mesh
+                     else (max(3 * restarts, _SCAN_ROTATIONS), n_photons + 1))
+    size = matrices * dim * dim * 16
+    if size > STACK_BYTES:
+        raise ValueError(f"N={n_photons} needs a stack of {matrices} complex "
+                         f"{dim} x {dim} matrices, {size:.3g} bytes, above "
+                         f"the bound of {STACK_BYTES} bytes")
 
 
 def _seed_scan(manifold: _RotationManifold) -> np.ndarray:
@@ -506,15 +530,11 @@ def _seed_scan(manifold: _RotationManifold) -> np.ndarray:
     theta' runs over [0, pi] and phi', eta over [0, 2 pi) at spacing 0.1;
     the largest |tr(G^dagger A)| wins, the earliest theta' slice on ties.
     """
-    thetas = np.linspace(
-        0.0, math.pi, int(math.ceil(math.pi / _SEED_SPACING)) + 1
-    )
-    circ = np.arange(0.0, 2.0 * math.pi, _SEED_SPACING)
+    circ = _SCAN_CIRCLE
     eta_phases = np.exp(1j * np.outer(circ, manifold.m))
-    block = max(1, _SCAN_BLOCK // (len(circ) * len(circ)))
     best_trace, best = -1.0, None
-    for lo in range(0, len(thetas), block):
-        chunk = thetas[lo:lo + block]
+    for lo in range(0, len(_SCAN_THETAS), _SCAN_ROTATIONS):
+        chunk = _SCAN_THETAS[lo:lo + _SCAN_ROTATIONS]
         slab = manifold.trace_slab(chunk, circ, eta_phases)
         it, ip, ie = np.unravel_index(np.argmax(slab), slab.shape)
         if slab[it, ip, ie] > best_trace:
@@ -670,6 +690,7 @@ def sg_gate_search(
     ties, so the result is deterministic given the seed.
     """
     _check_restarts(restarts)
+    _check_stack(enc.basis.total_photons, restarts)
     target = np.asarray(target, dtype=np.complex128)
     manifold = _RotationManifold(enc, target)
     starts = [_seed_scan(manifold)] + _uniform_starts(
@@ -815,8 +836,9 @@ def cnot_search(
         enc_a = enc_b = enc_pair
     else:
         enc_a, enc_b = enc_pair
-    total = enc_a.basis.total_photons + enc_b.basis.total_photons
-    basis = make_basis(4, total)
+    n_a, n_b = enc_a.basis.total_photons, enc_b.basis.total_photons
+    basis = make_basis(4, n_a + n_b)
+    _check_stack(max(n_a, n_b), restarts, mesh=True)
     codes = _composite_codes(enc_a, enc_b, basis)
     if target is None:
         target = cnot_gate()

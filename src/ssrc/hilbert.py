@@ -49,6 +49,12 @@ def _check_at_least(value: int, minimum: int, name: str) -> None:
         raise ValueError(f"{name} must be >= {minimum}")
 
 
+def _check_cap(size: int, what: str, cap: int = DIMENSION_CAP_DEFAULT) -> None:
+    """Raise ``DimensionCapError`` if ``size`` entries exceed ``cap``."""
+    if size > cap:
+        raise DimensionCapError(f"{what} {size} exceeds cap {cap}")
+
+
 def _comb(x: np.ndarray, r: int) -> np.ndarray:
     """C(x + r, r) elementwise, exact in the dtype of ``x``."""
     c = np.ones_like(x)
@@ -132,10 +138,7 @@ def make_basis(
     if total_photons < 0:
         raise ValueError("total photon number must be non-negative")
     basis = FockBasis(num_modes, total_photons)
-    if basis.dimension > dimension_cap:
-        raise DimensionCapError(
-            f"basis dimension {basis.dimension} exceeds cap {dimension_cap}"
-        )
+    _check_cap(basis.dimension, "basis dimension", dimension_cap)
     return basis
 
 

@@ -579,11 +579,12 @@ def random_support_target(
 
 @dataclass(frozen=True)
 class ComplexityProbeResult:
-    """Per-N plan sizes plus log-log slopes of the size columns."""
+    """Per-N plan sizes plus log-log slopes of the size columns (None on a
+    one-point grid)."""
 
     rows: tuple[tuple[int, int, int, float], ...]  # (N, steps, reps, fidelity)
-    slope_steps: float
-    slope_repetitions: float
+    slope_steps: float | None
+    slope_repetitions: float | None
 
 
 def synthesis_complexity_probe(
@@ -633,5 +634,5 @@ def synthesis_complexity_probe(
     return ComplexityProbeResult(tuple(rows), slope_steps, slope_reps)
 
 
-def _loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    return float(_loglog_fit(xs, ys)[2]) if len(xs) >= 2 else float("nan")
+def _loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float | None:
+    return float(_loglog_fit(xs, ys)[2]) if len(xs) >= 2 else None

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -231,7 +232,8 @@ class TestLoadConfig:
                 n_list = 1
                 resolution = 0.75
                 """),
-            ("exceeds cap", """
+            # The stack bound, not a basis cap, rejects the mesh at N = 100.
+            ("N=100 needs a stack of 48 complex 1373701 x 1373701", """
                 [experiment]
                 name = cnot-feasibility
                 [parameters]
@@ -549,6 +551,39 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown output format"):
             load_config(path)
 
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_empty_grid(self, tmp_path, name):
+        path = write_ini(tmp_path, f"[experiment]\nname = {name}\n"
+                                   "[parameters]\nn_list =\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert "empty N grid" in err.value.violations
+
+
+# Each of these once validated and ran with the default seed or format:
+# a key under [experiment], a tail after [parameters], the violation.
+_UNKNOWN_KEYS = {
+    "experiment-key": ("sed = 0x1234\n", "",
+                       "unknown key 'sed' in [experiment]"),
+    "output-key": ("", "[output]\nfromat = json\n",
+                   "unknown key 'fromat' in [output]"),
+    "section": ("", "[outptu]\nformat = json\n", "unknown section [outptu]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNKNOWN_KEYS))
+def test_unknown_keys_rejected(tmp_path, capsys, case):
+    key, tail, message = _UNKNOWN_KEYS[case]
+    path = write_ini(tmp_path, f"[experiment]\nname = phase-locking\n{key}"
+                               f"[parameters]\ntheta = 0.2\nn_list = 100\n"
+                               f"{tail}")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().out == f"violation: {message}\n"
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
 
 def _hadamard_search(restarts):
     enc = encodings.fock_encoding(make_basis(2, 1))
@@ -649,11 +684,36 @@ _LIBRARY_RULES = {
     "cnot-restarts": (
         "cnot-feasibility", "n_list = 1\nrestarts = 0",
         lambda: _cnot_search(0)),
+    # The size rules, each asked of the code that builds the array.
+    "coherent-window-cap": (
+        "convergence-coherent",
+        "alpha = 1.0\nn_list = 2000000\nn_max = 1048576",
+        lambda: cvlimit.coherent_window_fidelity(1.0, 2000000, 1048576)),
+    "window-n-max": (
+        "commutator", "n_list = 1099511627777",
+        lambda: cvlimit.commutator_residual(2**40 + 1, 10)),
+    "squeezed-pair-cap": (
+        "convergence-squeezed", "r = 0.5\nn_list = 1048576",
+        lambda: cvlimit.squeezed_window_fidelity(0.5, 0.0, 1048576, 20)),
+    "overlap-cap": (
+        "overlap", "alpha = 1.0\nbeta = 0.5\nn_list = 2, 1048576",
+        lambda: cvlimit.overlap_asymptotics(1.0, 0.5, 1048576)),
+    "encoding-stack": (
+        "encoding-feasibility", "n_list = 1, 1672",
+        lambda: encodings.sg_gate_search(
+            hadamard_gate(), encodings.fock_encoding(make_basis(2, 1672)))),
+    "cnot-stack": (
+        "cnot-feasibility", "n_list = 9",
+        lambda: encodings.cnot_search(
+            encodings.fock_encoding(make_basis(2, 9)))),
 }
 
 
 @pytest.mark.parametrize("rule", sorted(_LIBRARY_RULES))
-def test_violation_is_the_library_message(tmp_path, rule):
+def test_violation_is_the_library_message(tmp_path, monkeypatch, rule):
+    # Every call must raise before a gate search builds its matrices.
+    for builder in ("_RotationManifold", "_composite_codes"):
+        monkeypatch.setattr(encodings, builder, None)
     name, params, call = _LIBRARY_RULES[rule]
     path = write_ini(tmp_path, f"[experiment]\nname = {name}\n"
                                f"[parameters]\n{params}\n")
@@ -768,6 +828,29 @@ class TestRunExperiment:
         for line in lines[1:]:
             fid = float(line.split(",")[-1])
             assert fid >= 0.99
+
+    def test_json_files_are_strict_json(self, tmp_path):
+        # A one-point synthesis-complexity grid once wrote its slopes as a
+        # bare NaN, which strict JSON parsers reject; they are now null.
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        one_point = write_ini(tmp_path, """
+            [experiment]
+            name = synthesis-complexity
+            [parameters]
+            n_list = 2
+            """)
+        paths = sorted((_REPO / "configs").glob("*.ini")) + [one_point]
+        assert len(paths) == 11
+        for path in paths:
+            config = dataclasses.replace(load_config(path), fmt="json")
+            written = run_experiment(config, tmp_path / path.stem)
+            docs = [json.loads(out.read_text(encoding="utf-8"),
+                               parse_constant=reject) for out in written]
+        for doc in docs:  # the data file and sidecar of the one-point grid
+            assert doc["derived"] == {"slope_steps": None,
+                                      "slope_repetitions": None}
 
     def test_runs_without_threads(self, tmp_path, monkeypatch):
         # Grid points and search restarts run inline, in grid order.
@@ -930,6 +1013,27 @@ class TestMain:
             (codes[2] / "convergence-coherent.meta.json").read_text())
         assert meta["derived"] == {"rate": None, "r_squared": None}
 
+    @pytest.mark.parametrize("body, column, call", [
+        ("name = convergence-coherent\n[parameters]\nalpha = 1.0\n"
+         "n_list = 100, 2000000", 1,
+         lambda n: 1.0 - cvlimit.coherent_window_fidelity(1.0, n, 30)),
+        ("name = convergence-squeezed\n[parameters]\nr = 0.5\n"
+         "n_list = 600000", 1,
+         lambda n: 1.0 - cvlimit.squeezed_window_fidelity(0.5, 0.0, n, 20)),
+        ("name = commutator\n[parameters]\nn_list = 5000000", 2,
+         lambda n: cvlimit.commutator_residual(n, 10)),
+    ], ids=["coherent", "squeezed", "commutator"])
+    def test_cv_grids_beyond_a_basis_cap_run(self, tmp_path, body, column,
+                                             call):
+        # These once failed validation on a two-mode basis of N + 1 (2N + 1
+        # squeezed) states above 2^20, which no CV run builds.
+        codes = self._validate_then_run(tmp_path, f"[experiment]\n{body}\n")
+        assert codes[:2] == (0, 0)
+        data = next(codes[2].glob("*.csv")).read_text().splitlines()[1:]
+        rows = [line.split(",") for line in data]
+        assert [float(row[column]) for row in rows] == [
+            call(int(row[0])) for row in rows]
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.ini"
         assert main(["run", "--config", str(missing)]) == 2
@@ -1057,13 +1161,22 @@ class TestGeneratedConfigs:
             assert (code == 0) == any(out_dir.glob("*.csv")), text
 
 
-# Gate grids near the basis caps and stack bounds, beside small and
-# negative ones.
+# Gate grids near the stack bounds, beside small and negative ones.
 _GATE_GRID = _grid(10) | st.sampled_from(
     ["-2", "-1, 0", "1671", "1672", "2048", "1, 100000", "8", "9", "90",
      "100"])
+# CV grids and windows at the edges of the size rules: windows of 2^20
+# entries, 2^20 squeezed pairs or overlap amplitudes, and N = 2^40.
+_CV_GRID = _grid(200) | st.sampled_from(
+    ["1048575", "1048576", "100, 2000000", "600000", "5000000",
+     "1099511627776", "1099511627777"])
+_CV_WINDOW = _INTS | st.sampled_from([1048574, 1048575, 1048576])
 _VALIDATED = {
     **_GENERATED,
+    **{name: {**keys, "n_list": _CV_GRID,
+              **({"n_max": _CV_WINDOW} if "n_max" in keys else {})}
+       for name, keys in _GENERATED.items()
+       if not name.startswith("synthesis")},
     "encoding-feasibility": {
         "n_list": _GATE_GRID, "restarts": st.integers(-1, 13),
         "target": st.sampled_from(["hadamard", "t", "ry:0.3", "RZ:-2",

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssrc.cvlimit import (
+    WINDOW_N_MAX,
     AmplitudeBoundError,
     ConvergenceReport,
     WindowTooSmallError,
@@ -31,7 +32,8 @@ from ssrc.cvlimit import (
     truncated_squeezed_reference,
     uncertainty_check,
 )
-from ssrc.hilbert import State, basis_state, inner_product, make_basis
+from ssrc.hilbert import (DimensionCapError, State, basis_state,
+                          inner_product, make_basis)
 from ssrc.schwinger import _hop_csr, exp_unitary, j_operator, rotation
 
 FIXTURES = json.loads(
@@ -374,6 +376,50 @@ class TestWindows:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_window_cap_edge(self):
+        # A window of 2^20 entries fits the cap at any N up to 2^40; one
+        # entry more does not.  N itself is not capped by a basis.
+        edge = 2**20 - 1
+        assert 0 < coherent_window_fidelity(1.0, 2**21, edge) <= 1
+        assert 0 < commutator_residual(2**21, edge) < 1
+        for call in (lambda: coherent_window_fidelity(1.0, 2**21, edge + 1),
+                     lambda: displacement_residual(1.0, 2, 2**21, edge + 1),
+                     lambda: commutator_residual(2**21, edge + 1)):
+            with pytest.raises(DimensionCapError,
+                               match="window size 1048577 exceeds cap"):
+                call()
+
+    def test_window_n_edge(self):
+        # Past N = 2^40 the int64 products of the displacement recurrence
+        # and the quadrature block could overflow; at 2^62 they once gave a
+        # residual of 1.04 and a NaN.
+        n = WINDOW_N_MAX
+        assert commutator_residual(n, 10) == pytest.approx(20 / n, rel=1e-9)
+        assert displacement_residual(1.0, 2, n, 40) < 1e-9
+        assert coherent_window_fidelity(1.0, n, 30) == 1.0
+        for call in (lambda: commutator_residual(n + 1, 10),
+                     lambda: displacement_residual(1.0, 2, n + 1, 40),
+                     lambda: coherent_window_fidelity(1.0, n + 1, 30)):
+            with pytest.raises(DimensionCapError,
+                               match=f"N {n + 1} exceeds cap {n}"):
+                call()
+
+    def test_squeezed_pair_cap_edge(self):
+        # The normalization may need all N + 1 pair weights, so N + 1, not
+        # the 2N + 1 states of the full construction, must fit the cap.
+        assert 0 < squeezed_window_fidelity(0.5, 0.0, 2**20 - 1, 20) <= 1
+        with pytest.raises(DimensionCapError,
+                           match="pair weight count 1048577 exceeds cap"):
+            squeezed_window_fidelity(0.5, 0.0, 2**20, 20)
+
+    def test_overlap_cap_edge(self):
+        # The overlap window reaches all N + 1 amplitudes at worst.
+        rec = overlap_asymptotics(1.0, 0.5, 2**20 - 1)
+        assert abs(rec.exact - rec.statevector) < 1e-10
+        with pytest.raises(DimensionCapError,
+                           match="window size 1048577 exceeds cap"):
+            overlap_asymptotics(1.0, 0.5, 2**20)
 
     def test_windows_reject_out_of_range(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from ssrc.encodings import (
     t_gate,
 )
 from ssrc.encodings import (
+    _check_stack,
     _composite_codes,
     _descend,
     _MeshManifold,
@@ -576,6 +577,48 @@ class TestCnot:
         enc = fock_encoding(make_basis(2, 92))
         with pytest.raises(DimensionCapError):
             cnot_search(enc, restarts=1)
+
+
+class TestStackBound:
+    """Each search checks its largest matrix stack before it builds one."""
+
+    @pytest.mark.parametrize("n, restarts, mesh", [
+        (1671, 8, False), (2047, 1, False), (8, 8, True), (8, 11, True)])
+    def test_edges_pass(self, n, restarts, mesh):
+        _check_stack(n, restarts, mesh)
+
+    def test_rotation_search_over_raises_first(self, monkeypatch):
+        import ssrc.encodings as encodings
+
+        def refuse(*args):
+            raise AssertionError("the search built its manifold")
+
+        monkeypatch.setattr(encodings, "_RotationManifold", refuse)
+        enc = fock_encoding(make_basis(2, 1672))
+        with pytest.raises(ValueError, match="N=1672 needs a stack of 24 "
+                           "complex 1673 x 1673 matrices"):
+            sg_gate_search(hadamard_gate(), enc, restarts=8)
+        enc = fock_encoding(make_basis(2, 2048))
+        with pytest.raises(ValueError, match="N=2048 needs a stack of 16 "):
+            sg_gate_search(hadamard_gate(), enc, restarts=1)
+
+    def test_mesh_search_over_raises_first(self, monkeypatch):
+        import ssrc.encodings as encodings
+
+        def refuse(*args):
+            raise AssertionError("the search built its code columns")
+
+        monkeypatch.setattr(encodings, "_composite_codes", refuse)
+        enc = fock_encoding(make_basis(2, 9))
+        with pytest.raises(ValueError, match="N=9 needs a stack of 48 "
+                           "complex 1330 x 1330 matrices"):
+            cnot_search(enc, restarts=8)
+        with pytest.raises(ValueError, match="N=8 needs a stack of 72 "):
+            cnot_search(fock_encoding(make_basis(2, 8)), restarts=12)
+        # Qubits of 8 and 9 photons: the larger N bounds the stack.
+        with pytest.raises(ValueError, match="N=9 needs a stack of 42 "
+                           "complex 1330 x 1330 matrices"):
+            cnot_search((fock_encoding(make_basis(2, 8)), enc), restarts=7)
 
 
 class TestFeasibilityReport:
