@@ -14,10 +14,11 @@ computes only the signal occupations n <= n_max, plus, for the squeezed
 normalization, as many weights as a proven tail bound needs.  So does the
 overlap cross-check, over the window past which both coherent amplitude
 vectors are exactly zero.  Each full state is built by the same helper as
-its window, with the window set to N.  Likewise a quadrature is a
-``scipy.sparse`` CSR matrix built in closed form from the J+/J- entries,
-whole for ``quadrature_operator`` and as the leading block for the
-commutator residual; neither builds a basis.
+its window, with the window set to N.  Likewise the two bands of a
+quadrature come in closed form from the J+/J- entries:
+``quadrature_operator`` makes them a ``scipy.sparse`` CSR matrix, and the
+commutator residual takes its sector from the bands of the leading block
+alone; neither builds a basis.
 
 Each precondition is a named ``_check_*`` that raises ``ValueError``, and
 ``ssrc validate`` calls the same checks; the size rules cap each array.
@@ -69,7 +70,7 @@ def _check_increasing(n_list: Sequence[int]) -> None:
 
 
 #: Largest N of a window: the int64 products of the displacement recurrence
-#: and the quadrature block, up to about 4 n_max N, then stay below 2^63.
+#: and the quadrature bands, up to about 4 n_max N, then stay below 2^63.
 WINDOW_N_MAX = 1 << 40
 
 
@@ -190,14 +191,20 @@ def coherent_window_fidelity(
 # Displacement comparison
 
 
-def _displaced_window(
-    alpha: complex, k: int, n_max: int, n_tot: int | None = None
-) -> np.ndarray:
-    """Signal-mode amplitudes ⟨m| of a displaced |k⟩, m <= n_max.
+#: Recurrence coefficients built at once by ``_displaced_windows``: a block
+#: of j values spans at most this many (j, row, m) entries.
+_RECURRENCE_BLOCK = 1 << 16
 
-    With ``n_tot`` None this is the exact single-mode ⟨m|D(alpha)|k⟩;
+
+def _displaced_windows(
+    alpha: complex, k: int, n_max: int, n_tots: Sequence[int | None]
+) -> np.ndarray:
+    """Signal-mode amplitudes ⟨m| of a displaced |k⟩, m <= n_max: one row
+    per entry of ``n_tots``.
+
+    A row with ``n_tot`` None is the exact single-mode ⟨m|D(alpha)|k⟩;
     otherwise the finite-N construction, the rotated |k, N-k⟩.  With
-    lo, hi = min(m, k), max(m, k) and a = hi - lo, row m is
+    lo, hi = min(m, k), max(m, k) and a = hi - lo, entry m is
 
       (-1)^{k-lo} e^{i arg(alpha) (m-k)} G(m) P(m),
 
@@ -217,47 +224,70 @@ def _displaced_window(
     60-digit evaluation.  The N-dependent product is a running sum of
     log1p(-i/N).  The exact P is at most e^{|alpha|^2/2} (a classical
     Laguerre bound), so only windows with |alpha|^2 above about 1400 can
-    overflow; that raises OverflowError.  The cost is O(n_max k), whatever
-    N is; the finite-N window needs n_max <= N.
+    overflow; that raises OverflowError.
+
+    All rows step through one recurrence on the stack, and r_j, q_j are
+    built for a block of j values at once, at most ``_RECURRENCE_BLOCK``
+    entries.  Every entry takes the same operations in the same order as
+    a row computed alone, so a row's bits depend neither on the other rows
+    nor on the block.  The cost is O(n_max k) per row, whatever N is; a
+    finite-N row needs n_max <= N.
     """
     from scipy.special import gammaln
 
-    out = np.zeros(n_max + 1, dtype=np.complex128)
+    out = np.zeros((len(n_tots), n_max + 1), dtype=np.complex128)
     if alpha == 0:
-        out[k] = 1.0
+        out[:, k] = 1.0
         return out
     m = np.arange(n_max + 1)
     lo, hi = np.minimum(m, k), np.maximum(m, k)
     a = hi - lo
     mod2 = abs(alpha) ** 2
-    log_g = (0.5 * (gammaln(hi + 1) - gammaln(lo + 1)) - gammaln(a + 1)
-             + a * math.log(abs(alpha)))
+    log_g0 = (0.5 * (gammaln(hi + 1) - gammaln(lo + 1)) - gammaln(a + 1)
+              + a * math.log(abs(alpha)))
+    log_g, degree = np.empty(out.shape), np.empty(out.shape, dtype=np.int64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if n_tot is None:
-            degree = lo
-            log_g -= mod2 / 2.0
-        else:
-            b = np.abs(n_tot - m - k)
-            degree = np.minimum(lo, n_tot - hi)
-            edge = np.concatenate(
-                [[0.0], np.cumsum(np.log1p(-np.arange(n_max) / n_tot))])
-            log_g += (0.5 * (edge[hi] - edge[lo])
-                      + 0.5 * b * math.log1p(-mod2 / n_tot))
-        poly, diff = np.ones(n_max + 1), np.zeros(n_max + 1)
-        for j in range(k):
+        bs = []
+        for row, n_tot in enumerate(n_tots):
             if n_tot is None:
-                ratio, drive = j / (j + a + 1.0), mod2 / (j + a + 1.0)
+                bs.append(None)
+                degree[row] = lo
+                log_g[row] = log_g0 - mod2 / 2.0
             else:
-                s = 2.0 * j + a + b
-                ratio = 0.0 if j == 0 else (j * (j + b) * (s + 2)
-                                            / ((j + a + b + 1) * s
-                                               * (j + a + 1)))
-                drive = ((s + 1) * (s + 2) * (2.0 * mod2 / n_tot)
-                         / (2 * (j + a + b + 1) * (j + a + 1)))
-            step = ratio * diff - drive * poly
-            live = j < degree
-            diff = np.where(live, step, diff)
-            poly = np.where(live, poly + step, poly)
+                b = np.abs(n_tot - m - k)
+                bs.append(b)
+                degree[row] = np.minimum(lo, n_tot - hi)
+                edge = np.concatenate(
+                    [[0.0], np.cumsum(np.log1p(-np.arange(n_max) / n_tot))])
+                log_g[row] = log_g0 + (0.5 * (edge[hi] - edge[lo])
+                                       + 0.5 * b * math.log1p(-mod2 / n_tot))
+        poly, diff = np.ones(out.shape), np.zeros(out.shape)
+        size = max(1, _RECURRENCE_BLOCK // out.size)
+        for first in range(0, k, size):
+            j = np.arange(first, min(first + size, k))[:, None]
+            # Integers below 2^53 convert exactly, so dividing by the int64
+            # j + a + 1 gives the bits of dividing by j + a + 1.0.
+            ja = j + a
+            ja1 = ja + 1
+            ratio = np.empty((len(j), *out.shape))
+            drive = np.empty_like(ratio)
+            for row, (n_tot, b) in enumerate(zip(n_tots, bs)):
+                if n_tot is None:
+                    ratio[:, row] = j / ja1
+                    drive[:, row] = mod2 / ja1
+                else:
+                    s = 2.0 * j + a + b
+                    s2, jab1 = s + 2, ja + b + 1
+                    ratio[:, row] = j * (j + b) * s2 / (jab1 * s * ja1)
+                    drive[:, row] = ((s + 1) * s2 * (2.0 * mod2 / n_tot)
+                                     / (2 * jab1 * ja1))
+            if first == 0:
+                ratio[0] = 0.0  # r_0 = 0; its formula is 0/0 at a = b = 0
+            live = j[:, :, None] < degree
+            for t in range(len(j)):
+                step = ratio[t] * diff - drive[t] * poly
+                np.copyto(diff, step, where=live[t])
+                np.add(poly, step, out=poly, where=live[t])
         mag = np.sign(poly) * np.exp(log_g + np.log(np.abs(poly)))
     if not np.all(np.isfinite(mag)):
         raise OverflowError(
@@ -270,13 +300,27 @@ def _displaced_window(
 def displaced_fock_window(alpha: complex, k: int, n_max: int) -> np.ndarray:
     """Amplitudes ⟨m|D(alpha)|k⟩ for m <= n_max (exact single-mode series,
     computed in O(n_max k))."""
-    return _displaced_window(alpha, k, n_max)
+    return _displaced_windows(alpha, k, n_max, (None,))[0]
+
+
+#: Largest (n_max + 1) k of a displacement residual: its recurrence costs
+#: O(n_max k), and at this bound its two windows take about 2 s of CPU
+#: (1.7-2.5 s at k = 4096, n_max = 16383 on one core of a 2-core x86-64
+#: VM).
+DISPLACEMENT_WORK_MAX = 1 << 26
 
 
 def _check_displacement_k(k: int, n_max: int) -> None:
-    """The displaced Fock state |k⟩ must lie inside the window."""
+    """The displaced Fock state |k⟩ must lie inside the window, and the
+    window's recurrence, (n_max + 1) k steps, within
+    ``DISPLACEMENT_WORK_MAX``."""
     if not 0 <= k <= n_max:
         raise ValueError(f"need 0 <= k <= n_max, got k={k} n_max={n_max}")
+    work = (n_max + 1) * k
+    if work > DISPLACEMENT_WORK_MAX:
+        raise ValueError(
+            f"displacement recurrence (n_max + 1) k = {work} exceeds "
+            f"{DISPLACEMENT_WORK_MAX} at k={k} n_max={n_max}")
 
 
 def displacement_residual(
@@ -285,6 +329,7 @@ def displacement_residual(
     """l2 distance between the finite-N rotated-Fock window and the exact
     displaced-Fock window, each renormalized on occupations <= n_max.
 
+    Both windows are the two rows of one ``_displaced_windows`` stack.
     Requires both sides to hold all but 1e-6 of their mass inside the
     window (both are normalized over their full spaces).
     """
@@ -292,8 +337,7 @@ def displacement_residual(
     _check_amplitude(alpha, n_tot)
     _check_window(n_max, n_tot)
     _check_displacement_k(k, n_max)
-    ssrc = _displaced_window(alpha, k, n_max, n_tot)
-    fock = displaced_fock_window(alpha, k, n_max)
+    ssrc, fock = _displaced_windows(alpha, k, n_max, (n_tot, None))
     for name, vec in (("finite-N", ssrc), ("displaced-Fock", fock)):
         outside = 1.0 - float(np.sum(np.abs(vec) ** 2))
         if outside > 1e-6:
@@ -459,24 +503,33 @@ def squeezed_window_fidelity(
 # Quadratures
 
 
-def _quadrature_block(n_tot: int, phi: float, size: int) -> sp.csr_matrix:
-    """Leading size x size block of Q(N, phi): the occupations n < size.
+def _quadrature_bands(
+    n_tot: int, phi: float, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bands of the leading size x size block of Q(N, phi), the occupations
+    n < size: entry n of the first is (n, n+1), of the second (n+1, n).
 
     J+ holds v_n = sqrt((n+1)(N-n)) at (n+1, n) and J- at (n, n+1), so
-    the block costs O(size) and builds no basis.  The bands are the bits
-    of (e^{-i phi} J- + e^{i phi} J+) / sqrt(2N) in sparse arithmetic;
-    row n holds the entry below the diagonal, then the one above.
+    the bands cost O(size) and need no basis.  They are the bits of
+    (e^{-i phi} J- + e^{i phi} J+) / sqrt(2N) in sparse arithmetic.
     """
-    import scipy.sparse as sp
-
     _check_at_least(n_tot, 1, f"N={n_tot}")
     n = np.arange(size - 1)
     v = np.sqrt((n + 1) * (n_tot - n)).astype(np.complex128)
     scale = 1 / math.sqrt(2.0 * n_tot)
-    data = np.empty(2 * (size - 1), dtype=np.complex128)
     # "+ 0" and "* scale" repeat the sparse sum and scalar division.
-    data[0::2] = (v * cmath.exp(-1j * phi) + 0) * scale  # (n, n+1)
-    data[1::2] = (v * cmath.exp(1j * phi) + 0) * scale  # (n+1, n)
+    return ((v * cmath.exp(-1j * phi) + 0) * scale,
+            (v * cmath.exp(1j * phi) + 0) * scale)
+
+
+def _quadrature_block(n_tot: int, phi: float, size: int) -> sp.csr_matrix:
+    """Leading size x size block of Q(N, phi) from ``_quadrature_bands``;
+    row n holds the entry below the diagonal, then the one above."""
+    import scipy.sparse as sp
+
+    data = np.empty(2 * (size - 1), dtype=np.complex128)
+    data[0::2], data[1::2] = _quadrature_bands(n_tot, phi, size)
+    n = np.arange(size - 1)
     indices = np.empty_like(data, dtype=np.int32)
     indices[0::2], indices[1::2] = n + 1, n
     indptr = np.r_[0, np.arange(1, 2 * size - 2, 2), 2 * size - 2]
@@ -500,22 +553,50 @@ def _check_commutator_window(n_max: int, n_tot: int) -> None:
         raise ValueError(f"need n_max < N; got n_max={n_max} N={n_tot}")
 
 
+def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x y for complex entries held as (real, imaginary) on axis 0, in
+    sparse arithmetic's order: (xr yr - xi yi, xr yi + xi yr)."""
+    return np.stack([x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]])
+
+
 def commutator_residual(n_photons: int, n_max: int) -> float:
     """Max deviation of [Q(N,0), Q(N,pi/2)] from i on the n <= n_max sector.
 
     The commutator is diagonal with entries i(1 - 2n/N), so the result
     equals 2*n_max/N exactly.  Q is tridiagonal, so the sector needs only
-    the leading (n_max + 2) block of each Q: the products, and the sector's
-    diagonal minus i and stored off-diagonal entries, cost O(n_max),
-    whatever N is, and give the same bits as the full dense matrices.
+    the bands of the leading (n_max + 2) block of each Q, and its entries
+    lie on the diagonal and two steps off it.  They are taken from the
+    bands in O(n_max), whatever N is, in real arithmetic and in the order
+    of the sparse product: each row of A B sums, from 0, its product
+    through the entry below A's diagonal, then the one above.  So they
+    are the same bits as the full sparse matrices give.
     """
     n_tot = int(n_photons)
     _check_commutator_window(n_max, n_tot)
-    q0 = _quadrature_block(n_tot, 0.0, n_max + 2)
-    q1 = _quadrature_block(n_tot, math.pi / 2, n_max + 2)
-    comm = (q0 @ q1 - q1 @ q0).tocsr()[: n_max + 1, : n_max + 1]
-    rows = np.repeat(np.arange(n_max + 1), np.diff(comm.indptr))
-    dev = np.r_[comm.diagonal() - 1j, comm.data[rows != comm.indices]]
+    bands = np.array([_quadrature_bands(n_tot, phi, n_max + 2)
+                      for phi in (0.0, math.pi / 2)])
+    # Each band as [part, A, n]: A = Q(N, 0) in the product
+    # Q(N, 0) Q(N, pi/2), then Q(N, pi/2) in the reverse one; B, on the
+    # right, is the other Q.
+    upper_a, lower_a = (bands.view(np.float64).reshape(*bands.shape, 2)
+                        .transpose(1, 3, 0, 2))
+    upper_b, lower_b = upper_a[:, ::-1], lower_a[:, ::-1]
+    n = n_max
+    diag = np.zeros((2, 2, n + 1))
+    diag[..., 1:] += _times(lower_a[..., :n], upper_b[..., :n])
+    diag += _times(upper_a, lower_b)
+    # Entries (i, i+2) and (i+2, i), i <= n_max - 2: one product each,
+    # which summed from 0 differs at most in the sign of a zero, and the
+    # modulus drops that.
+    both = np.concatenate(
+        [diag,
+         _times(upper_a[..., : n - 1], upper_b[..., 1:n]),
+         _times(lower_a[..., 1:n], lower_b[..., : n - 1])],
+        axis=-1)
+    comm = both[:, 0] - both[:, 1]
+    dev = np.empty(comm.shape[1], dtype=np.complex128)
+    dev.real, dev.imag = comm
+    dev.imag[: n + 1] -= 1.0
     return float(np.max(np.abs(dev)))
 
 

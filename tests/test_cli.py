@@ -595,6 +595,10 @@ def _cnot_search(restarts):
     return encodings.cnot_search(enc, restarts=restarts)
 
 
+# The largest k that the displacement work bound admits at n_max = 16383.
+_WORK_EDGE_K = cvlimit.DISPLACEMENT_WORK_MAX // 16384
+
+
 # For each rule that validation asks the library, a config that breaks it
 # and nothing else, and the library call on the same values.
 _LIBRARY_RULES = {
@@ -621,6 +625,12 @@ _LIBRARY_RULES = {
     "displacement-k": (
         "convergence-displacement", "alpha = 1.0\nk = 5\nn_list = 100\n"
         "n_max = 4", lambda: cvlimit.displacement_residual(1.0, 5, 100, 4)),
+    "displacement-work": (
+        "convergence-displacement",
+        f"alpha = 1.0\nk = {_WORK_EDGE_K + 1}\nn_list = 20000\n"
+        "n_max = 16383",
+        lambda: cvlimit.displacement_residual(1.0, _WORK_EDGE_K + 1, 20000,
+                                              16383)),
     "squeezing": (
         "convergence-squeezed", "r = -1.0\nn_list = 50",
         lambda: cvlimit.squeezed_window_fidelity(-1.0, 0.0, 50, 20)),
@@ -707,6 +717,15 @@ _LIBRARY_RULES = {
         lambda: encodings.cnot_search(
             encodings.fock_encoding(make_basis(2, 9)))),
 }
+
+
+def test_displacement_work_edge_validates(tmp_path):
+    # One step of k below the "displacement-work" rule above.
+    path = write_ini(tmp_path, "[experiment]\nname = convergence-displacement"
+                               f"\n[parameters]\nalpha = 1.0\n"
+                               f"k = {_WORK_EDGE_K}\nn_list = 20000\n"
+                               "n_max = 16383\n")
+    assert main(["validate", "--config", str(path)]) == 0
 
 
 @pytest.mark.parametrize("rule", sorted(_LIBRARY_RULES))
@@ -1240,9 +1259,12 @@ def test_cli_import_and_validate_load_no_scipy():
     assert _scipy_loaded(code) == ["scipy: []"] * 2
 
 
-@pytest.mark.parametrize("name", ["encoding-feasibility", "cnot-feasibility"])
+@pytest.mark.parametrize("name", ["encoding-feasibility", "cnot-feasibility",
+                                  "commutator", "phase-locking"])
 def test_gate_runs_load_no_scipy(name, tmp_path):
-    # The gate experiments need NumPy's eigh and nothing from SciPy.
+    # The gate experiments need NumPy's eigh and nothing from SciPy; the
+    # commutator works on the quadratures' bands and phase locking on
+    # closed forms.
     config = str(_REPO / "configs" / f"{name}.ini")
     code = (f"import ssrc.cli\nassert ssrc.cli.main(['run', '--config', "
             f"{config!r}, '--out', {str(tmp_path)!r}]) == 0\n"

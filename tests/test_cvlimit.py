@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import pathlib
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssrc.cvlimit import (
+    DISPLACEMENT_WORK_MAX,
     WINDOW_N_MAX,
     AmplitudeBoundError,
     ConvergenceReport,
@@ -32,6 +34,8 @@ from ssrc.cvlimit import (
     truncated_squeezed_reference,
     uncertainty_check,
 )
+from ssrc.cvlimit import (_RECURRENCE_BLOCK, _check_displacement_k,
+                          _displaced_windows)
 from ssrc.hilbert import (DimensionCapError, State, basis_state,
                           inner_product, make_basis)
 from ssrc.schwinger import _hop_csr, exp_unitary, j_operator, rotation
@@ -39,6 +43,78 @@ from ssrc.schwinger import _hop_csr, exp_unitary, j_operator, rotation
 FIXTURES = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "oracles.json").read_text()
 )
+
+
+def _displaced_window(alpha, k, n_max, n_tot=None):
+    """One displaced-Fock window computed alone (exact with ``n_tot``
+    None), by the per-window recurrence that ``_displaced_windows``
+    stacks: the reference its rows must match in every bit."""
+    from scipy.special import gammaln
+
+    out = np.zeros(n_max + 1, dtype=np.complex128)
+    if alpha == 0:
+        out[k] = 1.0
+        return out
+    m = np.arange(n_max + 1)
+    lo, hi = np.minimum(m, k), np.maximum(m, k)
+    a = hi - lo
+    mod2 = abs(alpha) ** 2
+    log_g = (0.5 * (gammaln(hi + 1) - gammaln(lo + 1)) - gammaln(a + 1)
+             + a * math.log(abs(alpha)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if n_tot is None:
+            degree = lo
+            log_g -= mod2 / 2.0
+        else:
+            b = np.abs(n_tot - m - k)
+            degree = np.minimum(lo, n_tot - hi)
+            edge = np.concatenate(
+                [[0.0], np.cumsum(np.log1p(-np.arange(n_max) / n_tot))])
+            log_g += (0.5 * (edge[hi] - edge[lo])
+                      + 0.5 * b * math.log1p(-mod2 / n_tot))
+        poly, diff = np.ones(n_max + 1), np.zeros(n_max + 1)
+        for j in range(k):
+            if n_tot is None:
+                ratio, drive = j / (j + a + 1.0), mod2 / (j + a + 1.0)
+            else:
+                s = 2.0 * j + a + b
+                ratio = 0.0 if j == 0 else (j * (j + b) * (s + 2)
+                                            / ((j + a + b + 1) * s
+                                               * (j + a + 1)))
+                drive = ((s + 1) * (s + 2) * (2.0 * mod2 / n_tot)
+                         / (2 * (j + a + b + 1) * (j + a + 1)))
+            step = ratio * diff - drive * poly
+            live = j < degree
+            diff = np.where(live, step, diff)
+            poly = np.where(live, poly + step, poly)
+        mag = np.sign(poly) * np.exp(log_g + np.log(np.abs(poly)))
+    if not np.all(np.isfinite(mag)):
+        raise OverflowError("displacement series exceeds double range")
+    sign = 1.0 - 2.0 * ((k - lo) % 2)
+    return sign * mag * np.exp(1j * cmath.phase(alpha) * (m - k))
+
+
+def _window_cases(count, seed):
+    """(alpha, k, n_max, N): the edges, windows whose k spans several
+    recurrence blocks, then seeded draws with n_max <= 40."""
+    rng = random.Random(seed)
+    cases = [(0.0, 3, 6, 7), (0.8 - 0.3j, 0, 12, 100), (1.1j, 9, 9, 500),
+             (1.3 + 0.2j, 5, 12, 12), (1.9, 30, 30, 30),
+             (0.999 * math.sqrt(20), 6, 20, 20),
+             (1.3 + 0.4j, 300, 400, 10**6), (3.0 + 1.0j, 400, 400, 400),
+             (0.7j, 129, 2000, 10**5)]
+    while len(cases) < count:
+        n_max = rng.randint(0, 40)
+        k = rng.randint(0, n_max)
+        n = rng.choice((n_max, n_max + 1, rng.randint(n_max, 1000),
+                        rng.randint(n_max, 10**12))) or 1
+        draw = rng.random()
+        mag = (0.0 if draw < 0.05
+               else rng.uniform(0.9, 0.99999) * math.sqrt(n) if draw < 0.35
+               else rng.uniform(0.0, min(2.0, math.sqrt(n))))
+        cases.append((cmath.rect(mag, rng.uniform(-math.pi, math.pi)),
+                      k, n_max, n))
+    return cases
 
 
 class TestCoherent:
@@ -148,9 +224,7 @@ class TestDisplacement:
         )
         moved = State(basis, u @ basis_state(basis, (k, n - k)).amplitudes,
                       check_drift=True)
-        from ssrc.cvlimit import _displaced_window
-
-        window = _displaced_window(alpha, k, n_max, n)
+        (window,) = _displaced_windows(alpha, k, n_max, (n,))
         got = np.asarray(moved.amplitudes)[: n_max + 1]
         # Global phase of the unitary column is fixed by construction.
         assert np.max(np.abs(window - got)) < 1e-12
@@ -187,8 +261,6 @@ class TestDisplacement:
     def test_windows_match_rotation_and_expm(self, mag, ang, k, n):
         from scipy.linalg import expm
 
-        from ssrc.cvlimit import _displaced_window
-
         alpha = mag * complex(math.cos(ang), math.sin(ang))
         basis = make_basis(2, n)
         theta = 2.0 * math.asin(abs(alpha) / math.sqrt(n))
@@ -197,12 +269,45 @@ class TestDisplacement:
         )
         column = State(basis, u @ basis_state(basis, (k, n - k)).amplitudes,
                        check_drift=True).amplitudes
-        window = _displaced_window(alpha, k, n, n)
+        (window,) = _displaced_windows(alpha, k, n, (n,))
         assert np.max(np.abs(window - column)) < 1e-12
         a = np.diag(np.sqrt(np.arange(1, 60)), 1)
         d = expm(alpha * a.conj().T - np.conj(alpha) * a)
         assert np.max(np.abs(displaced_fock_window(alpha, k, 12)
                              - d[:13, k])) < 1e-13
+
+    def test_stacked_windows_match_the_per_window_recurrence(self):
+        # Both rows of the stack, and the exact window alone, are the
+        # per-window recurrence's bits, whichever block a j falls in.
+        cases = _window_cases(2000, 2025)
+        assert any(k > _RECURRENCE_BLOCK // (2 * (n_max + 1))
+                   for _, k, n_max, _ in cases)
+        for alpha, k, n_max, n in cases:
+            try:
+                refs = (_displaced_window(alpha, k, n_max, n),
+                        _displaced_window(alpha, k, n_max))
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    _displaced_windows(alpha, k, n_max, (n, None))
+                continue
+            rows = _displaced_windows(alpha, k, n_max, (n, None))
+            assert [row.tobytes() for row in rows] == [
+                ref.tobytes() for ref in refs], (alpha, k, n_max, n)
+            assert (displaced_fock_window(alpha, k, n_max).tobytes()
+                    == refs[1].tobytes())
+
+    def test_work_bound_edge(self):
+        # (n_max + 1) k up to DISPLACEMENT_WORK_MAX passes; one step of k
+        # more is refused before the recurrence runs, as is the k = n_max
+        # = 2^20 - 1 that once ran for hours.
+        n_max = 16383
+        edge = DISPLACEMENT_WORK_MAX // (n_max + 1)
+        _check_displacement_k(edge, n_max)
+        assert displacement_residual(0.0, edge, 10**6, n_max) == 0.0
+        for k, n_max in ((edge + 1, n_max), (2**20 - 1, 2**20 - 1)):
+            with pytest.raises(ValueError, match=rf"\(n_max \+ 1\) k = "
+                               rf"{(n_max + 1) * k} exceeds"):
+                displacement_residual(1.0, k, 2**21, n_max)
 
     def test_window_too_small(self):
         with pytest.raises(WindowTooSmallError):
@@ -302,8 +407,9 @@ class TestWindows:
             window = _squeezed_amplitudes(r, 0.4, n, n_max // 2)
             assert np.max(np.abs(window - full[: n_max + 1: 2])) <= 1e-15
 
-    @pytest.mark.parametrize("n, n_max", [(1, 0), (2, 1), (50, 10),
-                                          (10_000, 25)])
+    @pytest.mark.parametrize("n, n_max", [
+        (1, 0), (2, 1), (3, 2), (7, 6), (50, 10), (1000, 0), (1000, 1),
+        (1000, 2), (1000, 37), (1000, 998), (1000, 999), (10_000, 25)])
     def test_commutator_matches_full_matrices(self, n, n_max):
         # Reference: the full matrices, built from the basis's J+ and J-.
         basis = make_basis(2, n)
@@ -392,7 +498,7 @@ class TestWindows:
 
     def test_window_n_edge(self):
         # Past N = 2^40 the int64 products of the displacement recurrence
-        # and the quadrature block could overflow; at 2^62 they once gave a
+        # and the quadrature bands could overflow; at 2^62 they once gave a
         # residual of 1.04 and a NaN.
         n = WINDOW_N_MAX
         assert commutator_residual(n, 10) == pytest.approx(20 / n, rel=1e-9)

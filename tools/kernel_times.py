@@ -37,9 +37,9 @@ largest sizes (and the overlap also at N = 1e6), with their values:
   ``overlap`` shape that held the workload's tail) and N = 1e6, each
   with the modulus of its ``statevector``
 - ``commutator_residual(78753, 10)``, once cold (the first call in the
-  process) and then warm; it builds the two small quadrature blocks in
-  closed form, with no basis and no hop matrix, so the two rows differ
-  only by first-call overhead
+  process) and then warm; it takes the bands of the two quadratures in
+  closed form, with no basis, no hop matrix and no SciPy, so the two rows
+  differ only by first-call overhead
 
 Validation: ``ssrc.cli.load_config`` on all ten shipped ``configs/*.ini``
 in turn, in process, imports done: the median of ``VALIDATE_PASSES`` passes,
@@ -52,10 +52,10 @@ imports included, which is what a user pays per config.  Process start-up
 is noisy, so each row is the median and the min-max of ten runs, taken in
 ten rounds that each run every command once, in turn.
 
-The other timed rows are the median of five runs (the cold execution and
-CV rows are one run).  A header gives ``nproc``, the Python, NumPy, SciPy and BLAS
-versions and the thread environment variables, so two runs can be
-compared on one machine.
+The other timed rows, the warm CV rows among them, are the median of five
+runs (the cold execution and cold commutator rows are one run).  A header
+gives ``nproc``, the Python, NumPy, SciPy and BLAS versions and the thread
+environment variables, so two runs can be compared on one machine.
 The script runs unchanged on older commits (which print ``evaluations
 n/a``).
 
