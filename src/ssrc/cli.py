@@ -5,7 +5,9 @@ library modules; results are written as CSV (UTF-8, '.' decimal,
 scientific notation with 17 significant digits) or JSON, plus a
 ``.meta.json`` sidecar echoing the config, library version, and wall
 time.  Identical config and seed produce byte-identical data files;
-only the sidecar's timestamp/walltime fields may differ.
+only the sidecar's timestamp/walltime fields may differ.  A file that is
+already there is rewritten in place and cut to the new length, keeping
+its inode and mode.
 
 Validation asks the library: a rule that a library function enforces is
 its named ``_check_*`` (or the ``ValueError`` it raises), called at each
@@ -44,8 +46,10 @@ import configparser
 import datetime
 import json
 import math
+import os
 import pathlib
 import re
+import stat
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -520,6 +524,29 @@ def _plain(value):
     return value.item() if numpy_scalar else value
 
 
+def _rewrite(path: pathlib.Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, replacing what it held.
+
+    An existing file is overwritten in place and then cut to the new
+    length, not truncated to zero first: on ext4 (``auto_da_alloc``)
+    truncating a non-empty file frees its blocks and makes ``close`` start
+    writeback, which costs more than a short file's write.  The path, its
+    inode and its mode stay as ``write_text`` leaves them, and a symlink
+    is followed.  A run killed between the write and the cut leaves the
+    old file's tail after the new bytes.  Only a regular file is cut.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def run_experiment(
     config: ExperimentConfig, out_dir: str | pathlib.Path = "."
 ) -> list[pathlib.Path]:
@@ -540,7 +567,7 @@ def run_experiment(
     else:
         doc = {"columns": columns, "rows": rows, "derived": derived}
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    data_path.write_text(text, encoding="utf-8")
+    _rewrite(data_path, text)
 
     meta = {
         "experiment": config.name,
@@ -555,8 +582,7 @@ def run_experiment(
         "walltime_s": walltime,
     }
     meta_path = out / f"{config.filename}.meta.json"
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                         encoding="utf-8")
+    _rewrite(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return [data_path, meta_path]
 
 

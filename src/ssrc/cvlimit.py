@@ -20,6 +20,10 @@ quadrature come in closed form from the J+/J- entries:
 commutator residual takes its sector from the bands of the leading block
 alone; neither builds a basis.
 
+log k! comes from a port of the Cephes ``lgam`` that
+``scipy.special.gammaln`` runs, with the same bits, kept in a process-wide
+table; so the window quantities load no SciPy.
+
 Each precondition is a named ``_check_*`` that raises ``ValueError``, and
 ``ssrc validate`` calls the same checks; the size rules cap each array.
 """
@@ -86,6 +90,79 @@ def _check_window(n_max: int, n_tot: int, factor: int = 1) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Log-factorials
+
+
+# Cephes ``lgam`` (S. L. Moshier, "Methods and Programs for Mathematical
+# Functions", 1989), which ``scipy.special.gammaln`` runs: Stirling's
+# series for x >= 13 with these coefficients, evaluated in this order.
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+
+
+def _lgam_entries(first: int, stop: int) -> np.ndarray:
+    """log k! for first <= k < stop, in the bits of ``gammaln(k + 1)``.
+
+    For x = k + 1 < 13 Cephes returns log(z) with z = k! exact.  For
+    x >= 13 it returns ((x - 0.5) log x - x) + LS2PI, plus polevl(1/x^2,
+    A) / x below x = 1000, a shorter series above it, and no correction
+    beyond x = 1e8.  log x comes from the C library's ``log`` through
+    ``math.log``: ``np.log`` differs from it in the last bit on a few
+    inputs in a million.
+    """
+    k = np.arange(first, stop)
+    out = np.empty(len(k))
+    small = k < 12
+    out[small] = [math.log(float(math.factorial(i)))
+                  for i in k[small].tolist()]
+    x = (k[~small] + 1).astype(np.float64)
+    log_x = np.fromiter(map(math.log, x.tolist()), np.float64, len(x))
+    q = ((x - 0.5) * log_x - x) + _LS2PI
+    p = 1.0 / (x * x)
+    poly = np.full_like(p, _LGAM_A[0])
+    for coefficient in _LGAM_A[1:]:
+        poly = poly * p + coefficient
+    series = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3)
+              * p + 0.0833333333333333333333)
+    out[~small] = np.where(
+        x > 1.0e8, q, q + np.where(x >= 1000.0, series, poly) / x)
+    return out
+
+
+#: log k! for k < len(_LOG_FACTORIALS), read-only.  ``_log_factorial``
+#: grows it, by doubling, by binding a longer copy in its place.
+_LOG_FACTORIALS = np.empty(0)
+_LOG_FACTORIALS.flags.writeable = False
+
+
+def _log_factorial(k: np.ndarray) -> np.ndarray:
+    """log k! for an integer array k >= 0: the bits of ``gammaln(k + 1)``.
+
+    Entries come from the process-wide table ``_LOG_FACTORIALS``, grown to
+    max(k) + 1 entries, and at least double its length, when k passes its
+    end.  max(k) + 1 may not exceed the dimension cap: every capped window
+    needs at most that many, and the table lasts as long as the process.
+    """
+    global _LOG_FACTORIALS
+    k = np.asarray(k)
+    if k.min() < 0:
+        raise ValueError("log-factorial of a negative integer")
+    # One read of the module name: a thread that grows the table meanwhile
+    # binds a new array and leaves this one as it was.
+    table = _LOG_FACTORIALS
+    top = int(k.max()) + 1
+    if top > len(table):
+        _check_cap(top, "log-factorial count")
+        size = max(top, 2 * len(table))
+        table = np.concatenate([table, _lgam_entries(len(table), size)])
+        table.flags.writeable = False
+        _LOG_FACTORIALS = table
+    return table[k]
+
+
+# ---------------------------------------------------------------------------
 # Coherent states
 
 
@@ -100,8 +177,6 @@ def _coherent_amplitudes(
     k_max + 1 entries are the same in every bit whatever k_max <= N is:
     a window costs O(k_max), not O(N).
     """
-    from scipy.special import gammaln
-
     _check_amplitude(alpha, n_tot, vacuum_ok=True)
     mod2 = abs(alpha) ** 2
     if alpha == 0:
@@ -115,7 +190,7 @@ def _coherent_amplitudes(
     )
     logmag = (
         0.5 * prefix
-        - 0.5 * gammaln(k + 1)
+        - 0.5 * _log_factorial(k)
         + k * math.log(abs(alpha))
         + (n_tot - k) / 2.0 * math.log1p(-mod2 / n_tot)
     )
@@ -128,8 +203,8 @@ def coherent_from_rotation(alpha: complex, n_photons: int) -> State:
     alpha = 0 returns the reference state itself.
     """
     n_tot = int(n_photons)
-    amps = _coherent_amplitudes(alpha, n_tot, n_tot)
-    return State(make_basis(2, n_tot), amps)
+    basis = make_basis(2, n_tot)
+    return State(basis, _coherent_amplitudes(alpha, n_tot, n_tot))
 
 
 @dataclass(frozen=True)
@@ -157,8 +232,6 @@ def truncated_coherent_reference(
 ) -> TruncatedReference:
     """Coefficients e^{-|alpha|^2/2} alpha^k / sqrt(k!) for k <= n_max,
     renormalized, with the discarded Poisson tail mass reported."""
-    from scipy.special import gammaln
-
     _check_at_least(n_max, 0, "n_max")
     k = np.arange(n_max + 1)
     if alpha == 0:
@@ -168,7 +241,7 @@ def truncated_coherent_reference(
     logmag = (
         -abs(alpha) ** 2 / 2.0
         + k * math.log(abs(alpha))
-        - 0.5 * gammaln(k + 1)
+        - 0.5 * _log_factorial(k)
     )
     return _renormalized(np.exp(logmag) * np.exp(1j * cmath.phase(alpha) * k))
 
@@ -233,8 +306,6 @@ def _displaced_windows(
     nor on the block.  The cost is O(n_max k) per row, whatever N is; a
     finite-N row needs n_max <= N.
     """
-    from scipy.special import gammaln
-
     out = np.zeros((len(n_tots), n_max + 1), dtype=np.complex128)
     if alpha == 0:
         out[:, k] = 1.0
@@ -243,7 +314,8 @@ def _displaced_windows(
     lo, hi = np.minimum(m, k), np.maximum(m, k)
     a = hi - lo
     mod2 = abs(alpha) ** 2
-    log_g0 = (0.5 * (gammaln(hi + 1) - gammaln(lo + 1)) - gammaln(a + 1)
+    log_g0 = (0.5 * (_log_factorial(hi) - _log_factorial(lo))
+              - _log_factorial(a)
               + a * math.log(abs(alpha)))
     log_g, degree = np.empty(out.shape), np.empty(out.shape, dtype=np.int64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -297,12 +369,6 @@ def _displaced_windows(
     return sign * mag * np.exp(1j * cmath.phase(alpha) * (m - k))
 
 
-def displaced_fock_window(alpha: complex, k: int, n_max: int) -> np.ndarray:
-    """Amplitudes ⟨m|D(alpha)|k⟩ for m <= n_max (exact single-mode series,
-    computed in O(n_max k))."""
-    return _displaced_windows(alpha, k, n_max, (None,))[0]
-
-
 #: Largest (n_max + 1) k of a displacement residual: its recurrence costs
 #: O(n_max k), and at this bound its two windows take about 2 s of CPU
 #: (1.7-2.5 s at k = 4096, n_max = 16383 on one core of a 2-core x86-64
@@ -321,6 +387,15 @@ def _check_displacement_k(k: int, n_max: int) -> None:
         raise ValueError(
             f"displacement recurrence (n_max + 1) k = {work} exceeds "
             f"{DISPLACEMENT_WORK_MAX} at k={k} n_max={n_max}")
+
+
+def displaced_fock_window(alpha: complex, k: int, n_max: int) -> np.ndarray:
+    """Amplitudes ⟨m|D(alpha)|k⟩ for m <= n_max (exact single-mode series,
+    computed in O(n_max k)); k and the work bound are checked as in
+    ``displacement_residual``."""
+    _check_at_least(n_max, 0, "n_max")
+    _check_displacement_k(k, n_max)
+    return _displaced_windows(alpha, k, n_max, (None,))[0]
 
 
 def displacement_residual(
@@ -462,8 +537,6 @@ def truncated_squeezed_reference(
 ) -> TruncatedReference:
     """Squeezed-vacuum series (-e^{i phi} tanh r)^k sqrt((2k)!)/(2^k k!)
     / sqrt(cosh r), truncated at occupation n_max and renormalized."""
-    from scipy.special import gammaln
-
     _check_squeezing(r)
     coeffs = np.zeros(n_max + 1, dtype=np.complex128)
     if r == 0:
@@ -474,9 +547,9 @@ def truncated_squeezed_reference(
     logmag = (
         -0.5 * math.log(math.cosh(r))
         + k * math.log(math.tanh(r))
-        + 0.5 * gammaln(2 * k + 1)
+        + 0.5 * _log_factorial(2 * k)
         - k * math.log(2.0)
-        - gammaln(k + 1)
+        - _log_factorial(k)
     )
     coeffs[2 * k] = np.exp(logmag) * np.exp(1j * (phi + math.pi) * k)
     return _renormalized(coeffs)

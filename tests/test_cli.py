@@ -625,6 +625,19 @@ _LIBRARY_RULES = {
     "displacement-k": (
         "convergence-displacement", "alpha = 1.0\nk = 5\nn_list = 100\n"
         "n_max = 4", lambda: cvlimit.displacement_residual(1.0, 5, 100, 4)),
+    # displaced_fock_window checks k as displacement_residual does.
+    "fock-window-k-negative": (
+        "convergence-displacement",
+        "alpha = 0.0\nk = -1\nn_list = 100\nn_max = 5",
+        lambda: cvlimit.displaced_fock_window(0.0, -1, 5)),
+    "fock-window-k-negative-displaced": (
+        "convergence-displacement",
+        "alpha = 0.5\nk = -1\nn_list = 100\nn_max = 5",
+        lambda: cvlimit.displaced_fock_window(0.5, -1, 5)),
+    "fock-window-k-past-n-max": (
+        "convergence-displacement",
+        "alpha = 0.0\nk = 7\nn_list = 100\nn_max = 5",
+        lambda: cvlimit.displaced_fock_window(0.0, 7, 5)),
     "displacement-work": (
         "convergence-displacement",
         f"alpha = 1.0\nk = {_WORK_EDGE_K + 1}\nn_list = 20000\n"
@@ -826,6 +839,58 @@ class TestRunExperiment:
             meta_a.pop(volatile), meta_b.pop(volatile)
         assert meta_a == meta_b
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rewrite_with_shorter_bytes(self, tmp_path, fmt):
+        # Output files are rewritten in place and cut to the new length;
+        # a longer old file must leave no tail.
+        body = textwrap.dedent(PHASE_LOCKING) + f"[output]\nformat = {fmt}\n"
+        long, short = (
+            load_config(write_ini(tmp_path, body.replace("1600", n_list),
+                                  f"{name}.ini"))
+            for name, n_list in (("long", "1600, 6400, 25600, 102400"),
+                                 ("short", "1600")))
+        fresh = run_experiment(short, tmp_path / "fresh")[0].read_bytes()
+        old = [path.stat().st_size
+               for path in run_experiment(long, tmp_path / "out")]
+        data, meta = run_experiment(short, tmp_path / "out")
+        assert data.read_bytes() == fresh and len(fresh) < old[0]
+        text = meta.read_text(encoding="utf-8")
+        assert meta.stat().st_size < old[1]
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"
+
+    def test_rewrite_keeps_inode_and_mode(self, tmp_path):
+        config = load_config(write_ini(tmp_path, PHASE_LOCKING))
+        out = tmp_path / "out"
+        out.mkdir()
+        paths = [out / "phase-locking.csv", out / "phase-locking.meta.json"]
+        for path in paths:
+            path.write_bytes(b"x" * 10_000)
+            path.chmod(0o640)
+        before = [path.stat() for path in paths]
+        assert run_experiment(config, out) == paths
+        for path, old in zip(paths, before):
+            new = path.stat()
+            assert (new.st_ino, new.st_mode) == (old.st_ino, old.st_mode)
+            assert new.st_size < 10_000
+        assert paths[0].read_bytes() == run_experiment(
+            config, tmp_path / "fresh")[0].read_bytes()
+
+    def test_rewrite_follows_symlinks(self, tmp_path):
+        # The data file's link points at a longer regular file, the
+        # sidecar's at the null device, which is written but not cut.
+        config = load_config(write_ini(tmp_path, PHASE_LOCKING))
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"x" * 10_000)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "phase-locking.csv").symlink_to(target)
+        (out / "phase-locking.meta.json").symlink_to(os.devnull)
+        data, meta = run_experiment(config, out)
+        assert data.is_symlink() and meta.is_symlink()
+        assert target.read_bytes() == run_experiment(
+            config, tmp_path / "fresh")[0].read_bytes()
+
     def test_synthesis_bench_rows(self, tmp_path):
         path = write_ini(
             tmp_path,
@@ -916,6 +981,16 @@ class TestMain:
         assert main(["validate", "--config", str(path)]) == 1
         out = capsys.readouterr().out
         assert "violation: theta must lie in (0, pi)" in out
+
+    def test_unwritable_output_exit_1(self, tmp_path, capsys):
+        # A directory where the data file goes: the write fails with an
+        # OSError, reported as an I/O error.
+        path = write_ini(tmp_path, PHASE_LOCKING)
+        out_dir = tmp_path / "out"
+        (out_dir / "phase-locking.csv").mkdir(parents=True)
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err.startswith("I/O error: ")
+        assert not (out_dir / "phase-locking.meta.json").exists()
 
     def test_window_beyond_n_exit_1_then_2(self, tmp_path, capsys):
         # Without the window check this config crashes mid-run with a
@@ -1259,12 +1334,15 @@ def test_cli_import_and_validate_load_no_scipy():
     assert _scipy_loaded(code) == ["scipy: []"] * 2
 
 
-@pytest.mark.parametrize("name", ["encoding-feasibility", "cnot-feasibility",
-                                  "commutator", "phase-locking"])
+@pytest.mark.parametrize("name", [
+    "encoding-feasibility", "cnot-feasibility", "commutator", "phase-locking",
+    "convergence-coherent", "convergence-displacement",
+    "convergence-squeezed", "overlap"])
 def test_gate_runs_load_no_scipy(name, tmp_path):
     # The gate experiments need NumPy's eigh and nothing from SciPy; the
-    # commutator works on the quadratures' bands and phase locking on
-    # closed forms.
+    # commutator works on the quadratures' bands, phase locking on closed
+    # forms, and the other CV runs take log-factorials from cvlimit's own
+    # port of gammaln.  Only the synthesis runs load SciPy (for expm).
     config = str(_REPO / "configs" / f"{name}.ini")
     code = (f"import ssrc.cli\nassert ssrc.cli.main(['run', '--config', "
             f"{config!r}, '--out', {str(tmp_path)!r}]) == 0\n"

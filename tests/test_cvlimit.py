@@ -3,6 +3,8 @@ import json
 import math
 import pathlib
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -34,8 +36,9 @@ from ssrc.cvlimit import (
     truncated_squeezed_reference,
     uncertainty_check,
 )
+import ssrc.cvlimit as cvlimit
 from ssrc.cvlimit import (_RECURRENCE_BLOCK, _check_displacement_k,
-                          _displaced_windows)
+                          _displaced_windows, _lgam_entries, _log_factorial)
 from ssrc.hilbert import (DimensionCapError, State, basis_state,
                           inner_product, make_basis)
 from ssrc.schwinger import _hop_csr, exp_unitary, j_operator, rotation
@@ -115,6 +118,87 @@ def _window_cases(count, seed):
         cases.append((cmath.rect(mag, rng.uniform(-math.pi, math.pi)),
                       k, n_max, n))
     return cases
+
+
+class TestLogFactorial:
+    """``_log_factorial`` ports the Cephes ``lgam`` that
+    ``scipy.special.gammaln`` runs, and must give its bits."""
+
+    @pytest.fixture
+    def empty_table(self, monkeypatch):
+        monkeypatch.setattr(cvlimit, "_LOG_FACTORIALS",
+                            cvlimit._LOG_FACTORIALS[:0])
+        return monkeypatch
+
+    def test_gammaln_bits(self, empty_table):
+        from scipy.special import gammaln
+
+        # The table at the cap, then every entry up to one past the largest
+        # table a capped window can grow (2^21 entries): k! exact for
+        # k <= 11, the polynomial below x = k + 1 = 1000, the short series
+        # from there, and its omission past x = 1e8.
+        k = np.arange(2**20)
+        assert _log_factorial(k).tobytes() == gammaln(k + 1).tobytes()
+        assert len(cvlimit._LOG_FACTORIALS) == 2**20
+        for first, stop in ((0, 2**21 + 2), (10**8 - 3, 10**8 + 3)):
+            k = np.arange(first, stop)
+            assert (_lgam_entries(first, stop).tobytes()
+                    == gammaln(k + 1).tobytes()), (first, stop)
+        scattered = np.array([[5, 0], [3000, 12]])
+        assert (_log_factorial(scattered).tobytes()
+                == gammaln(scattered + 1).tobytes())
+
+    def test_grown_in_steps_equals_built_at_once(self, empty_table):
+        for top in (1, 12, 13, 999, 1000, 70_000):
+            _log_factorial(np.arange(top))
+        stepped = cvlimit._LOG_FACTORIALS
+        assert len(stepped) == 70_000 and not stepped.flags.writeable
+        empty_table.setattr(cvlimit, "_LOG_FACTORIALS", stepped[:0])
+        _log_factorial(np.arange(70_000))
+        assert cvlimit._LOG_FACTORIALS.tobytes() == stepped.tobytes()
+
+    def test_rejects_negative_and_over_cap(self, empty_table):
+        # A negative index would wrap round the table.
+        with pytest.raises(ValueError, match="negative"):
+            _log_factorial(np.array([3, -1]))
+        with pytest.raises(DimensionCapError,
+                           match="log-factorial count 1048577 exceeds cap"):
+            _log_factorial(np.array([2**20]))
+        assert len(cvlimit._LOG_FACTORIALS) == 0
+
+    def test_threads_growing_the_table(self, empty_table):
+        # Each call reads the table once, so a call whose table another
+        # thread replaces, or cuts back to a prefix, still indexes its own.
+        from scipy.special import gammaln
+
+        wrong = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(100):
+                    if rng.random() < 0.2:
+                        cvlimit._LOG_FACTORIALS = cvlimit._LOG_FACTORIALS[:64]
+                    k = np.arange(rng.randrange(1, 4000))
+                    got = _log_factorial(k)
+                    if got.tobytes() != gammaln(k + 1).tobytes():
+                        wrong.append(seed)
+            except Exception as exc:  # e.g. an index past a cut table
+                wrong.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestCoherent:
@@ -473,7 +557,7 @@ class TestWindows:
         overlap_asymptotics(1.1 + 0.3j, 0.4 - 0.2j, 10**6)
         assert windows and max(windows) <= 1023
         monkeypatch.undo()
-        # Warm first: the first call in a process imports SciPy.
+        # Warm first: the first call may grow the log-factorial table.
         overlap_asymptotics(1.1 + 0.3j, 0.4 - 0.2j, 10**6)
         tracemalloc.start()
         try:

@@ -41,6 +41,15 @@ largest sizes (and the overlap also at N = 1e6), with their values:
   closed form, with no basis, no hop matrix and no SciPy, so the two rows
   differ only by first-call overhead
 
+CV request: one ``convergence-displacement`` request of the ``cv``
+workload's median shape (alpha 1, k 6, n_max 60, N = 100,000), warm and
+in process, through ``ssrc.cli.run_experiment`` into one output directory
+(so each request rewrites the files of the one before, as in the
+benchmark) and through its experiment's ``run`` alone, with the share of
+the request spent outside ``run``: formatting and writing the data file
+and the ``.meta.json`` sidecar.  Each run times ``REQUEST_BATCH`` requests
+and the rows give the time per request.
+
 Validation: ``ssrc.cli.load_config`` on all ten shipped ``configs/*.ini``
 in turn, in process, imports done: the median of ``VALIDATE_PASSES`` passes,
 so the validation that the benchmark's ``setup_s`` includes can be
@@ -92,7 +101,7 @@ from ssrc.encodings import (
     sg_gate_search,
 )
 from ssrc import schwinger
-from ssrc.cli import load_config
+from ssrc.cli import EXPERIMENTS, load_config, run_experiment
 from ssrc.hilbert import State, basis_state, make_basis
 from ssrc.synthesis import (
     _ProductSolver,
@@ -106,6 +115,15 @@ from ssrc.synthesis import (
 REPEATS = 5
 COLD_ROUNDS = 10
 VALIDATE_PASSES = 20
+REQUEST_BATCH = 100
+REQUEST_INI = """[experiment]
+name = convergence-displacement
+[parameters]
+alpha = 1.0
+k = 6
+n_list = 100000
+n_max = 60
+"""
 CONFIGS = sorted(pathlib.Path(__file__).resolve().parent.parent.glob(
     "configs/*.ini"))
 RESTARTS = 8
@@ -254,6 +272,29 @@ def cv_rows() -> None:
         print(f"{name:25s} {_millis(times)}  value {value:.16e}", flush=True)
 
 
+def request_rows() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "displacement.ini"
+        path.write_text(REQUEST_INI, encoding="utf-8")
+        config = load_config(path)
+        spec = EXPERIMENTS[config.name]
+        runs = {
+            "run_experiment": lambda: run_experiment(config, tmp),
+            "spec.run": lambda: spec.run(config.parameters, config.seed),
+        }
+        medians = {}
+        for label, run in runs.items():
+            run()
+            times, _ = _time(lambda: [run() for _ in range(REQUEST_BATCH)])
+            times = [t / REQUEST_BATCH for t in times]
+            medians[label] = statistics.median(times)
+            print(f"{'request displacement ' + label:35s} {_millis(times)}",
+                  flush=True)
+    share = 1.0 - medians["spec.run"] / medians["run_experiment"]
+    print(f"request displacement emission share {100 * share:.0f}% of "
+          "run_experiment", flush=True)
+
+
 def validate_row() -> None:
     times, _ = _time(lambda: [load_config(path) for path in CONFIGS],
                      repeats=VALIDATE_PASSES)
@@ -296,6 +337,7 @@ def main() -> None:
     fallback_row()
     gate_rows()
     cv_rows()
+    request_rows()
     validate_row()
     cold_rows()
 
