@@ -32,6 +32,9 @@ Config grammar::
     format = csv                  ; csv (default) or json
     filename = coherent           ; stem, default = experiment name
 
+Values are taken as written: ``%`` is an ordinary character (there is no
+interpolation), and ``#`` or ``;`` after whitespace starts a comment.
+
 Usage::
 
     ssrc run --config sweep.ini [--out DIR] [--seed U64]
@@ -427,7 +430,8 @@ _SECTION_KEYS = {"experiment": ("name", "seed"), "parameters": None,
 
 def load_config(path: str | pathlib.Path) -> ExperimentConfig:
     """Parse and validate; raises ConfigError listing every violation."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -492,7 +496,8 @@ def load_config(path: str | pathlib.Path) -> ExperimentConfig:
         filename = parser.get("output", "filename", fallback=name).strip()
         if fmt not in ("csv", "json"):
             violations.append(f"unknown output format {fmt!r}")
-        if filename in ("", ".", "..") or "/" in filename or "\\" in filename:
+        if (filename in ("", ".", "..")
+                or any(c in filename for c in "/\\\0")):
             violations.append(
                 f"output filename {filename!r} must be a file stem: not "
                 "empty, '.' or '..', and without a path separator")

@@ -15,9 +15,11 @@ above.
 
 The searches evaluate many points per NumPy call: the coarse scan that
 gives a rotation search its first start takes blocks of theta' values at
-once, and all restarts of a search run one BFGS each in lockstep, with the
-trial points of each iteration evaluated as one batch.  Batched arithmetic
-is row by row, so every restart ends on the same bits as it would alone.
+once, writing each into one slab allocated per scan, and all restarts of a
+search run one BFGS each in lockstep, with the trial points of each
+iteration evaluated as one batch and the end points, whose errors and
+leakages are reported, as one more.  Batched arithmetic is row by row, so
+every restart ends on the same bits as it would alone.
 A search needs ``restarts >= 1``, a Fock pair N >= 1, and stacks of dense
 matrices within ``STACK_BYTES``; ``ssrc validate`` calls the same checks.
 """
@@ -180,9 +182,13 @@ class LogicalProjection:
     leakage: float
 
 
-def _leakage(a: np.ndarray, d: int) -> float:
-    """Mean population a d x d logical matrix loses off the code space."""
-    return max(0.0, 1.0 - float(np.sum(np.abs(a) ** 2)) / d)
+def _leakage(a: np.ndarray, d: int) -> np.ndarray:
+    """Mean population each d x d logical matrix of a (..., d, d) stack
+    loses off the code space; |A|^2 of one matrix is summed as one flat
+    row of d^2 entries."""
+    pop = np.add.reduce((np.abs(a) ** 2).reshape(*a.shape[:-2], d * d),
+                        axis=-1)
+    return np.maximum(0.0, 1.0 - pop / d)
 
 
 def logical_gate_matrix(unitary, enc: Encoding) -> LogicalProjection:
@@ -191,7 +197,7 @@ def logical_gate_matrix(unitary, enc: Encoding) -> LogicalProjection:
     codes = enc.code_vectors()
     cols = np.stack([unitary @ row for row in codes], axis=1)
     a = codes.conj() @ cols
-    return LogicalProjection(a, _leakage(a, codes.shape[0]))
+    return LogicalProjection(a, float(_leakage(a, codes.shape[0])))
 
 
 def _error_from_trace(trace: complex, d: int) -> float:
@@ -346,17 +352,38 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _Manifold:
     """Gate error, its gradient and leakage of a parameterized logical matrix.
 
-    Subclasses supply ``logical(params)``, ``trace_and_grad(xs)`` (for a
-    (K, P) batch of points, the K traces t = tr(G^dagger A) and their
-    (K, P) derivatives by each parameter), the conjugated target ``g_conj``
-    and its dimension ``d``.  Batched code works row by row (stacked matrix
-    products, elementwise arithmetic, ``_row_dot``), so a row's bits do not
-    depend on which other rows share its batch.
+    Subclasses supply ``logicals(xs)`` (the (K, d, d) logical matrices of a
+    (K, P) batch of points), ``trace_and_grad(xs)`` (the K traces
+    t = tr(G^dagger A) and their (K, P) derivatives by each parameter), the
+    conjugated target ``g_conj`` and its dimension ``d``.  Batched code
+    works row by row (stacked matrix products, elementwise arithmetic,
+    ``_row_dot``), so a row's bits do not depend on which other rows share
+    its batch.
     """
 
+    def end_points(self, xs: np.ndarray) -> tuple[list[float], np.ndarray]:
+        """Reported errors and leakages of a (K, P) batch of points.
+
+        E = max(0, 1 - |t|/d) with t = sum(G^dagger * A) over each matrix
+        as one flat row of d^2 entries, from one ``logicals`` call.
+        """
+        a = self.logicals(xs)
+        t = np.add.reduce((self.g_conj * a).reshape(len(a), -1), axis=1)
+        return ([_error_from_trace(complex(v), self.d) for v in t],
+                _leakage(a, self.d))
+
+    def logical(self, params: Sequence[float]) -> np.ndarray:
+        """One-row view of ``logicals``."""
+        return self.logicals(np.asarray(params, dtype=float)[None, :])[0]
+
     def error(self, params: Sequence[float]) -> float:
-        a = self.logical(params)
-        return _error_from_trace(complex(np.sum(self.g_conj * a)), self.d)
+        """One-row view of ``end_points``."""
+        return self.end_points(np.asarray(params, dtype=float)[None, :])[0][0]
+
+    def leakage(self, params: Sequence[float]) -> float:
+        """One-row view of ``end_points``."""
+        return float(
+            self.end_points(np.asarray(params, dtype=float)[None, :])[1][0])
 
     def values_and_grads(
         self, xs: np.ndarray
@@ -383,9 +410,6 @@ class _Manifold:
         )
         return float(values[0]), grads[0]
 
-    def leakage(self, params: Sequence[float]) -> float:
-        return _leakage(self.logical(params), self.d)
-
 
 class _RotationManifold(_Manifold):
     """Fast evaluator of the logical error over (theta', phi', eta).
@@ -400,6 +424,7 @@ class _RotationManifold(_Manifold):
         self.wy, self.vy, self.m = _pair_eig(enc.basis, (0, 1))
         self.vy_h = self.vy.conj().T
         self.jy = (self.vy * self.wy) @ self.vy_h
+        self.dm = self.m[None, :] - self.m[:, None]
         self.codes_conj = enc.code_vectors().conj()
         self.g_conj = np.asarray(target, dtype=np.complex128).conj()
         self.d = self.g_conj.shape[0]
@@ -413,35 +438,39 @@ class _RotationManifold(_Manifold):
         phases = np.exp(1j * thetas[:, None] * self.wy)
         return (self.vy * phases[:, None, :]) @ self.vy_h
 
-    def _rows(
-        self, thetas: np.ndarray, phi_vals: np.ndarray
-    ) -> list[np.ndarray]:
-        """r_i[theta', phi', :] = (conj(code_i) * e^{i phi' m}) @ Y(theta')."""
-        y = self.y_matrices(thetas)
-        phases = np.exp(1j * np.outer(phi_vals, self.m))
-        return [(phases * ci[None, :]) @ y for ci in self.codes_conj]
+    def trace_slab(self, thetas: np.ndarray, phased: list[np.ndarray],
+                   eta_phases: np.ndarray, slab: np.ndarray,
+                   mod: np.ndarray) -> None:
+        """tr(G^dagger A) on the (theta', phi', eta) grid into the (T, P, E)
+        ``slab``, and its modulus into ``mod``.
 
-    def trace_slab(
-        self, thetas: np.ndarray, phi_vals: np.ndarray, eta_phases: np.ndarray
-    ) -> np.ndarray:
-        """|tr(G^dagger A)| on the (theta', phi', eta) grid, as (T, P, E)."""
-        rows = self._rows(thetas, phi_vals)
+        ``phased[i]`` holds the rows conj(code_i) * e^{i phi' m}, one per
+        phi', and r_i = phased[i] @ Y(theta').
+        """
+        y = self.y_matrices(thetas)
+        rows = [pc @ y for pc in phased]
         w = np.zeros(rows[0].shape, dtype=np.complex128)
         for i in range(self.d):
             for j in range(self.d):
                 gij = self.g_conj[i, j]
                 if gij != 0:
                     w += gij * (rows[i] * rows[j].conj())
-        return np.abs(w @ eta_phases.T)
+        np.matmul(w, eta_phases.T, out=slab)
+        np.abs(slab, out=mod)
 
-    def logical(self, params: Sequence[float]) -> np.ndarray:
-        theta_p, phi_p, eta = params
-        rows = self._rows(np.array([theta_p]), np.array([phi_p]))
-        eta_ph = np.exp(1j * eta * self.m)
-        a = np.empty((self.d, self.d), dtype=np.complex128)
+    def logicals(self, xs: np.ndarray) -> np.ndarray:
+        """A_ij = sum(r_i e^{i eta m} conj(r_j)) with r_i the row
+        (conj(code_i) * e^{i phi' m}) @ Y(theta'), per row of xs."""
+        y = self.y_matrices(xs[:, 0])
+        phases = np.exp(1j * (xs[:, 1, None] * self.m))
+        rows = [((phases * ci)[:, None, :] @ y)[:, 0]
+                for ci in self.codes_conj]
+        eta_ph = np.exp(1j * xs[:, 2, None] * self.m)
+        a = np.empty((len(xs), self.d, self.d), dtype=np.complex128)
         for i in range(self.d):
             for j in range(self.d):
-                a[i, j] = np.sum(rows[i][0, 0] * eta_ph * rows[j][0, 0].conj())
+                a[:, i, j] = np.add.reduce(
+                    rows[i] * eta_ph * rows[j].conj(), axis=1)
         return a
 
     def trace_and_grad(
@@ -456,19 +485,24 @@ class _RotationManifold(_Manifold):
         dt = i z([Mt, diag(m)]) . e; and dt/deta = i z(Mt) . (m e).
         Each row of xs is one point (theta', phi', eta).
         """
+        n_rows, n = len(xs), len(self.m)
         y = self.y_matrices(xs[:, 0])
         d_ph = np.exp(1j * xs[:, 1:2] * self.m)
-        e_ph = np.exp(1j * xs[:, 2:3] * self.m)
-        mt = d_ph.conj()[:, :, None] * self.m_trace * d_ph[:, None, :]
-        gens = np.stack([
-            mt,
-            mt @ self.jy - self.jy @ mt,
-            mt * (self.m[None, :] - self.m[:, None]),
-        ], axis=1)
+        # The generators and weights in the order the gradient reads them.
+        gens = np.empty((n_rows, 3, n, n), dtype=np.complex128)
+        weights = np.empty((n_rows, 3, n), dtype=np.complex128)
+        mt = gens[:, 2]
+        np.multiply(d_ph.conj()[:, :, None] * self.m_trace, d_ph[:, None, :],
+                    out=mt)
+        np.matmul(mt, self.jy, out=gens[:, 0])
+        gens[:, 0] -= self.jy @ mt
+        np.multiply(mt, self.dm, out=gens[:, 1])
+        e_ph = weights[:, 0]
+        np.exp(1j * xs[:, 2:3] * self.m, out=e_ph)
+        weights[:, 1] = e_ph
+        np.multiply(self.m, e_ph, out=weights[:, 2])
         z = np.add.reduce(y.conj()[:, None] * (gens @ y[:, None]), axis=2)
-        weights = np.stack([e_ph, e_ph, self.m * e_ph], axis=1)
-        grad = 1j * _row_dot(z[:, [1, 2, 0]], weights)
-        return _row_dot(z[:, 0], e_ph), grad
+        return _row_dot(z[:, 2], e_ph), 1j * _row_dot(z, weights)
 
 
 @dataclass(frozen=True)
@@ -493,9 +527,11 @@ class GateSearchResult:
 # Largest (theta', phi', eta) block the scan evaluates at once, in complex
 # entries; one theta' slice is always whole, even when it is larger.  The
 # size is part of the scan's arithmetic: the bits of ``trace_slab`` depend on
-# how many theta' values one call holds, and an unblocked scan picks a
-# different start in 5 of 192 cases (N = 1..12, 16 targets), so changing it
-# changes the searches' results.
+# how many theta' values one call holds.  Over N = 1..12 and 8 targets, the
+# blocks of 16 agree bit for bit with one-slice calls in all 96 cases, while
+# one call over all 33 values gives other bits in the 48 cases with N >= 7
+# and a different start in 2, so changing the size changes the searches'
+# results.
 _SCAN_BLOCK = 1 << 16
 _SEED_SPACING = 0.1
 # The scan's theta' values, its phi' and eta values, and theta's per block.
@@ -529,16 +565,24 @@ def _seed_scan(manifold: _RotationManifold) -> np.ndarray:
 
     theta' runs over [0, pi] and phi', eta over [0, 2 pi) at spacing 0.1;
     the largest |tr(G^dagger A)| wins, the earliest theta' slice on ties.
+    The phi' and eta grids share one table of phases, and each block of
+    theta' values writes into leading views of one slab and one modulus
+    array, so a scan allocates them once.
     """
     circ = _SCAN_CIRCLE
-    eta_phases = np.exp(1j * np.outer(circ, manifold.m))
+    phases = np.exp(1j * np.outer(circ, manifold.m))
+    phased = [phases * ci[None, :] for ci in manifold.codes_conj]
+    shape = (min(_SCAN_ROTATIONS, len(_SCAN_THETAS)), len(circ), len(circ))
+    slab = np.empty(shape, dtype=np.complex128)
+    mod = np.empty(shape)
     best_trace, best = -1.0, None
     for lo in range(0, len(_SCAN_THETAS), _SCAN_ROTATIONS):
         chunk = _SCAN_THETAS[lo:lo + _SCAN_ROTATIONS]
-        slab = manifold.trace_slab(chunk, circ, eta_phases)
-        it, ip, ie = np.unravel_index(np.argmax(slab), slab.shape)
-        if slab[it, ip, ie] > best_trace:
-            best_trace = slab[it, ip, ie]
+        block = mod[:len(chunk)]
+        manifold.trace_slab(chunk, phased, phases, slab[:len(chunk)], block)
+        it, ip, ie = np.unravel_index(np.argmax(block), block.shape)
+        if block[it, ip, ie] > best_trace:
+            best_trace = block[it, ip, ie]
             best = np.array([chunk[it], circ[ip], circ[ie]])
     return best
 
@@ -551,9 +595,53 @@ _HALVINGS = 20
 _FLAT = 1e3 * np.finfo(float).eps
 
 
+def _line_search(manifold: _Manifold, x: np.ndarray, f: np.ndarray,
+                 g: np.ndarray, d: np.ndarray):
+    """Backtracking along the rows of d from the rows of x (see ``_descend``).
+
+    Returns which rows accepted a step, the steps (zero where none was
+    accepted), f and g at the new points (the old values where none was),
+    and the number of objective rows evaluated.  While every row is on
+    trial it reads whole arrays, and if every row then passes, the trial's
+    own arrays are returned.
+    """
+    n_rows = len(x)
+    slope = _row_dot(g, d)
+    alpha = np.minimum(1.0, math.pi / np.max(np.abs(d), axis=1))
+    accepted = np.zeros(n_rows, dtype=bool)
+    step, f_new, g_new = np.zeros_like(d), f.copy(), g.copy()
+    evaluations = 0
+    trial = np.flatnonzero(slope < 0.0)
+    for _ in range(_HALVINGS + 1):
+        if trial.size == 0:
+            break
+        every = trial.size == n_rows
+        rows = slice(None) if every else trial
+        st = alpha[rows, None] * d[rows]
+        ft, gt = manifold.values_and_grads(x[rows] + st)
+        evaluations += trial.size
+        fa, sa = f[rows], slope[rows]
+        slope_t = _row_dot(gt, d[rows])
+        ok = ft <= fa + _ARMIJO * alpha[rows] * sa
+        ok |= (
+            (ft <= fa + _FLAT * np.maximum(1.0, np.abs(fa)))
+            & (slope_t >= 0.9 * sa)
+            & (slope_t <= -0.8 * sa)
+        )
+        if every and ok.all():
+            return ok, st, ft, gt, evaluations
+        done = trial[ok]
+        accepted[done] = True
+        step[done] = st[ok]
+        f_new[done], g_new[done] = ft[ok], gt[ok]
+        trial = trial[~ok]
+        alpha[trial] *= 0.5
+    return accepted, step, f_new, g_new, evaluations
+
+
 def _descend(
     manifold: _Manifold, starts: np.ndarray
-) -> tuple[np.ndarray, list[float], np.ndarray, int]:
+) -> tuple[np.ndarray, list[float], np.ndarray, np.ndarray, int]:
     """BFGS on the analytic gradient from K starts, advanced in lockstep.
 
     Each iteration evaluates the trial points of all starts still running
@@ -567,63 +655,49 @@ def _descend(
     it one seeded N = 6 T.H search drifts to |x| near 113, where phase
     rounding of about |x| eps puts the reported error 1.04e-14 below the
     proven floor.  A start leaves the batch when max|g| <= 1e-10, when its line
-    search fails, or after 200 P iterations (SciPy's BFGS default).  All
+    search fails, or after 200 P iterations (SciPy's BFGS default).  The
+    state of the starts still running is kept compact, so a step in which
+    every start passes its first trial runs on whole arrays.  All
     arithmetic is row by row, so each start ends on the same bits as when
     it runs alone.
 
-    Returns the end points (K, P), their errors re-evaluated by
-    ``manifold.error`` (the same kernel as every reported error), the
+    Returns the end points (K, P), their errors and leakages from one
+    ``manifold.end_points`` call (the kernel of every reported error), the
     iterations of each start and the number of objective rows evaluated.
     """
-    x = np.array(starts, dtype=float, ndmin=2)
-    n_starts, n_params = x.shape
+    ends = np.array(starts, dtype=float, ndmin=2)
+    n_starts, n_params = ends.shape
+    iterations = np.zeros(n_starts, dtype=int)
+    x, nit, index = ends.copy(), iterations.copy(), np.arange(n_starts)
     f, g = manifold.values_and_grads(x)
     evaluations = n_starts
     h_inv = np.tile(np.eye(n_params), (n_starts, 1, 1))
     scaled = np.zeros(n_starts, dtype=bool)
-    iterations = np.zeros(n_starts, dtype=int)
-    active = np.flatnonzero(np.max(np.abs(g), axis=1) > _GTOL)
+    running = np.max(np.abs(g), axis=1) > _GTOL
     for _ in range(200 * n_params):
-        if active.size == 0:
+        if not running.all():
+            ends[index], iterations[index] = x, nit
+            x, nit, index, f, g, h_inv, scaled = (
+                a[running] for a in (x, nit, index, f, g, h_inv, scaled))
+        if index.size == 0:
             break
-        f0, g0 = f[active], g[active]
-        d = -_row_dot(h_inv[active], g0[:, None, :])
-        slope = _row_dot(g0, d)
-        alpha = np.minimum(1.0, math.pi / np.max(np.abs(d), axis=1))
-        accepted = np.zeros(active.size, dtype=bool)
-        step = np.zeros_like(d)
-        trial = np.flatnonzero(slope < 0.0)
-        for _ in range(_HALVINGS + 1):
-            if trial.size == 0:
-                break
-            st = alpha[trial, None] * d[trial]
-            ft, gt = manifold.values_and_grads(x[active[trial]] + st)
-            evaluations += trial.size
-            fa, sa = f0[trial], slope[trial]
-            slope_t = _row_dot(gt, d[trial])
-            ok = ft <= fa + _ARMIJO * alpha[trial] * sa
-            ok |= (
-                (ft <= fa + _FLAT * np.maximum(1.0, np.abs(fa)))
-                & (slope_t >= 0.9 * sa)
-                & (slope_t <= -0.8 * sa)
-            )
-            done = trial[ok]
-            accepted[done] = True
-            step[done] = st[ok]
-            f[active[done]], g[active[done]] = ft[ok], gt[ok]
-            trial = trial[~ok]
-            alpha[trial] *= 0.5
-        moved = active[accepted]
-        s, y = step[accepted], g[moved] - g0[accepted]
-        x[moved] += s
-        iterations[moved] += 1
+        d = -_row_dot(h_inv, g[:, None, :])
+        accepted, s, f, g_new, count = _line_search(manifold, x, f, g, d)
+        evaluations += count
+        np.add(x, s, out=x, where=accepted[:, None])
+        nit += accepted
+        # Rows without a step have s = 0, so s.y = 0 skips their update.
+        y = g_new - g
+        g = g_new
         sy = _row_dot(s, y)
         keep = sy > 0.0
-        rows, s, y, sy = moved[keep], s[keep], y[keep], sy[keep]
-        h = h_inv[rows]
+        rows = slice(None) if keep.all() else keep
+        h, s, y, sy = h_inv[rows], s[rows], y[rows], sy[rows]
         fresh = ~scaled[rows]
-        h[fresh] *= (sy[fresh] / _row_dot(y[fresh], y[fresh]))[:, None, None]
-        scaled[rows] = True
+        if fresh.any():
+            h[fresh] *= (sy[fresh]
+                         / _row_dot(y[fresh], y[fresh]))[:, None, None]
+            scaled[rows] = True
         rho = 1.0 / sy
         hy = _row_dot(h, y[:, None, :])
         coef = rho * (1.0 + rho * _row_dot(y, hy))
@@ -633,9 +707,10 @@ def _descend(
                                     + s[:, :, None] * hy[:, None, :])
             + coef[:, None, None] * (s[:, :, None] * s[:, None, :])
         )
-        active = moved[np.max(np.abs(g[moved]), axis=1) > _GTOL]
-    errors = [manifold.error(point) for point in x]
-    return x, errors, iterations, evaluations
+        running = accepted & (np.max(np.abs(g), axis=1) > _GTOL)
+    ends[index], iterations[index] = x, nit
+    errors, leakages = manifold.end_points(ends)
+    return ends, errors, leakages, iterations, evaluations
 
 
 def _check_restarts(restarts: int) -> None:
@@ -662,13 +737,14 @@ def _multistart(
 
     Ties go to the earliest start.
     """
-    ends, errors, iterations, evaluations = _descend(manifold, starts)
+    ends, errors, leakages, iterations, evaluations = _descend(
+        manifold, starts)
     best = int(np.argmin(errors))
     return GateSearchResult(
         np.asarray(target, dtype=np.complex128),
         tuple(float(v) for v in ends[best]),
         errors[best],
-        manifold.leakage(ends[best]),
+        float(leakages[best]),
         len(starts),
         int(iterations.sum()),
         seed,
@@ -754,17 +830,22 @@ class _MeshManifold(_Manifold):
         self.code_cols = self.codes_conj.conj().T
         self.weighted_rows = self.g_conj.T @ self.codes_conj
 
-    def unitary(self, params: Sequence[float]) -> np.ndarray:
-        u = np.eye(self.dim, dtype=np.complex128)
-        for k in range(len(_MESH_PAIRS)):
-            theta, phi = params[2 * k], params[2 * k + 1]
-            y = (self.v[k] * np.exp(1j * theta * self.w[k])) @ self.vh[k]
-            u = (np.exp(1j * phi * self.mz[k])[:, None] * y) @ u
-        psi = np.asarray(params[12:16], dtype=float)
-        return np.exp(1j * (self.occ_matrix @ psi))[:, None] * u
+    def logicals(self, xs: np.ndarray) -> np.ndarray:
+        """codes_conj U codes^T with U = P S_6 ... S_1, per row of xs.
 
-    def logical(self, params: Sequence[float]) -> np.ndarray:
-        u = self.unitary(params)
+        Each row's products are its own stacked items, with the shapes and
+        BLAS kernels of a one-point evaluation.
+        """
+        n_rows = len(xs)
+        u = np.broadcast_to(np.eye(self.dim, dtype=np.complex128),
+                            (n_rows, self.dim, self.dim))
+        for k in range(len(_MESH_PAIRS)):
+            rot = np.exp(1j * xs[:, 2 * k, None] * self.w[k])
+            y = (self.v[k] * rot[:, None, :]) @ self.vh[k]
+            dph = np.exp(1j * xs[:, 2 * k + 1, None] * self.mz[k])
+            u = (dph[:, :, None] * y) @ u
+        angles = (self.occ_matrix @ xs[:, 12:16, None])[:, :, 0]
+        u = np.exp(1j * angles)[:, :, None] * u
         return self.codes_conj @ u @ self.codes_conj.conj().T
 
     def trace_and_grad(

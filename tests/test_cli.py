@@ -519,11 +519,12 @@ class TestLoadConfig:
                 and "above the bound of 1073741824 bytes" in v]
 
     @pytest.mark.parametrize("stem", ["", ".", "..", "../escaped", "sub/x",
-                                      "sub\\x"])
+                                      "sub\\x", "nul\0byte"])
     def test_filename_must_be_a_stem(self, tmp_path, stem):
         # Each of these once passed: an empty stem wrote the hidden files
         # out/.csv and out/.meta.json, "../escaped" wrote outside --out,
-        # and "sub/x" failed in run with an I/O error.
+        # "sub/x" failed in run with an I/O error, and a NUL byte made run
+        # crash with a ValueError traceback from os.open.
         path = write_ini(tmp_path, textwrap.dedent(PHASE_LOCKING)
                          + f"[output]\nfilename = {stem}\n")
         with pytest.raises(ConfigError) as err:
@@ -531,6 +532,7 @@ class TestLoadConfig:
         assert err.value.violations == [
             f"output filename {stem!r} must be a file stem: not empty, "
             "'.' or '..', and without a path separator"]
+        assert main(["validate", "--config", str(path)]) == 1
         out_dir = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
         assert not out_dir.exists() and not (tmp_path / "escaped.csv").exists()
@@ -583,6 +585,39 @@ def test_unknown_keys_rejected(tmp_path, capsys, case):
     assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()
+
+
+# Each of these once crashed validate and run with a traceback from
+# configparser's InterpolationSyntaxError: '%' is an ordinary character.
+_PERCENT = {
+    "alpha": ("", "alpha = 1%", "bad value for 'alpha'"),
+    "seed": ("seed = 5%\n", "alpha = 1.0", "bad seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PERCENT))
+def test_percent_in_a_value_is_a_violation(tmp_path, capsys, case):
+    seed, alpha, message = _PERCENT[case]
+    path = write_ini(tmp_path, f"[experiment]\nname = convergence-coherent\n"
+                               f"{seed}[parameters]\n{alpha}\nn_list = 100\n")
+    assert main(["validate", "--config", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"violation: {message}: ") and out.count("\n") == 1
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_percent_in_a_filename_is_kept(tmp_path):
+    path = write_ini(tmp_path, textwrap.dedent(PHASE_LOCKING)
+                     + "[output]\nfilename = a%b\n")
+    assert main(["validate", "--config", str(path)]) == 0
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["a%b.csv",
+                                                         "a%b.meta.json"]
 
 
 def _hadamard_search(restarts):

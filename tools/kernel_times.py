@@ -27,6 +27,16 @@ restarts and the objective evaluations.  Each ``sg_gate_search`` time
 includes the 0.1 grid scan that gives its first start.  All run at the
 default seed.
 
+Gate-floor request: one ``encoding-feasibility`` request (N = 4,
+``t_hadamard``, 6 restarts; the ``gates`` workload's floor requests, at
+N 1 to 6 with 4 to 8 restarts, set its median), warm and in process, through ``ssrc.cli.run_experiment`` into one output
+directory; beside it the request's ``sg_gate_search`` alone (at the seed the
+request gives its grid point) and the private ``_seed_scan`` alone (the
+0.1 grid scan that gives the search its first start, on a manifold built
+once), with the minor page faults per scan from
+``resource.getrusage(RUSAGE_SELF).ru_minflt``.  Each run times
+``FLOOR_BATCH`` calls and the rows give the time per call.
+
 CV limit: the kernels of the ``cv`` benchmark workload, at that workload's
 largest sizes (and the overlap also at N = 1e6), with their values:
 
@@ -65,7 +75,8 @@ The other timed rows, the warm CV rows among them, are the median of five
 runs (the cold execution and cold commutator rows are one run).  A header
 gives ``nproc``, the Python, NumPy, SciPy and BLAS versions and the thread
 environment variables, so two runs can be compared on one machine.
-The script runs unchanged on older commits (which print ``evaluations
+The script runs unchanged on older commits that have ``_seed_scan``
+(those without ``GateSearchResult.evaluations`` print ``evaluations
 n/a``).
 
 Run from the repository root:
@@ -95,14 +106,18 @@ from ssrc.cvlimit import (
     squeezed_window_fidelity,
 )
 from ssrc.encodings import (
+    _RotationManifold,
+    _seed_scan,
     cnot_search,
     fock_encoding,
     hadamard_gate,
     sg_gate_search,
+    t_gate,
 )
 from ssrc import schwinger
 from ssrc.cli import EXPERIMENTS, load_config, run_experiment
 from ssrc.hilbert import State, basis_state, make_basis
+from ssrc.prng import DEFAULT_SEED, SplitMix64
 from ssrc.synthesis import (
     _ProductSolver,
     bench_targets,
@@ -123,6 +138,16 @@ alpha = 1.0
 k = 6
 n_list = 100000
 n_max = 60
+"""
+FLOOR_BATCH = 20
+FLOOR_N = 4
+FLOOR_RESTARTS = 6
+FLOOR_INI = f"""[experiment]
+name = encoding-feasibility
+[parameters]
+n_list = {FLOOR_N}
+target = t_hadamard
+restarts = {FLOOR_RESTARTS}
 """
 CONFIGS = sorted(pathlib.Path(__file__).resolve().parent.parent.glob(
     "configs/*.ini"))
@@ -262,6 +287,34 @@ def gate_rows() -> None:
               flush=True)
 
 
+def floor_rows() -> None:
+    target = t_gate() @ hadamard_gate()
+    enc = fock_encoding(make_basis(2, FLOOR_N))
+    seed = SplitMix64(DEFAULT_SEED).derive(FLOOR_N).next_u64()
+    manifold = _RotationManifold(enc, target)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "floor.ini"
+        path.write_text(FLOOR_INI, encoding="utf-8")
+        config = load_config(path)
+        runs = {
+            "run_experiment": lambda: run_experiment(config, tmp),
+            "sg_gate_search": lambda: sg_gate_search(
+                target, enc, restarts=FLOOR_RESTARTS, seed=seed),
+            "_seed_scan": lambda: _seed_scan(manifold),
+        }
+        for label, run in runs.items():
+            run()
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            times, _ = _time(lambda: [run() for _ in range(FLOOR_BATCH)])
+            faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - faults) / (REPEATS * FLOOR_BATCH)
+            times = [t / FLOOR_BATCH for t in times]
+            note = (f"  minor faults {faults:.1f} per call"
+                    if label == "_seed_scan" else "")
+            print(f"{'floor N=4 t_hadamard ' + label:35s} {_millis(times)}"
+                  f"{note}", flush=True)
+
+
 def cv_rows() -> None:
     name, kernel, args = CV_KERNELS[-1]
     times, value = _time(lambda: kernel(*args), repeats=1)
@@ -336,6 +389,7 @@ def main() -> None:
     execute_rows()
     fallback_row()
     gate_rows()
+    floor_rows()
     cv_rows()
     request_rows()
     validate_row()
