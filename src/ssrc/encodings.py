@@ -32,7 +32,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .cvlimit import coherent_from_rotation
 from .hilbert import (
     BasisMismatchError,
     FockBasis,
@@ -63,10 +62,6 @@ class NonOrthogonalCodeStatesError(ValueError):
         )
 
 
-class NearDegenerateEncodingError(ValueError):
-    """Raw code states overlap too strongly to orthogonalize meaningfully."""
-
-
 @dataclass(frozen=True)
 class Encoding:
     """Logical qubit: an orthonormal pair of states on a shared basis."""
@@ -74,7 +69,6 @@ class Encoding:
     basis: FockBasis
     code_states: tuple[State, State]
     label: str
-    raw_overlap: complex | None = None
 
     def __post_init__(self):
         zero, one = self.code_states
@@ -138,38 +132,6 @@ def fock_encoding(basis: FockBasis) -> Encoding:
     n_tot = basis.total_photons
     name = "dual-rail" if n_tot == 1 else f"fock-N{n_tot}"
     return Encoding(basis, _fock_pair(basis), name)
-
-
-def coherent_like_encoding(alpha: complex, n_photons: int) -> Encoding:
-    """Symmetrically orthogonalized pair of opposite-displacement states.
-
-    The raw states are the finite-N coherent constructions at -alpha and
-    +alpha; their overlap is nonzero at finite N, so the returned code
-    states are the Loewdin S^{-1/2} image of the raw pair.  The raw
-    overlap is kept on the encoding.
-    """
-    raw0 = coherent_from_rotation(-alpha, n_photons)
-    raw1 = coherent_from_rotation(alpha, n_photons)
-    overlap = inner_product(raw0, raw1)
-    if abs(overlap) > 1.0 - 1e-6:
-        raise NearDegenerateEncodingError(
-            f"raw overlap {abs(overlap):.8f} too close to 1; "
-            "increase |alpha| or N"
-        )
-    pair = np.stack(
-        [np.asarray(raw0.amplitudes), np.asarray(raw1.amplitudes)], axis=1
-    )
-    gram = pair.conj().T @ pair
-    vals, vecs = np.linalg.eigh(gram)
-    inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-    ortho = pair @ inv_sqrt
-    states = tuple(State(raw0.basis, ortho[:, k]) for k in range(2))
-    return Encoding(
-        raw0.basis,
-        states,
-        label=f"coherent-like(alpha={alpha:.3g}, N={n_photons})",
-        raw_overlap=complex(overlap),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +279,7 @@ def sg_manifold_unitary(
     a matrix like ``rotation``'s."""
     rot = rotation(basis, theta_p, phi_p, mode_pair)
     core = exp_unitary(j_operator(basis, "z", mode_pair), eta)
-    rot_dag = rot.conj().T if isinstance(rot, np.ndarray) else rot.H
-    return rot @ core @ rot_dag
+    return rot @ core @ rot.conj().T
 
 
 def _pair_eig(

@@ -3,15 +3,15 @@
 Two modes holding N photons in total carry a spin-N/2 representation through
 the ladder maps ``J+ = a_i† a_j`` / ``J- = a_j† a_i`` and the population
 imbalance ``Jz = (n_i - n_j)/2``.  This module builds those generators on
-arbitrary mode pairs, exponentiates them into passive rotations and
-higher-power (interaction-like) unitaries, provides the cyclic relative-phase
-shift, and converts between amplitude vectors and their product-of-directions
+arbitrary mode pairs, exponentiates them into passive rotations, and
+converts between amplitude vectors and their product-of-directions
 (point-on-sphere) factorization for two-mode states.
 
 Operators are plain matrices indexed by the basis: generators are
 ``scipy.sparse`` CSR matrices, and unitaries are dense arrays up to
-``DENSE_EXP_LIMIT`` and action-only ``LinearOperator``s above it.  Apply one
-to a state with ``State(basis, u @ state.amplitudes, check_drift=True)``.
+``DENSE_EXP_LIMIT`` basis states; ``exp_unitary`` refuses a larger
+generator.  Apply one to a state with
+``State(basis, u @ state.amplitudes, check_drift=True)``.
 SciPy is imported by the functions that build or take those matrices, so
 importing this module loads NumPy only; ``_hop_product`` builds dense hop
 products with no sparse matrix.
@@ -35,7 +35,7 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-#: Above this dimension, exponentials are applied action-only (never densified).
+#: Largest generator dimension ``exp_unitary`` densifies; larger ones raise.
 DENSE_EXP_LIMIT = 2048
 
 HERMITIAN_TOL = 1e-12
@@ -143,55 +143,30 @@ def j_operator(
     raise ValueError(f"unknown axis {axis!r}; expected one of x, y, z, +, -")
 
 
-def axis_generator(
-    basis: FockBasis,
-    axis: str | Sequence[float],
-    mode_pair: tuple[int, int] = (0, 1),
-) -> sp.csr_matrix:
-    """J along a unit 3-vector (or named axis) on the given mode pair."""
-    if isinstance(axis, str):
-        return j_operator(basis, axis, mode_pair)
-    n = np.asarray(axis, dtype=float)
-    if n.shape != (3,):
-        raise ValueError("axis vector must have three components")
-    norm = float(np.linalg.norm(n))
-    if norm == 0:
-        raise ValueError("axis vector must be nonzero")
-    n = n / norm
-    return sum(
-        n[k] * j_operator(basis, ax, mode_pair) for k, ax in enumerate("xyz")
-    )
-
-
 # ---------------------------------------------------------------------------
 # Unitaries
 
 
 def exp_unitary(generator, chi: float):
-    """exp(i*chi*G) for a Hermitian matrix G, sparse or dense.
+    """exp(i*chi*G) as a dense ``ndarray`` for a Hermitian matrix G, sparse
+    or dense.
 
-    A dense ``ndarray`` up to ``DENSE_EXP_LIMIT``; above it a
-    ``scipy.sparse.linalg.LinearOperator`` applied action-only through
-    ``expm_multiply``, whose adjoint ``.H`` is exp(-i*chi*G).
+    The exponential is dense, so a generator of dimension above
+    ``DENSE_EXP_LIMIT`` raises ``ValueError`` before anything is densified.
     """
     import scipy.sparse as sp
 
+    dim = generator.shape[0]
+    if dim > DENSE_EXP_LIMIT:
+        raise ValueError(
+            f"exp_unitary is dense: generator dimension {dim} "
+            f"exceeds DENSE_EXP_LIMIT = {DENSE_EXP_LIMIT}"
+        )
     drift = float(abs(generator - generator.conj().T).max())
     if drift > HERMITIAN_TOL:
         raise NonHermitianGeneratorError(
             f"generator deviates from Hermiticity by {drift:.3e}"
         )
-    if generator.shape[0] > DENSE_EXP_LIMIT:
-        from scipy.sparse.linalg import LinearOperator, expm_multiply
-
-        gen = sp.csr_matrix(generator, dtype=np.complex128)
-
-        def action(c: float):
-            return lambda vec: expm_multiply(1j * c * gen, vec)
-
-        chi = float(chi)
-        return LinearOperator(gen.shape, matvec=action(chi),
-                              rmatvec=action(-chi), dtype=np.complex128)
     dense = generator.toarray() if sp.issparse(generator) else generator
     w, v = np.linalg.eigh(dense)
     return (v * np.exp(1j * chi * w)) @ v.conj().T
@@ -207,47 +182,6 @@ def rotation(
     u_z = exp_unitary(j_operator(basis, "z", mode_pair), phi)
     u_y = exp_unitary(j_operator(basis, "y", mode_pair), theta)
     return u_z @ u_y
-
-
-def sng_unitary(
-    basis: FockBasis,
-    axis: str | Sequence[float],
-    chi: float,
-    power: int,
-    mode_pair: tuple[int, int] = (0, 1),
-):
-    """exp(i*chi*(J_axis)^power) with power >= 2 (interaction-like unitary)."""
-    if power < 2:
-        raise ValueError("power must be >= 2; use exp_unitary for linear terms")
-    j_n = axis_generator(basis, axis, mode_pair)
-    j_pow = j_n
-    for _ in range(power - 1):
-        j_pow = j_pow @ j_n
-    return exp_unitary((j_pow + j_pow.conj().T) / 2, chi)
-
-
-def relative_phase_op(
-    basis: FockBasis, mode_pair: tuple[int, int] = (0, 1)
-) -> sp.csr_matrix:
-    """Cyclic one-photon shift on a mode pair.
-
-    Sends (n_i, n_j) to (n_i+1, n_j-1) and wraps the ladder edge
-    (n_i+n_j, 0) back to (0, n_i+n_j), making the shift unitary.
-    For K=2 the period is N+1.
-    """
-    import scipy.sparse as sp
-
-    i, j = _check_pair(basis, mode_pair)
-    dim = basis.dimension
-    occ = basis.occupations
-    hop = occ[:, j] > 0
-    new = occ.copy()
-    new[:, i] = np.where(hop, occ[:, i] + 1, 0)
-    new[:, j] = np.where(hop, occ[:, j] - 1, occ[:, i])
-    return sp.coo_matrix(
-        (np.ones(dim, dtype=np.complex128), (basis.rank(new), np.arange(dim))),
-        shape=(dim, dim),
-    ).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -420,84 +354,3 @@ def point_multiset_distance(
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
 
-
-# ---------------------------------------------------------------------------
-# Rotation fitting (is a given unitary a single pair rotation?)
-
-
-@dataclass(frozen=True)
-class RotationFit:
-    """Best single-rotation description of a unitary on a mode pair."""
-
-    axis: tuple[float, float, float]
-    angle: float
-    theta: float
-    phi: float
-    residual: float
-
-
-def fit_rotation(
-    unitary, basis: FockBasis, mode_pair: tuple[int, int] = (0, 1)
-) -> RotationFit:
-    """Fit exp(i*eta*(n·J)) (times a phase) to a unitary matrix on ``basis``.
-
-    Extracts the 3x3 image of the J vector under conjugation, projects it
-    onto the rotation group, rebuilds the candidate, and reports the
-    phase-minimized max-entry deviation.  A residual at roundoff level
-    certifies membership in the pair-rotation family.  The fit is dense, so
-    a basis larger than ``DENSE_EXP_LIMIT`` raises ``ValueError``.
-    """
-    if basis.dimension > DENSE_EXP_LIMIT:
-        raise ValueError(
-            f"fit_rotation is dense: basis dimension {basis.dimension} "
-            f"exceeds DENSE_EXP_LIMIT = {DENSE_EXP_LIMIT}"
-        )
-    import scipy.sparse as sp
-
-    ops = [j_operator(basis, ax, mode_pair).toarray() for ax in "xyz"]
-    u = unitary.toarray() if sp.issparse(unitary) else np.asarray(unitary)
-    udag = u.conj().T
-    norm = float(np.trace(ops[2] @ ops[2]).real)
-    adj = np.empty((3, 3))
-    for col in range(3):
-        conj = u @ ops[col] @ udag
-        for row in range(3):
-            adj[row, col] = float(np.trace(ops[row] @ conj).real) / norm
-    # Nearest rotation matrix via polar decomposition.
-    uu, _, vv = np.linalg.svd(adj)
-    rot = uu @ vv
-    if np.linalg.det(rot) < 0:
-        uu[:, -1] *= -1
-        rot = uu @ vv
-    angle = math.acos(min(1.0, max(-1.0, (np.trace(rot) - 1) / 2)))
-    if angle < 1e-12:
-        axis = np.array([0.0, 0.0, 1.0])
-    else:
-        axis = np.array(
-            [
-                rot[2, 1] - rot[1, 2],
-                rot[0, 2] - rot[2, 0],
-                rot[1, 0] - rot[0, 1],
-            ]
-        )
-        if np.linalg.norm(axis) < 1e-9:
-            # Angle near pi: axis from the symmetric part.
-            sym = (rot + np.eye(3)) / 2
-            axis = sym[:, int(np.argmax(np.diag(sym)))]
-        axis = axis / np.linalg.norm(axis)
-
-    best: RotationFit | None = None
-    for eta in (angle, -angle):
-        gen = axis_generator(basis, tuple(axis), mode_pair)
-        cand = exp_unitary(gen, eta)
-        overlap = np.trace(cand.conj().T @ u)
-        gamma = cmath.phase(overlap) if abs(overlap) > 0 else 0.0
-        residual = float(np.max(np.abs(u - cmath.exp(1j * gamma) * cand)))
-        if best is None or residual < best.residual:
-            theta = math.acos(min(1.0, max(-1.0, axis[2])))
-            phi = math.atan2(axis[1], -axis[0]) % (2 * math.pi)
-            best = RotationFit(
-                tuple(float(x) for x in axis), eta, theta, phi, residual
-            )
-    assert best is not None
-    return best

@@ -1384,3 +1384,21 @@ def test_gate_runs_load_no_scipy(name, tmp_path):
             + _PRINT_SCIPY)
     assert _scipy_loaded(code) == ["scipy: []"]
     assert list(tmp_path.glob("*.csv"))
+
+
+def test_rotations_load_no_sparse_linalg():
+    # Unitaries are dense up to DENSE_EXP_LIMIT and refused above it, so
+    # nothing in the package reaches for scipy.sparse.linalg.
+    code = ("import ssrc\nfrom ssrc.hilbert import make_basis\n"
+            "from ssrc.schwinger import rotation\n"
+            "assert rotation(make_basis(2, 16), 0.3, 0.2).shape == (17, 17)\n"
+            "try:\n"
+            "    rotation(make_basis(2, 2048), 0.3, 0.2)\n"
+            "except ValueError as err:\n"
+            "    assert 'DENSE_EXP_LIMIT = 2048' in str(err)\n"
+            "else:\n"
+            "    raise AssertionError('densified above the limit')\n"
+            + _PRINT_SCIPY)
+    [loaded] = _scipy_loaded(code)
+    assert "'scipy.sparse'" in loaded
+    assert "scipy.sparse.linalg" not in loaded

@@ -5,14 +5,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from ssrc.cvlimit import overlap_asymptotics
 from ssrc.encodings import (
     Encoding,
-    NearDegenerateEncodingError,
     NonOrthogonalCodeStatesError,
     cnot_gate,
     cnot_search,
-    coherent_like_encoding,
     feasibility_report,
     fock_encoding,
     fock_pair_floor,
@@ -107,24 +104,6 @@ class TestEncodingConstruction:
         assert vecs.shape == (2, 5)
         gram = vecs.conj() @ vecs.T
         assert np.max(np.abs(gram - np.eye(2))) < 1e-12
-
-
-class TestCoherentLikeEncoding:
-    def test_orthogonalized_pair(self):
-        enc = coherent_like_encoding(1.0, 16)
-        vecs = enc.code_vectors()
-        gram = vecs.conj() @ vecs.T
-        assert np.max(np.abs(gram - np.eye(2))) < 1e-12
-
-    def test_raw_overlap_matches_closed_form(self):
-        alpha, n = 0.9 + 0.4j, 25
-        enc = coherent_like_encoding(alpha, n)
-        expect = overlap_asymptotics(-alpha, alpha, n).exact
-        assert abs(enc.raw_overlap - expect) < 1e-12
-
-    def test_near_degenerate_rejected(self):
-        with pytest.raises(NearDegenerateEncodingError):
-            coherent_like_encoding(1e-9, 10)
 
 
 class TestLogicalProjection:

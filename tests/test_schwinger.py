@@ -5,11 +5,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
-from scipy.sparse.linalg import LinearOperator
 
 from ssrc import schwinger, synthesis
-from ssrc.cvlimit import coherent_from_rotation
 from ssrc.encodings import _MESH_PAIRS
 from ssrc.hilbert import (
     State,
@@ -20,22 +17,17 @@ from ssrc.hilbert import (
 )
 from ssrc.prng import SplitMix64
 from ssrc.schwinger import (
-    DENSE_EXP_LIMIT,
     InvalidModePairError,
     MajoranaSpec,
     NonHermitianGeneratorError,
     _hop_csr,
     _hop_product,
-    axis_generator,
     bloch_vector,
     exp_unitary,
-    fit_rotation,
     j_operator,
     majorana_to_state,
     point_multiset_distance,
-    relative_phase_op,
     rotation,
-    sng_unitary,
     state_to_majorana,
     su2_point_matrix,
     transform_points,
@@ -101,7 +93,7 @@ class TestAlgebra:
             j_operator(basis, "x", mode_pair=(0, 3))
 
     @pytest.mark.parametrize("modes, n", [(2, 5), (3, 4), (4, 3)])
-    def test_hops_and_shift_match_per_state_reference(self, modes, n):
+    def test_hops_match_per_state_reference(self, modes, n):
         # One occupation at a time, through index_of: the reference for
         # the array expressions over the occupation table.
         basis = make_basis(modes, n)
@@ -111,7 +103,6 @@ class TestAlgebra:
                 if i == j:
                     continue
                 hop = np.zeros((basis.dimension,) * 2)
-                shift = np.zeros((basis.dimension,) * 2)
                 for col, occ in enumerate(occupations):
                     new = list(occ)
                     if occ[j] > 0:
@@ -119,13 +110,8 @@ class TestAlgebra:
                         new[j] -= 1
                         hop[basis.index_of(new), col] = math.sqrt(
                             (occ[i] + 1) * occ[j])
-                    else:
-                        new[i], new[j] = 0, occ[i]
-                    shift[basis.index_of(new), col] = 1.0
                 assert np.array_equal(
                     _dense(j_operator(basis, "+", (i, j))), hop)
-                assert np.array_equal(
-                    _dense(relative_phase_op(basis, (i, j))), shift)
 
     def test_shared_hop_matrix_is_read_only(self):
         # Writing through a returned generator would corrupt every later
@@ -186,12 +172,6 @@ class TestAlgebra:
             assert dense.tobytes() == ref.real.tobytes()
             assert not dense.flags.writeable
 
-    def test_axis_generator_normalizes_direction(self):
-        basis = make_basis(2, 3)
-        g1 = _dense(axis_generator(basis, (0.0, 0.0, 2.0)))
-        gz = _dense(j_operator(basis, "z"))
-        assert np.max(np.abs(g1 - gz)) < 1e-12
-
 
 class TestExpUnitary:
     def test_requires_hermitian(self):
@@ -242,68 +222,30 @@ class TestExpUnitary:
         )
         assert np.max(np.abs(np.asarray(rotated.amplitudes) - expect)) < 1e-12
 
-    def test_action_only_path_above_dense_limit(self):
-        n, theta = DENSE_EXP_LIMIT, 0.3
-        basis = make_basis(2, n)
-        op = rotation(basis, theta, 1.1)
-        assert isinstance(op, LinearOperator)
-        start = basis_state(basis, (0, n))
-        rotated = _apply(op, start)
-        expect = coherent_from_rotation(math.sqrt(n) * math.sin(theta / 2), n)
-        assert np.max(np.abs(np.abs(rotated.amplitudes)
-                             - np.abs(expect.amplitudes))) < 1e-11
-        back = _apply(op.H, rotated)
-        assert np.max(np.abs(back.amplitudes - start.amplitudes)) < 1e-10
-
     def test_pi_rotation_moves_all_photons(self):
         basis = make_basis(2, 5)
         flipped = _apply(rotation(basis, math.pi, 0.0),
                          basis_state(basis, (0, 5)))
         assert abs(abs(flipped.amplitude((5, 0))) - 1.0) < 1e-12
 
-    def test_sng_power_two_phases(self):
-        n, chi = 3, 0.4
-        basis = make_basis(2, n)
-        u = _dense(sng_unitary(basis, "z", chi, power=2))
-        for idx, occ in enumerate(basis.occupations):
-            jz_val = (occ[0] - occ[1]) / 2.0
-            assert abs(u[idx, idx] - np.exp(1j * chi * jz_val**2)) < 1e-12
-        with pytest.raises(ValueError):
-            sng_unitary(basis, "z", chi, power=1)
-
-    def test_sng_above_dense_limit_is_sparse_until_applied(self, monkeypatch):
-        basis = make_basis(2, 5)
-        gen = _dense(axis_generator(basis, (0.3, -0.5, 0.8)))
-        want = expm(0.7j * np.linalg.matrix_power(gen, 3))
+    def test_rejects_basis_above_dense_limit(self, monkeypatch):
+        # The exponential is dense, so the size rule is checked before a
+        # generator is densified or decomposed.
+        monkeypatch.setattr(schwinger, "DENSE_EXP_LIMIT", 4)
+        u = rotation(make_basis(2, 3), 0.3, 0.2)
+        assert u.shape == (4, 4)
+        assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-12
 
         def no_dense(*args, **kwargs):
             raise AssertionError("densified above the limit")
 
-        monkeypatch.setattr(schwinger, "DENSE_EXP_LIMIT", 4)
-        for cls in (sp.csr_matrix, sp.csc_matrix):
-            monkeypatch.setattr(cls, "toarray", no_dense)
-        monkeypatch.setattr(np.linalg, "matrix_power", no_dense)
-        op = sng_unitary(basis, (0.3, -0.5, 0.8), 0.7, power=3)
-        monkeypatch.undo()
-        assert isinstance(op, LinearOperator)
-        assert np.max(np.abs(op @ np.eye(basis.dimension) - want)) < 1e-12
-
-
-class TestRelativePhase:
-    def test_cyclic_period(self):
-        n = 5
-        basis = make_basis(2, n)
-        op = _dense(relative_phase_op(basis))
-        acc = np.eye(n + 1)
-        for _ in range(n + 1):
-            acc = op @ acc
-        assert np.max(np.abs(acc - np.eye(n + 1))) < 1e-12
-
-    def test_is_permutation(self):
-        basis = make_basis(3, 3)
-        mat = _dense(relative_phase_op(basis, (0, 2)))
-        assert np.max(np.abs(mat @ mat.conj().T - np.eye(10))) < 1e-12
-        assert set(np.unique(np.abs(mat))) == {0.0, 1.0}
+        monkeypatch.setattr(sp.csr_matrix, "toarray", no_dense)
+        monkeypatch.setattr(np.linalg, "eigh", no_dense)
+        basis = make_basis(2, 4)
+        with pytest.raises(ValueError, match="DENSE_EXP_LIMIT = 4"):
+            exp_unitary(j_operator(basis, "y"), 0.3)
+        with pytest.raises(ValueError, match="DENSE_EXP_LIMIT = 4"):
+            rotation(basis, 0.3, 0.2)
 
 
 class TestMajorana:
@@ -376,44 +318,3 @@ class TestMajorana:
         assert np.allclose(bloch_vector((0.0, 0.0)), [0, 0, 1])
         vec = bloch_vector((math.pi / 2, 0.0))
         assert np.allclose(vec, [1, 0, 0], atol=1e-12)
-
-    def test_sng_changes_point_multiset_nontrivially(self):
-        # A quadratic-generator unitary is not equivalent to any rotation:
-        # the induced motion of the point multiset differs from every
-        # rigid rotation tried.
-        n = 4
-        basis = make_basis(2, n)
-        state = random_state(basis, 99)
-        kicked = _apply(sng_unitary(basis, "z", 0.9, power=2), state)
-        kicked_points = state_to_majorana(kicked).points
-        base_points = state_to_majorana(state).points
-        best = math.inf
-        for th in np.linspace(0, math.pi, 13):
-            for ph in np.linspace(0, 2 * math.pi, 25):
-                moved = transform_points(
-                    base_points, su2_point_matrix(float(th), float(ph))
-                )
-                best = min(
-                    best, point_multiset_distance(kicked_points, moved)
-                )
-        assert best > 1e-3
-
-
-class TestFitRotation:
-    def test_recovers_rotation_products(self):
-        basis = make_basis(2, 5)
-        u = rotation(basis, 0.7, 1.1) @ rotation(basis, 1.9, -0.4)
-        fit = fit_rotation(u, basis)
-        assert fit.residual < 1e-8
-
-    def test_rejects_sng(self):
-        basis = make_basis(2, 4)
-        u = sng_unitary(basis, "z", 0.8, power=2)
-        fit = fit_rotation(u, basis)
-        assert fit.residual > 1e-3
-
-    def test_rejects_basis_above_dense_limit(self, monkeypatch):
-        basis = make_basis(2, 5)
-        monkeypatch.setattr(schwinger, "DENSE_EXP_LIMIT", 4)
-        with pytest.raises(ValueError, match="DENSE_EXP_LIMIT = 4"):
-            fit_rotation(rotation(basis, 0.3, 0.2), basis)
