@@ -9,14 +9,18 @@ modes).  The sweep runs over them twice, then once more over the
 first-order hops; one rule serves every number of modes.  The sweep's
 amplitudes are solved from the reference state: damped Gauss-Newton on
 generators scaled to unit spectral norm, with each step's unitary and
-derivatives taken from one eigendecomposition per generator per solve,
-then seeded restarts while the fidelity misses the goal.  Each solved
-amplitude is split into repetitions of at most ``small_angle``.
+derivatives taken from one eigendecomposition per generator per
+process, then seeded restarts while the fidelity misses the goal.  Each
+Levenberg-Marquardt run allocates one workspace, and every iteration's
+kernels write into it.  Each solved amplitude is split into repetitions
+of at most ``small_angle``.
 
 A plan is plain data: its steps, target and ``small_angle``.  Planning
-executes nothing; ``execute_plan`` is the one place steps are applied, with
-``scipy.linalg.expm``, independently of the solver.  Both read the dense
-generators from ``schwinger._hop_product``, cached for the process.
+executes nothing; ``execute_plan`` is the one place steps are applied,
+independently of the solver: one batched ``scipy.linalg.expm`` over the
+plan's stack of step generators, then ``matrix_power`` per step.  Both
+read the dense generators from ``schwinger._hop_product``, cached for the
+process.
 The arguments are checked up front by named ``_check_*`` functions, which
 ``ssrc validate`` also calls.
 """
@@ -29,7 +33,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -85,9 +89,11 @@ def _check_probe_n(n_tot: int) -> None:
         raise ValueError(f"N={n_tot} exceeds the probe's limit {PROBE_N_MAX}")
 
 
-def _check_fidelity_target(fidelity_target: float) -> None:
+def _check_fidelity_target(fidelity_target: float,
+                           name: str = "fidelity_target") -> None:
     if not 0 < fidelity_target <= 1:
-        raise ValueError("fidelity_target must lie in (0, 1]")
+        raise ValueError(
+            f"{name} must lie in (0, 1], got {fidelity_target!r}")
 
 
 def _check_targets_per_n(targets_per_n: int) -> None:
@@ -215,11 +221,17 @@ def execute_plan(plan: SynthesisPlan, initial: State) -> ExecutionResult:
         raise BasisMismatchError("plan target and initial state bases differ")
     basis = initial.basis
     vec = np.asarray(initial.amplitudes)
-    for step in plan.steps:
-        rho = step.amplitude
-        b = _hop_product(basis, step.pairs)
-        unit = expm(rho * b - np.conj(rho) * b.T)
-        vec = np.linalg.matrix_power(unit, step.repetitions) @ vec
+    if plan.steps:
+        # One batched expm over the stack of step generators; SciPy runs
+        # the same arithmetic on each slice as on a lone matrix.
+        d = basis.dimension
+        gens = np.empty((len(plan.steps), d, d), dtype=np.complex128)
+        for gen, step in zip(gens, plan.steps):
+            rho = step.amplitude
+            b = _hop_product(basis, step.pairs)
+            gen[...] = rho * b - np.conj(rho) * b.T
+        for unit, step in zip(expm(gens), plan.steps):
+            vec = np.linalg.matrix_power(unit, step.repetitions) @ vec
     result = State(basis, vec, check_drift=True)
     return ExecutionResult(result, fidelity(result, plan.target))
 
@@ -250,20 +262,75 @@ def _dagger(stack: np.ndarray) -> np.ndarray:
     return stack.conj().transpose(0, 2, 1)
 
 
-class _Point(NamedTuple):
-    """One solver iterate: residual ``r``, product vector ``v``, and the
-    arrays ``_ProductSolver._jacobian`` reuses."""
+class _Workspace:
+    """The arrays one LM run reuses: ``_ProductSolver._forward`` fills the
+    forward ones at each point, ``_ProductSolver._jacobian`` the rest.
 
-    r: np.ndarray
-    v: np.ndarray
-    vecs: np.ndarray
-    mag: np.ndarray
-    back: np.ndarray
-    w: np.ndarray
-    vh: np.ndarray
-    units: np.ndarray
-    pre: np.ndarray
-    proj: np.ndarray
+    Each array has the shape, dtype and strides of the temporary it
+    replaces, so every kernel writing into it with ``out=`` rounds as the
+    temporary did.  ``r`` and ``v`` are the residual and product vector of
+    the last point filled.
+
+    The arrays are 64-byte aligned views of one allocation.  Allocated
+    apart, each (m, d, d) array would set glibc's trim threshold to about
+    twice its own size, below the whole workspace, so freeing them would
+    trim the heap and the next run would fault every page in again; one
+    block raises the threshold above its own size, and a warm plan at
+    N = 16 or 20 faults no page.
+    """
+
+    def __init__(self, m: int, u: np.ndarray, t: np.ndarray):
+        d = len(u)
+        cplx, real = np.complex128, np.float64
+        mdd = (m, d, d)
+        shapes = {
+            # Forward: |rho| and e^{-i theta}; e^{i theta q}, w, sin(w/2),
+            # e^{iw/2} and e^{iw} - 1 per eigenvalue; eigenvectors V, their
+            # conjugate (read as V† through the view ``_dagger`` gives),
+            # scratch, the step unitaries, the prefix products and the
+            # residual.
+            "mag": ((m,), real), "back": ((m,), cplx),
+            "phase": ((m, d), cplx), "w": ((m, d), real),
+            "sine": ((m, d), real), "half": ((m, d), cplx),
+            "shift": ((m, d), cplx), "vecs": (mdd, cplx), "vc": (mdd, cplx),
+            "scratch": (mdd, cplx), "units": (mdd, cplx),
+            "pre": ((m + 1, d), cplx), "rc": ((d,), cplx),
+            "r": ((2 * d,), real),
+            # Jacobian.
+            "left": (mdd, cplx), "x": (mdd, real), "sinx": (mdd, real),
+            "sinc": (mdd, real), "mask": (mdd, np.bool_),
+            "hy": ((m, d, 1), cplx), "y": ((m, d, 1), cplx),
+            "zp": ((m, d), cplx), "zm": ((m, d), cplx),
+            "dirs": ((m, d, 2), cplx), "vd": ((m, d, 2), cplx),
+            "cols": ((m, d, 2), cplx), "jac": ((2 * d, 2 * m), real),
+        }
+        sizes = [math.prod(shape) * np.dtype(dtype).itemsize
+                 for shape, dtype in shapes.values()]
+        padded = [-(-n // 64) * 64 for n in sizes]
+        block = np.empty(sum(padded) + 64, dtype=np.uint8)
+        start = -block.ctypes.data % 64
+        for (name, (shape, dtype)), n, step in zip(shapes.items(), sizes,
+                                                   padded):
+            setattr(self, name,
+                    block[start:start + n].view(dtype).reshape(shape))
+            start += step
+        self.proj = np.eye(d) - np.outer(t, t.conj())
+        self.vh = self.vc.transpose(0, 2, 1)
+        self.diag = self.units.reshape(m, d * d)[:, ::d + 1]
+        self.pre[0] = u
+        self.v = self.pre[-1]
+        # The two sequential products, as (factor, operand, result) row
+        # views: pre[i+1] = units[i] @ pre[i] and left[i-1] = left[i] @
+        # units[i].  ``np.dot`` makes the BLAS call ``np.matmul`` makes on
+        # these contiguous rows, for less overhead per call.
+        pre, units, left = self.pre, self.units, self.left
+        self.prefix_steps = [(units[i], pre[i], pre[i + 1])
+                             for i in range(m)]
+        self.left_steps = [(left[i], units[i], left[i - 1])
+                           for i in range(m - 1, 0, -1)]
+        # (m, d, 2) views of the Jacobian's real and imaginary rows.
+        self.jac_re = self.jac[:d].reshape(d, m, 2).transpose(1, 0, 2)
+        self.jac_im = self.jac[d:].reshape(d, m, 2).transpose(1, 0, 2)
 
 
 class _ProductSolver:
@@ -282,7 +349,10 @@ class _ProductSolver:
     decomposition with no matrix exponential.
 
     Damped Gauss-Newton on the phase-projected residual (I - t t†) v;
-    falls back to deterministic perturbed restarts.
+    falls back to deterministic perturbed restarts.  Each LM run allocates
+    one ``_Workspace`` and every iteration's kernels write into it, so an
+    iteration allocates no (m, d, d) array; the solver's own arrays stay
+    read-only and shared.
     """
 
     def __init__(
@@ -307,93 +377,106 @@ class _ProductSolver:
         self.half_gap = 0.5 * (self.w0[:, :, None] - self.w0[:, None, :])
         self.q = grade / orders[:, None]
 
-    def _spectra(self, sig):
-        """Per step: eigenvectors V, |rho| and e^{-i theta}."""
+    def _forward(self, sig, u, t, out: _Workspace | None = None
+                 ) -> _Workspace:
+        """Step unitaries, prefix products and residual at ``sig``, written
+        into ``out`` (a workspace made for the same ``u`` and ``t``) or into
+        a new workspace."""
+        ws = _Workspace(self.m, u, t) if out is None else out
+        d = len(u)
         rho = _amplitudes(sig)
         theta = np.angle(rho)
-        vecs = np.exp(1j * theta[:, None] * self.q)[:, :, None] * self.v0
-        return vecs, np.abs(rho), np.exp(-1j * theta)
+        # V = diag(e^{i theta q}) V0, |rho| and e^{-i theta} per step.
+        np.multiply(1j * theta[:, None], self.q, out=ws.phase)
+        np.exp(ws.phase, out=ws.phase)
+        np.multiply(ws.phase[:, :, None], self.v0, out=ws.vecs)
+        np.abs(rho, out=ws.mag)
+        np.exp(np.multiply(-1j, theta, out=ws.back), out=ws.back)
+        # e^{iw} - 1 = 2i sin(w/2) e^{iw/2}, exactly 0 where w is 0.
+        w = np.multiply(ws.mag[:, None], self.w0, out=ws.w)
+        np.exp(np.multiply(0.5j, w, out=ws.half), out=ws.half)
+        np.sin(np.multiply(0.5, w, out=ws.sine), out=ws.sine)
+        np.multiply(2j, ws.sine, out=ws.shift)
+        np.multiply(ws.shift, ws.half, out=ws.shift)
+        np.conj(ws.vecs, out=ws.vc)
+        np.multiply(ws.vecs, ws.shift[:, None, :], out=ws.scratch)
+        np.matmul(ws.scratch, ws.vh, out=ws.units)
+        ws.diag += 1.0
+        for unit, before, after in ws.prefix_steps:
+            np.dot(unit, before, out=after)
+        np.matmul(ws.proj, ws.v, out=ws.rc)
+        ws.r[:d] = ws.rc.real
+        ws.r[d:] = ws.rc.imag
+        return ws
 
-    @staticmethod
-    def _shifts(w):
-        """e^{iw} - 1, exactly 0 where w is 0."""
-        return 2j * np.sin(0.5 * w) * np.exp(0.5j * w)
-
-    def _forward(self, sig, u, t) -> _Point:
-        """Step unitaries, prefix products and residual at ``sig``."""
-        d = len(u)
-        vecs, mag, back = self._spectra(sig)
-        w = mag[:, None] * self.w0
-        vh = _dagger(vecs)
-        units = (vecs * self._shifts(w)[:, None, :]) @ vh
-        units[:, range(d), range(d)] += 1.0
-        pre = np.empty((self.m + 1, d), dtype=np.complex128)
-        pre[0] = u
-        for i, unit in enumerate(units):
-            np.matmul(unit, pre[i], out=pre[i + 1])
-        proj = np.eye(d) - np.outer(t, t.conj())
-        r = proj @ pre[-1]
-        return _Point(np.concatenate([r.real, r.imag]), pre[-1],
-                      vecs, mag, back, w, vh, units, pre, proj)
-
-    def _jacobian(self, point: _Point) -> np.ndarray:
-        """Jacobian of the residual, from the arrays of ``_forward``."""
-        vecs, mag, back, w, vh, units, pre, proj = point[2:]
-        d = pre.shape[1]
+    def _jacobian(self, ws: _Workspace) -> np.ndarray:
+        """Jacobian of the residual at the point ``_forward`` last wrote
+        into ``ws``; the array returned is the workspace's."""
         # left[i] = proj @ units[m-1] @ ... @ units[i+1].  Each product
         # needs the next one, so the loop stays sequential.
-        left = np.empty_like(units)
-        left[self.m - 1:] = proj  # empty slice when there are no steps
-        for i in range(self.m - 1, 0, -1):
-            np.matmul(left[i], units[i], out=left[i - 1])
+        left = ws.left
+        left[self.m - 1:] = ws.proj  # empty slice when there are no steps
+        for after, unit, before in ws.left_steps:
+            np.dot(after, unit, out=before)
         # Daleckii-Krein: dU(E) = V (Phi o V†EV) V† with
         # Phi = diag(h) S diag(h), h = e^{iw/2}, S_jk = sinc((w_j - w_k)/2),
         # V†EV = back B0 - conj(back) B0† (Re rho), i(... + ...) (Im rho).
-        x = mag[:, None, None] * self.half_gap
-        sinc = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
-        half = np.exp(0.5j * w)
-        hy = half[:, :, None] * (vh @ pre[:-1, :, None])
-        zp = back[:, None] * half * ((sinc * self.b0) @ hy)[..., 0]
-        zm = back.conj()[:, None] * half * ((sinc * self.b0h) @ hy)[..., 0]
-        dirs = np.stack([zp - zm, 1j * (zp + zm)], axis=-1)
-        cols = (left @ (vecs @ dirs)).transpose(1, 0, 2)
-        cols = cols.reshape(d, 2 * self.m)
-        return np.concatenate([cols.real, cols.imag])
+        x = np.multiply(ws.mag[:, None, None], self.half_gap, out=ws.x)
+        np.not_equal(x, 0, out=ws.mask)
+        ws.sinc.fill(1.0)
+        np.divide(np.sin(x, out=ws.sinx), x, out=ws.sinc, where=ws.mask)
+        half = ws.half
+        hy = np.matmul(ws.vh, ws.pre[:-1, :, None], out=ws.hy)
+        np.multiply(half[:, :, None], hy, out=hy)
+        for z, b, back in ((ws.zp, self.b0, ws.back),
+                           (ws.zm, self.b0h, ws.back.conj())):
+            np.multiply(ws.sinc, b, out=ws.scratch)
+            np.matmul(ws.scratch, hy, out=ws.y)
+            np.multiply(back[:, None], half, out=z)
+            np.multiply(z, ws.y[..., 0], out=z)
+        zp, zm, dirs = ws.zp, ws.zm, ws.dirs
+        np.subtract(zp, zm, out=dirs[..., 0])
+        np.multiply(1j, np.add(zp, zm, out=dirs[..., 1]), out=dirs[..., 1])
+        np.matmul(ws.vecs, dirs, out=ws.vd)
+        np.matmul(left, ws.vd, out=ws.cols)
+        ws.jac_re[...] = ws.cols.real
+        ws.jac_im[...] = ws.cols.imag
+        return ws.jac
 
     def _lm(self, sig0, u, t):
-        """Levenberg-Marquardt from ``sig0``.
+        """Levenberg-Marquardt from ``sig0``, in one workspace.
 
         Only the iterate at the top of an iteration gets a Jacobian: a
         rejected trial, or the final accepted iterate, needs only its
-        residual.
+        residual.  Once the Jacobian, gradient and damping are taken, the
+        current iterate needs only ``sig``, ``cost`` and a copy of ``v``,
+        so every trial overwrites the workspace.
         """
         sig = sig0.copy()
         lam = 1e-3
-        point = self._forward(sig, u, t)
-        cost = point.r @ point.r
-        v = point.v
+        ws = self._forward(sig, u, t)
+        cost = ws.r @ ws.r
+        v = ws.v.copy()
         for _ in range(LM_MAXIT):
-            jac = self._jacobian(point)
-            g = jac.T @ point.r
-            point = None  # release the forward arrays before the trials
+            jac = self._jacobian(ws)
+            g = jac.T @ ws.r
             a = jac.T @ jac
+            damping = np.diag(np.maximum(np.diag(a), 1e-12))
             improved = False
             for _ in range(50):
                 try:
-                    step = np.linalg.solve(
-                        a + lam * np.diag(np.maximum(np.diag(a), 1e-12)), -g
-                    )
+                    step = np.linalg.solve(a + lam * damping, -g)
                 except np.linalg.LinAlgError:
                     lam *= 10
                     continue
-                trial = self._forward(sig + step, u, t)
-                if trial.r @ trial.r < cost:
-                    sig, point, v = sig + step, trial, trial.v
-                    cost = trial.r @ trial.r
+                trial = sig + step
+                self._forward(trial, u, t, out=ws)
+                trial_cost = ws.r @ ws.r
+                if trial_cost < cost:
+                    sig, cost, v = trial, trial_cost, ws.v.copy()
                     lam = max(lam * 0.3, 1e-12)
                     improved = True
                     break
-                del trial
                 lam *= 10
                 if lam > 1e12:
                     return sig, cost, v
@@ -499,9 +582,12 @@ def plan_multimode(
     are solved from |0,...,0,N⟩ until the fidelity reaches
     ``fidelity_goal``; a solve that misses the goal is logged as a
     warning.  Targets with support beyond ``max_order`` excitations are
-    rejected.
+    rejected.  ``max_order`` must be at least 1 and ``fidelity_goal`` lie
+    in (0, 1].
     """
     _check_small_angle(small_angle)
+    _check_at_least(max_order, 1, "max_order")
+    _check_fidelity_target(fidelity_goal, "fidelity_goal")
     basis = target.basis
     beyond = np.flatnonzero(
         (_raised(basis) > max_order) & (np.abs(target.amplitudes) > 1e-13)
@@ -543,6 +629,7 @@ def plan_two_mode(
     if basis.num_modes != 2:
         raise ValueError("two-mode planner requires a two-mode basis")
     _check_small_angle(small_angle)
+    _check_fidelity_target(fidelity_goal, "fidelity_goal")
     n_tot = basis.total_photons
     if n_tot == 1:
         # Exact: every N=1 state is one ladder rotation from |0, 1⟩.
@@ -552,7 +639,8 @@ def plan_two_mode(
         rho = (theta / 2.0) * cmath.exp(1j * phi)
         steps = _steps_from_amplitudes([rho], [((0, 1),)], small_angle)
         return SynthesisPlan(tuple(steps), target, small_angle)
-    return plan_multimode(target, small_angle, max_order=n_tot,
+    # N = 0 has no hop to sweep; its one state is the reference.
+    return plan_multimode(target, small_angle, max_order=max(n_tot, 1),
                           fidelity_goal=fidelity_goal)
 
 

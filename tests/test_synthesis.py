@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -112,6 +114,29 @@ class TestTwoPass:
                              (plan_multimode, multimode)):
             with pytest.raises(ValueError, match="small_angle"):
                 plan(target, small_angle=small_angle)
+
+    @pytest.mark.parametrize("goal", [2.0, 0.0, -0.5, float("nan")])
+    def test_fidelity_goal_checked_before_planning(self, goal, monkeypatch):
+        # A goal above 1 once ran every restart and then warned that
+        # fidelity 1.0 missed it; NaN ran every restart with no warning.
+        monkeypatch.setattr(synthesis, "_solver", None)
+        for plan, target in (
+            (plan_two_mode, random_state(make_basis(2, 1), 5)),
+            (plan_two_mode, random_state(make_basis(2, 4), 5)),
+            (plan_multimode, random_support_target(make_basis(3, 3), 2, 7)),
+        ):
+            with pytest.raises(ValueError,
+                               match=r"fidelity_goal must lie in \(0, 1\]"):
+                plan(target, fidelity_goal=goal)
+
+    @pytest.mark.parametrize("max_order", [0, -1])
+    def test_max_order_checked_before_planning(self, max_order, monkeypatch):
+        # max_order = -1 was reported as support beyond the order.
+        monkeypatch.setattr(synthesis, "_solver", None)
+        target = random_support_target(make_basis(3, 3), 2, 7)
+        with pytest.raises(ValueError, match="max_order must be >= 1") as info:
+            plan_multimode(target, max_order=max_order)
+        assert not isinstance(info.value, TargetOrderError)
 
     @pytest.mark.parametrize("call, message", [
         # Each call below once planned: the first two returned a result,
@@ -346,6 +371,36 @@ class TestProductSolver:
                   if isinstance(value, np.ndarray)]
         assert len(arrays) == 7
         assert not any(a.flags.writeable for a in arrays)
+
+    def test_workspace_keeps_no_state_between_runs(self):
+        # Each LM run reuses one workspace across its iterations; a plan
+        # must not depend on what ran before it, on the same solver or at
+        # the same time in another thread.  Target A skips the zero start
+        # and is solved from a seeded restart, B from zero.
+        a = _sparse_target(5, {2: 1.0, 4: 1.0})
+        (b,) = bench_targets(make_basis(2, 5), 1, 12345)
+        synthesis._solver.cache_clear()
+        first_a = plan_two_mode(a).to_json()
+        first_b = plan_two_mode(b).to_json()
+        assert plan_two_mode(a).to_json() == first_a
+        synthesis._solver.cache_clear()
+        assert plan_two_mode(b).to_json() == first_b
+        assert plan_two_mode(a).to_json() == first_a
+        barrier = threading.Barrier(2)
+
+        def plan_all(targets):
+            barrier.wait(timeout=60)
+            return [plan_two_mode(target).to_json() for target in targets]
+
+        with ThreadPoolExecutor(2) as pool:
+            runs = list(pool.map(plan_all, ([a, b, a], [b, a, b])))
+        assert runs == [[first_a, first_b, first_a],
+                        [first_b, first_a, first_b]]
+        _, solver = synthesis._solver(make_basis(2, 5), 5)
+        arrays = [value for value in vars(solver).values()
+                  if isinstance(value, np.ndarray)]
+        assert len(arrays) == 7
+        assert not any(array.flags.writeable for array in arrays)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_resid_jac_matches_frechet_and_differences(self, n):
@@ -761,7 +816,7 @@ class TestGoldenPlans:
 
 class TestSingleExecution:
     """Planning computes no exponential; executing computes each step's
-    exponential once."""
+    exponential once, in one batched call."""
 
     @pytest.fixture
     def expm_calls(self, monkeypatch):
@@ -778,7 +833,8 @@ class TestSingleExecution:
 
     def _check(self, plan, start, expm_calls):
         result = execute_plan(plan, start)
-        assert len(expm_calls) == len(plan.steps)
+        d = plan.target.basis.dimension
+        assert expm_calls == [(len(plan.steps), d, d)]
         reference = _reference_execute(plan, start)
         assert (np.asarray(result.state.amplitudes).tobytes()
                 == np.asarray(reference.amplitudes).tobytes())
@@ -812,6 +868,26 @@ class TestSingleExecution:
             start = random_state(basis, 3)
         del expm_calls[:]
         self._check(plan, start, expm_calls)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 16])
+    def test_batch_matches_per_step_expm(self, n, expm_calls):
+        basis = make_basis(2, n)
+        (target,) = bench_targets(basis, 1, 54321)
+        plan = plan_two_mode(target)
+        self._check(plan, basis_state(basis, (0, n)), expm_calls)
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_plan_without_steps_calls_no_expm(self, n, expm_calls):
+        basis = make_basis(2, n)
+        start = basis_state(basis, (0, n))
+        plan = plan_two_mode(start)
+        assert plan.steps == ()
+        result = execute_plan(plan, start)
+        assert expm_calls == []
+        assert (np.asarray(result.state.amplitudes).tobytes()
+                == np.asarray(_reference_execute(plan, start).amplitudes)
+                .tobytes())
+        assert result.fidelity == 1.0
 
     def test_second_execution_builds_no_generator(self):
         basis = make_basis(2, 6)

@@ -18,7 +18,23 @@ zero start is skipped and the first seeded restart reaches the goal), and
 ``plan_multimode`` on the order-2 target at (K, N) = (3, 4), seed 6, of
 ``test_goal_stops_the_restarts`` (Gauss-Newton from zero and every
 restart miss the goal, so the plan makes 13 LM runs).  The count wraps the private ``_ProductSolver._lm``;
-every other row uses public API only.
+the solver-kernel rows below call private names too; every other row uses
+public API only.
+
+Synth requests: two warm ``synthesis-bench`` requests (``small_angle``
+1e-3, 2 passes) through ``ssrc.cli.run_experiment`` into one output
+directory: N = 8 with 2 targets, the ``synth`` workload's median shape,
+and N = 20 with 1 target, its largest.  Each run times ``SYNTH_BATCH``
+requests; the rows give the time and the minor page faults
+(``ru_minflt``) per request.
+
+Solver kernels: ``_ProductSolver._forward`` and ``_jacobian`` per call on
+the planner's cached solver at N = 8 and 20 (``synthesis._solver``), at
+a seeded point of scale 0.1 from |0, N⟩ towards the planner target above.
+``_forward`` writes into the point it was first given, as every LM
+iteration does; on commits whose ``_forward`` takes no ``out`` each call
+allocates its arrays, as their LM iterations did.  Each run times
+``KERNEL_BATCH`` calls.
 
 Gate searches: ``sg_gate_search`` on the Hadamard target for the Fock-pair
 encoding at N = 1 to 4 (8 restarts) and ``cnot_search`` at N = 1 and 2
@@ -84,6 +100,7 @@ Run from the repository root:
     PYTHONPATH=src python3 tools/kernel_times.py
 """
 
+import inspect
 import logging
 import os
 import pathlib
@@ -114,7 +131,7 @@ from ssrc.encodings import (
     sg_gate_search,
     t_gate,
 )
-from ssrc import schwinger
+from ssrc import schwinger, synthesis
 from ssrc.cli import EXPERIMENTS, load_config, run_experiment
 from ssrc.hilbert import State, basis_state, make_basis
 from ssrc.prng import DEFAULT_SEED, SplitMix64
@@ -139,6 +156,17 @@ k = 6
 n_list = 100000
 n_max = 60
 """
+SYNTH_BATCH = 20
+SYNTH_REQUESTS = ((8, 2), (20, 1))  # (N, targets)
+SYNTH_INI = """[experiment]
+name = synthesis-bench
+[parameters]
+n_list = {n}
+targets = {targets}
+small_angle = 1e-3
+passes = 2
+"""
+KERNEL_BATCH = 100
 FLOOR_BATCH = 20
 FLOOR_N = 4
 FLOOR_RESTARTS = 6
@@ -261,6 +289,49 @@ def fallback_row() -> None:
         logging.disable(logging.NOTSET)
     print(f"fallback targets x{len(requests)}  {_seconds(times)}"
           f"  LM runs {len(runs) // REPEATS}", flush=True)
+
+
+def synth_rows() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, targets in SYNTH_REQUESTS:
+            path = pathlib.Path(tmp) / f"synth-{n}.ini"
+            path.write_text(SYNTH_INI.format(n=n, targets=targets),
+                            encoding="utf-8")
+            config = load_config(path)
+            run_experiment(config, tmp)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            times, _ = _time(lambda: [run_experiment(config, tmp)
+                                      for _ in range(SYNTH_BATCH)])
+            faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - faults) / (REPEATS * SYNTH_BATCH)
+            times = [t / SYNTH_BATCH for t in times]
+            print(f"{f'synth request N={n} targets={targets}':35s} "
+                  f"{_millis(times)}  minor faults {faults:.1f} per request",
+                  flush=True)
+
+
+def solver_rows() -> None:
+    for n in (8, 20):
+        basis = make_basis(2, n)
+        (target,) = bench_targets(basis, 1, SEED)
+        _, solver = synthesis._solver(basis, n)
+        sig = 0.1 * np.random.default_rng(SEED).standard_normal(2 * solver.m)
+        u = np.asarray(basis_state(basis, (0, n)).amplitudes)
+        goal = np.asarray(target.amplitudes)
+        point = solver._forward(sig, u, goal)
+        if "out" in inspect.signature(solver._forward).parameters:
+            def forward():
+                return solver._forward(sig, u, goal, out=point)
+        else:
+            def forward():
+                return solver._forward(sig, u, goal)
+        runs = {"_forward": forward,
+                "_jacobian": lambda: solver._jacobian(point)}
+        for label, run in runs.items():
+            times, _ = _time(lambda: [run() for _ in range(KERNEL_BATCH)])
+            times = [s / KERNEL_BATCH for s in times]
+            print(f"{f'solver N={n} {label}':35s} {_millis(times)} per call",
+                  flush=True)
 
 
 def _search_note(res) -> str:
@@ -388,6 +459,8 @@ def main() -> None:
     plan_rows()
     execute_rows()
     fallback_row()
+    synth_rows()
+    solver_rows()
     gate_rows()
     floor_rows()
     cv_rows()
