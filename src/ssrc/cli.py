@@ -514,12 +514,13 @@ def load_config(path: str | pathlib.Path) -> ExperimentConfig:
 
 
 def _fmt_cell(value) -> str:
+    """A cell that ``_plain`` has made a Python value, as CSV text."""
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.16e}"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:.16e}"
     return str(value)
 
 

@@ -16,9 +16,9 @@ overlap cross-check, over the window past which both coherent amplitude
 vectors are exactly zero.  Each full state is built by the same helper as
 its window, with the window set to N.  Likewise the two bands of a
 quadrature come in closed form from the J+/J- entries:
-``quadrature_operator`` makes them a ``scipy.sparse`` CSR matrix, and the
-commutator residual takes its sector from the bands of the leading block
-alone; neither builds a basis.
+``quadrature_operator`` writes them straight into ``scipy.sparse`` CSR
+arrays, and the commutator residual takes its sector from the bands of the
+leading block alone, without a basis.
 
 log k! comes from a port of the Cephes ``lgam`` that
 ``scipy.special.gammaln`` runs, with the same bits, kept in a process-wide
@@ -26,6 +26,7 @@ table; so the window quantities load no SciPy.
 
 Each precondition is a named ``_check_*`` that raises ``ValueError``, and
 ``ssrc validate`` calls the same checks; the size rules cap each array.
+A convergence sweep checks its N grid before it computes any point.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -595,28 +596,25 @@ def _quadrature_bands(
             (v * cmath.exp(1j * phi) + 0) * scale)
 
 
-def _quadrature_block(n_tot: int, phi: float, size: int) -> sp.csr_matrix:
-    """Leading size x size block of Q(N, phi) from ``_quadrature_bands``;
-    row n holds the entry below the diagonal, then the one above."""
+def quadrature_operator(basis: FockBasis, phi: float) -> sp.csr_matrix:
+    """Q(N, phi) = (e^{-i phi} A + e^{i phi} A†)/sqrt(2), A = J-/sqrt(N).
+
+    Hermitian; Q(N, 0) = sqrt(2/N) Jx and Q(N, pi/2) = -sqrt(2/N) Jy.
+    Built from ``_quadrature_bands``: row n holds the entry below the
+    diagonal, then the one above.
+    """
+    if basis.num_modes != 2:
+        raise ValueError("quadratures are defined on a two-mode basis")
     import scipy.sparse as sp
 
+    size = basis.dimension
     data = np.empty(2 * (size - 1), dtype=np.complex128)
-    data[0::2], data[1::2] = _quadrature_bands(n_tot, phi, size)
+    data[0::2], data[1::2] = _quadrature_bands(basis.total_photons, phi, size)
     n = np.arange(size - 1)
     indices = np.empty_like(data, dtype=np.int32)
     indices[0::2], indices[1::2] = n + 1, n
     indptr = np.r_[0, np.arange(1, 2 * size - 2, 2), 2 * size - 2]
     return sp.csr_matrix((data, indices, indptr), shape=(size, size))
-
-
-def quadrature_operator(basis: FockBasis, phi: float) -> sp.csr_matrix:
-    """Q(N, phi) = (e^{-i phi} A + e^{i phi} A†)/sqrt(2), A = J-/sqrt(N).
-
-    Hermitian; Q(N, 0) = sqrt(2/N) Jx and Q(N, pi/2) = -sqrt(2/N) Jy.
-    """
-    if basis.num_modes != 2:
-        raise ValueError("quadratures are defined on a two-mode basis")
-    return _quadrature_block(basis.total_photons, phi, basis.dimension)
 
 
 def _check_commutator_window(n_max: int, n_tot: int) -> None:
@@ -836,10 +834,13 @@ def fit_rate(
 
 
 def _sweep(
-    n_list: Sequence[int], metric: str, values: Sequence[float]
+    n_list: Sequence[int], metric: str, value_at: Callable[[int], float]
 ) -> ConvergenceReport:
-    """Report of ``values`` over an N grid, with the fitted power law when
-    the grid has at least 4 points, each N > 0."""
+    """Report of ``value_at(N)`` over an N grid, with the fitted power law
+    when the grid has at least 4 points, each N > 0.  The grid is checked
+    before the first point is computed; points run in grid order."""
+    _check_increasing(n_list)
+    values = [value_at(n_tot) for n_tot in n_list]
     fit = len(n_list) >= 4 and min(n_list) > 0
     rate, r2 = fit_rate(n_list, values) if fit else (None, None)
     return ConvergenceReport(tuple(int(n) for n in n_list), metric,
@@ -868,6 +869,7 @@ def phase_locking_curve(
 ) -> ConvergenceReport:
     """(cos(theta/2))^N against its Gaussian asymptote e^{-N theta^2/8}."""
     _check_theta(theta)
+    _check_increasing(n_list)
     asym = [_phase_asymptote(theta, n_tot) for n_tot in n_list]
     exact = [math.exp(n_tot * math.log(math.cos(theta / 2.0)))
              for n_tot in n_list]
@@ -888,8 +890,7 @@ def coherent_convergence(
     return _sweep(
         n_list,
         "infidelity",
-        [1.0 - coherent_window_fidelity(alpha, n_tot, n_max)
-         for n_tot in n_list],
+        lambda n_tot: 1.0 - coherent_window_fidelity(alpha, n_tot, n_max),
     )
 
 
@@ -900,7 +901,7 @@ def displacement_convergence(
     return _sweep(
         n_list,
         "window_l2_residual",
-        [displacement_residual(alpha, k, n_tot, n_max) for n_tot in n_list],
+        lambda n_tot: displacement_residual(alpha, k, n_tot, n_max),
     )
 
 
@@ -912,6 +913,5 @@ def squeezed_convergence(
     return _sweep(
         n_list,
         "infidelity",
-        [1.0 - squeezed_window_fidelity(r, phi, n_tot, n_max)
-         for n_tot in n_list],
+        lambda n_tot: 1.0 - squeezed_window_fidelity(r, phi, n_tot, n_max),
     )

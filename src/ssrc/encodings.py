@@ -3,15 +3,15 @@
 Two orthonormal states of a fixed-photon-number mode pair define a
 logical qubit.  A physical unitary acts on it through its 2x2 projection
 onto the code space; this module measures how well pair rotations
-R(theta', phi') e^{i eta Jz} R(theta', phi')^dagger -- alone, or meshed
-across four modes -- realize target logical gates.  For the Fock-pair
-encoding the smallest reachable error has a proven closed form
-(``fock_pair_floor``): it is zero for every unitary target at one photon
-and positive for most targets beyond, which is the evidence that
-rotation-only gate sets stop being universal beyond one photon.  For other
-encodings, BFGS searches on the analytic gradient of the error give the
-best points found; every evaluated point only bounds the minimum from
-above.
+R(theta', phi') e^{i eta Jz} R(theta', phi')^dagger realize target
+logical gates, and how well a passive four-mode mesh realizes CNOT on two
+qubits of one encoding.  For the Fock-pair encoding the smallest reachable
+error has a proven closed form (``fock_pair_floor``): it is zero for every
+unitary target at one photon and positive for most targets beyond, which
+is the evidence that rotation-only gate sets stop being universal beyond
+one photon.  For other encodings, BFGS searches on the analytic gradient
+of the error give the best points found; every evaluated point only
+bounds the minimum from above.
 
 The searches evaluate many points per NumPy call: the coarse scan that
 gives a rotation search its first start takes blocks of theta' values at
@@ -85,14 +85,6 @@ class Encoding:
         )
 
 
-def _check_shape(unitary, basis: FockBasis) -> None:
-    if unitary.shape != (basis.dimension, basis.dimension):
-        raise BasisMismatchError(
-            f"operator shape {unitary.shape} does not match basis "
-            f"dimension {basis.dimension}"
-        )
-
-
 def _check_fock_pair(n_photons: int) -> None:
     """|0, N> and |N, 0> are two states only for N >= 1."""
     _check_at_least(n_photons, 1, f"N={n_photons}")
@@ -105,26 +97,6 @@ def _fock_pair(basis: FockBasis) -> tuple[State, State]:
     n_tot = basis.total_photons
     _check_fock_pair(n_tot)
     return basis_state(basis, (0, n_tot)), basis_state(basis, (n_tot, 0))
-
-
-def make_encoding(u0, u1, basis: FockBasis, label: str = "custom") -> Encoding:
-    """Encoding with |0_L> = U0 |N>_b and |1_L> = U1 |N>_a.
-
-    U0 and U1 are matrices on ``basis``.  The images must come out
-    orthogonal (within 1e-10) and unit norm.
-    """
-    images = []
-    for u, seed in zip((u0, u1), _fock_pair(basis)):
-        _check_shape(u, basis)
-        vec = u @ seed.amplitudes
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > 1e-8:
-            raise ValueError(
-                f"operator is not norm-preserving on a code seed "
-                f"(norm {norm:.6f})"
-            )
-        images.append(State(basis, vec))
-    return Encoding(basis, (images[0], images[1]), label)
 
 
 def fock_encoding(basis: FockBasis) -> Encoding:
@@ -155,7 +127,12 @@ def _leakage(a: np.ndarray, d: int) -> np.ndarray:
 
 def logical_gate_matrix(unitary, enc: Encoding) -> LogicalProjection:
     """A_ij = <i_L| U |j_L> plus the mean population lost off the code space."""
-    _check_shape(unitary, enc.basis)
+    dim = enc.basis.dimension
+    if unitary.shape != (dim, dim):
+        raise BasisMismatchError(
+            f"operator shape {unitary.shape} does not match basis "
+            f"dimension {dim}"
+        )
     codes = enc.code_vectors()
     cols = np.stack([unitary @ row for row in codes], axis=1)
     a = codes.conj() @ cols
@@ -269,16 +246,12 @@ def fock_pair_floor(target: np.ndarray, n_photons: int) -> float:
 
 
 def sg_manifold_unitary(
-    basis: FockBasis,
-    theta_p: float,
-    phi_p: float,
-    eta: float,
-    mode_pair: tuple[int, int] = (0, 1),
+    basis: FockBasis, theta_p: float, phi_p: float, eta: float
 ):
-    """Rotation about the tilted axis: R(theta',phi') e^{i eta Jz} R^dagger,
-    a matrix like ``rotation``'s."""
-    rot = rotation(basis, theta_p, phi_p, mode_pair)
-    core = exp_unitary(j_operator(basis, "z", mode_pair), eta)
+    """Rotation about the tilted axis: R(theta',phi') e^{i eta Jz} R^dagger
+    on the mode pair (0, 1), a matrix like ``rotation``'s."""
+    rot = rotation(basis, theta_p, phi_p)
+    core = exp_unitary(j_operator(basis, "z"), eta)
     return rot @ core @ rot.conj().T
 
 
@@ -316,10 +289,10 @@ class _Manifold:
     Subclasses supply ``logicals(xs)`` (the (K, d, d) logical matrices of a
     (K, P) batch of points), ``trace_and_grad(xs)`` (the K traces
     t = tr(G^dagger A) and their (K, P) derivatives by each parameter), the
-    conjugated target ``g_conj`` and its dimension ``d``.  Batched code
-    works row by row (stacked matrix products, elementwise arithmetic,
-    ``_row_dot``), so a row's bits do not depend on which other rows share
-    its batch.
+    conjugated target ``g_conj`` and its dimension ``d``.  Every method
+    takes a batch; one point is a batch of one row.  Batched code works row
+    by row (stacked matrix products, elementwise arithmetic, ``_row_dot``),
+    so a row's bits do not depend on which other rows share its batch.
     """
 
     def end_points(self, xs: np.ndarray) -> tuple[list[float], np.ndarray]:
@@ -333,27 +306,14 @@ class _Manifold:
         return ([_error_from_trace(complex(v), self.d) for v in t],
                 _leakage(a, self.d))
 
-    def logical(self, params: Sequence[float]) -> np.ndarray:
-        """One-row view of ``logicals``."""
-        return self.logicals(np.asarray(params, dtype=float)[None, :])[0]
-
-    def error(self, params: Sequence[float]) -> float:
-        """One-row view of ``end_points``."""
-        return self.end_points(np.asarray(params, dtype=float)[None, :])[0][0]
-
-    def leakage(self, params: Sequence[float]) -> float:
-        """One-row view of ``end_points``."""
-        return float(
-            self.end_points(np.asarray(params, dtype=float)[None, :])[1][0])
-
     def values_and_grads(
         self, xs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """E = 1 - |t|/d and its gradient -Re(conj(t) dt)/(|t| d) per row.
 
         E is not clipped at 0 here, so line searches see a smooth function;
-        ``error`` is the reported value.  A row with t = 0 gets E = 1 and
-        a zero gradient.
+        ``end_points`` gives the reported value.  A row with t = 0 gets
+        E = 1 and a zero gradient.
         """
         t, dt = self.trace_and_grad(np.asarray(xs, dtype=float))
         mod = np.abs(t)
@@ -361,15 +321,6 @@ class _Manifold:
         denom = np.where(live, mod, 1.0)[:, None] * self.d
         grads = -np.real(np.conj(t)[:, None] * dt) / denom
         return 1.0 - mod / self.d, np.where(live[:, None], grads, 0.0)
-
-    def value_and_grad(
-        self, params: Sequence[float]
-    ) -> tuple[float, np.ndarray]:
-        """One-row view of ``values_and_grads``."""
-        values, grads = self.values_and_grads(
-            np.asarray(params, dtype=float)[None, :]
-        )
-        return float(values[0]), grads[0]
 
 
 class _RotationManifold(_Manifold):
@@ -510,8 +461,8 @@ def _check_stack(n_photons: int, restarts: int, mesh: bool = False) -> None:
     """The largest matrix stack of a search at N fits in ``STACK_BYTES``:
     ``sg_gate_search`` (N + 1 states) stacks 3 generators per start in each
     BFGS step and ``_SCAN_ROTATIONS`` per scan block; the ``mesh`` of
-    ``cnot_search`` (qubits of at most N photons, at most C(2N + 3, 3)
-    states) stacks 6 pair rotations per start."""
+    ``cnot_search`` (two qubits of N photons, C(2N + 3, 3) states) stacks
+    6 pair rotations per start."""
     matrices, dim = ((6 * restarts, math.comb(2 * n_photons + 3, 3)) if mesh
                      else (max(3 * restarts, _SCAN_ROTATIONS), n_photons + 1))
     size = matrices * dim * dim * 16
@@ -748,18 +699,14 @@ _MESH_PAIRS: tuple[tuple[int, int], ...] = (
 )
 
 
-def _composite_codes(
-    enc_a: Encoding, enc_b: Encoding, basis: FockBasis
-) -> np.ndarray:
-    """Rows |xy_L> = |x_L> (x) |y_L> embedded in the 4-mode sector."""
-    sub_a, sub_b = enc_a.basis, enc_b.basis
-    amps_a = enc_a.code_vectors()
-    amps_b = enc_b.code_vectors()
+def _composite_codes(enc: Encoding, basis: FockBasis) -> np.ndarray:
+    """Rows |xy_L> = |x_L> (x) |y_L> of two qubits of ``enc``, embedded in
+    the 4-mode sector."""
+    sub, amps = enc.basis, enc.code_vectors()
     occ = basis.occupations
-    live = np.flatnonzero(occ[:, :2].sum(axis=1) == sub_a.total_photons)
-    ia = sub_a.rank(occ[live, :2])
-    ib = sub_b.rank(occ[live, 2:])
-    x, y = amps_a[:, None, ia], amps_b[None, :, ib]
+    live = np.flatnonzero(occ[:, :2].sum(axis=1) == sub.total_photons)
+    x = amps[:, None, sub.rank(occ[live, :2])]
+    y = amps[None, :, sub.rank(occ[live, 2:])]
     # Real arithmetic: a SIMD complex product may fuse multiply-adds and
     # so change the last bits from one CPU to another.
     codes = np.zeros((2, 2, basis.dimension), dtype=np.complex128)
@@ -853,17 +800,15 @@ class _MeshManifold(_Manifold):
 
 
 def cnot_search(
-    enc_pair: Encoding | tuple[Encoding, Encoding],
-    restarts: int = 8,
-    seed: int = DEFAULT_SEED,
-    target: np.ndarray | None = None,
+    enc: Encoding, restarts: int = 8, seed: int = DEFAULT_SEED
 ) -> GateSearchResult:
-    """Best passive 4-mode mesh approximation to a two-qubit gate.
+    """Best passive 4-mode mesh approximation to CNOT on two qubits of
+    ``enc``.
 
     The mesh is six two-mode rotations on the pair schedule
     (0,1),(2,3),(1,2),(0,1),(2,3),(1,2) followed by four output phases
     (16 parameters), which parameterizes the full 4-mode linear-optics
-    group; the logical space is the tensor product of the two encodings'
+    group; the logical space is the tensor product of the two qubits'
     code pairs inside the fixed-total-photon sector.
 
     The first start is every parameter at 1e-3: the all-zero point is
@@ -874,17 +819,11 @@ def cnot_search(
     an upper bound on the mesh minimum, not a certificate.
     """
     _check_restarts(restarts)
-    if isinstance(enc_pair, Encoding):
-        enc_a = enc_b = enc_pair
-    else:
-        enc_a, enc_b = enc_pair
-    n_a, n_b = enc_a.basis.total_photons, enc_b.basis.total_photons
-    basis = make_basis(4, n_a + n_b)
-    _check_stack(max(n_a, n_b), restarts, mesh=True)
-    codes = _composite_codes(enc_a, enc_b, basis)
-    if target is None:
-        target = cnot_gate()
-    manifold = _MeshManifold(basis, codes, target)
+    n_photons = enc.basis.total_photons
+    basis = make_basis(4, 2 * n_photons)
+    _check_stack(n_photons, restarts, mesh=True)
+    target = cnot_gate()
+    manifold = _MeshManifold(basis, _composite_codes(enc, basis), target)
     ranges = (math.pi, 2.0 * math.pi) * 6 + (2.0 * math.pi,) * 4
     starts = [np.full(16, 1e-3)] + _uniform_starts(seed, restarts - 1, ranges)
     return _multistart(manifold, target, starts, seed)

@@ -24,7 +24,7 @@ from .prng import SplitMix64
 
 logger = logging.getLogger(__name__)
 
-#: Largest allowed basis dimension unless a caller raises the cap.
+#: Largest dimension ``make_basis`` builds.
 DIMENSION_CAP_DEFAULT = 1 << 20
 
 #: Norm drift beyond this triggers a warning before renormalization.
@@ -32,7 +32,7 @@ NORM_DRIFT_WARN = 1e-10
 
 
 class DimensionCapError(ValueError):
-    """Requested basis dimension exceeds the configured cap."""
+    """A requested basis dimension or array size exceeds its cap."""
 
 
 class InvalidOccupationError(ValueError):
@@ -127,18 +127,15 @@ class FockBasis:
         return tuple(int(n) for n in self.occupations[index])
 
 
-def make_basis(
-    num_modes: int,
-    total_photons: int,
-    dimension_cap: int = DIMENSION_CAP_DEFAULT,
-) -> FockBasis:
-    """Build the fixed-N basis; dimension is C(N+K-1, K-1)."""
+def make_basis(num_modes: int, total_photons: int) -> FockBasis:
+    """Build the fixed-N basis; dimension is C(N+K-1, K-1), at most
+    ``DIMENSION_CAP_DEFAULT``."""
     if num_modes < 1:
         raise ValueError("need at least one mode")
     if total_photons < 0:
         raise ValueError("total photon number must be non-negative")
     basis = FockBasis(num_modes, total_photons)
-    _check_cap(basis.dimension, "basis dimension", dimension_cap)
+    _check_cap(basis.dimension, "basis dimension")
     return basis
 
 

@@ -772,6 +772,37 @@ class TestConvergenceMachinery:
         with pytest.raises(ValueError, match=message):
             call()
 
+    @pytest.mark.parametrize("sweep, kernel", [
+        pytest.param(lambda grid: coherent_convergence(1.0, grid, 30),
+                     "coherent_window_fidelity", id="coherent"),
+        pytest.param(lambda grid: displacement_convergence(1.0, 6, grid, 60),
+                     "displacement_residual", id="displacement"),
+        pytest.param(lambda grid: squeezed_convergence(0.5, 0.0, grid, 20),
+                     "squeezed_window_fidelity", id="squeezed"),
+        pytest.param(lambda grid: phase_locking_curve(0.2, grid),
+                     "_phase_asymptote", id="phase-locking"),
+    ])
+    def test_sweeps_check_the_grid_first(self, monkeypatch, sweep, kernel):
+        calls = []
+        kernel_at = getattr(cvlimit, kernel)
+
+        def counted(*args):
+            calls.append(args)
+            return kernel_at(*args)
+
+        monkeypatch.setattr(cvlimit, kernel, counted)
+        with pytest.raises(ValueError, match="N grid must be strictly"):
+            sweep([100000, 99999, 99998, 99997])
+        assert calls == []
+        sweep([100, 200])
+        assert len(calls) == 2
+
+    def test_grid_rule_comes_before_the_window_rule(self):
+        # At N = 10 the window n_max = 30 is too large too, but the grid is
+        # the first rule broken.
+        with pytest.raises(ValueError, match="N grid must be strictly"):
+            coherent_convergence(1.0, [10**6, 10], 30)
+
     def test_phase_locking_checks_every_point_first(self, monkeypatch):
         # The underflow at the last point is found before any point is
         # computed.

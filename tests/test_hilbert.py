@@ -12,6 +12,7 @@ from ssrc.hilbert import (
     DIMENSION_CAP_DEFAULT,
     BasisMismatchError,
     DimensionCapError,
+    FockBasis,
     InvalidOccupationError,
     State,
     basis_state,
@@ -70,10 +71,10 @@ class TestBasis:
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
             make_basis(2, DIMENSION_CAP_DEFAULT + 5)
-        small = make_basis(2, 3, dimension_cap=10)
-        assert small.dimension == 4
+        edge = make_basis(2, DIMENSION_CAP_DEFAULT - 1)
+        assert edge.dimension == DIMENSION_CAP_DEFAULT
         with pytest.raises(DimensionCapError):
-            make_basis(2, 100, dimension_cap=10)
+            make_basis(2, DIMENSION_CAP_DEFAULT)
 
     def test_equality_ignores_cached_index(self):
         a, b = make_basis(3, 4), make_basis(3, 4)
@@ -92,8 +93,9 @@ class TestBasis:
         assert "occupations" not in vars(basis)
 
     def test_index_of_exact_beyond_int64(self):
-        # The dimension exceeds 2**63: ranking in int64 would wrap.
-        basis = make_basis(40, 400, dimension_cap=10**80)
+        # The dimension exceeds 2**63: ranking in int64 would wrap.  Only
+        # a basis built directly is above the cap of make_basis.
+        basis = FockBasis(40, 400)
         assert basis.dimension > 2**63
         assert basis.index_of((400,) + (0,) * 39) == basis.dimension - 1
         assert basis.index_of((0,) * 39 + (400,)) == 0

@@ -8,8 +8,7 @@ the work of one ``synthesis-bench`` target.
 
 Execution: ``execute_plan`` alone on the same plans, once cold (the first
 call after the dense generator cache is emptied, so it builds every
-generator; older commits without that cache rebuild them on every call)
-and then warm.
+generator) and then warm.
 
 Solver fallback: the targets on which the seeded restarts run, with the
 LM runs summed over the plans.  ``plan_two_mode`` on the five sparse
@@ -32,9 +31,7 @@ Solver kernels: ``_ProductSolver._forward`` and ``_jacobian`` per call on
 the planner's cached solver at N = 8 and 20 (``synthesis._solver``), at
 a seeded point of scale 0.1 from |0, N⟩ towards the planner target above.
 ``_forward`` writes into the point it was first given, as every LM
-iteration does; on commits whose ``_forward`` takes no ``out`` each call
-allocates its arrays, as their LM iterations did.  Each run times
-``KERNEL_BATCH`` calls.
+iteration does.  Each run times ``KERNEL_BATCH`` calls.
 
 Gate searches: ``sg_gate_search`` on the Hadamard target for the Fock-pair
 encoding at N = 1 to 4 (8 restarts) and ``cnot_search`` at N = 1 and 2
@@ -91,16 +88,12 @@ The other timed rows, the warm CV rows among them, are the median of five
 runs (the cold execution and cold commutator rows are one run).  A header
 gives ``nproc``, the Python, NumPy, SciPy and BLAS versions and the thread
 environment variables, so two runs can be compared on one machine.
-The script runs unchanged on older commits that have ``_seed_scan``
-(those without ``GateSearchResult.evaluations`` print ``evaluations
-n/a``).
 
 Run from the repository root:
 
     PYTHONPATH=src python3 tools/kernel_times.py
 """
 
-import inspect
 import logging
 import os
 import pathlib
@@ -248,14 +241,12 @@ def plan_rows() -> None:
 
 
 def execute_rows() -> None:
-    hop_product = getattr(schwinger, "_hop_product", None)
     for n in (8, 16, 24):
         basis = make_basis(2, n)
         (target,) = bench_targets(basis, 1, SEED)
         start = basis_state(basis, (0, n))
         plan = plan_two_mode(target)
-        if hop_product is not None:
-            hop_product.cache_clear()
+        schwinger._hop_product.cache_clear()
         cold, _ = _time(lambda: execute_plan(plan, start), repeats=1)
         warm, result = _time(lambda: execute_plan(plan, start))
         print(f"N={n:3d} execute_plan cold  {_millis(cold)}", flush=True)
@@ -319,13 +310,7 @@ def solver_rows() -> None:
         u = np.asarray(basis_state(basis, (0, n)).amplitudes)
         goal = np.asarray(target.amplitudes)
         point = solver._forward(sig, u, goal)
-        if "out" in inspect.signature(solver._forward).parameters:
-            def forward():
-                return solver._forward(sig, u, goal, out=point)
-        else:
-            def forward():
-                return solver._forward(sig, u, goal)
-        runs = {"_forward": forward,
+        runs = {"_forward": lambda: solver._forward(sig, u, goal, out=point),
                 "_jacobian": lambda: solver._jacobian(point)}
         for label, run in runs.items():
             times, _ = _time(lambda: [run() for _ in range(KERNEL_BATCH)])
@@ -335,9 +320,8 @@ def solver_rows() -> None:
 
 
 def _search_note(res) -> str:
-    # ``evaluations`` is missing on commits older than the batched searches.
     return (f"error {res.error!r}  iterations {res.iterations}"
-            f"  evaluations {getattr(res, 'evaluations', 'n/a')}")
+            f"  evaluations {res.evaluations}")
 
 
 def gate_rows() -> None:
