@@ -514,20 +514,10 @@ def load_config(path: str | pathlib.Path) -> ExperimentConfig:
 
 
 def _fmt_cell(value) -> str:
-    """A cell that ``_plain`` has made a Python value, as CSV text."""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, int):
-        return str(value)
+    """A runner's cell (an int, a float or a str) as CSV text."""
     if isinstance(value, float):
         return f"{value:.16e}"
     return str(value)
-
-
-def _plain(value):
-    """A NumPy scalar as the Python int or float JSON writes."""
-    numpy_scalar = isinstance(value, (np.integer, np.floating))
-    return value.item() if numpy_scalar else value
 
 
 def _rewrite(path: pathlib.Path, text: str) -> None:
@@ -561,7 +551,6 @@ def run_experiment(
     started = time.perf_counter()
     columns, rows, derived = spec.run(config.parameters, config.seed)
     walltime = time.perf_counter() - started
-    rows = [[_plain(v) for v in row] for row in rows]
 
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

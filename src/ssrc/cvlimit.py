@@ -16,9 +16,9 @@ overlap cross-check, over the window past which both coherent amplitude
 vectors are exactly zero.  Each full state is built by the same helper as
 its window, with the window set to N.  Likewise the two bands of a
 quadrature come in closed form from the J+/J- entries:
-``quadrature_operator`` writes them straight into ``scipy.sparse`` CSR
-arrays, and the commutator residual takes its sector from the bands of the
-leading block alone, without a basis.
+``quadrature_operator`` hands them to ``scipy.sparse.diags``, and the
+commutator residual takes its sector from the bands of the leading block
+alone, without a basis.
 
 log k! comes from a port of the Cephes ``lgam`` that
 ``scipy.special.gammaln`` runs, with the same bits, kept in a process-wide
@@ -219,13 +219,13 @@ class TruncatedReference:
 def _renormalized(coeffs: np.ndarray) -> TruncatedReference:
     """``coeffs`` scaled to unit norm, with the mass they miss as the tail."""
     mass = float(np.sum(np.abs(coeffs) ** 2))
-    return TruncatedReference(coeffs / math.sqrt(mass), max(0.0, 1.0 - mass))
+    return TruncatedReference(coeffs / math.sqrt(mass), max(1.0 - mass, 0.0))
 
 
 def _window_fidelity(window: np.ndarray, ref: TruncatedReference) -> float:
     """|<ref|window>|^2, ``window`` holding the finite-N amplitudes of the
     signal occupations k <= n_max."""
-    return min(1.0, abs(np.vdot(ref.coefficients, window)) ** 2)
+    return min(abs(np.vdot(ref.coefficients, window)) ** 2, 1.0)
 
 
 def truncated_coherent_reference(
@@ -494,6 +494,8 @@ def _squeezed_amplitudes(
             break
         size = min(2 * size, n_tot)
     k = np.arange(k_max + 1)
+    # (phi + pi) k overflows from |phi| ~ 3e307; fmod is exact below 2 pi.
+    phi = math.fmod(phi, 2 * math.pi)
     return (np.exp(0.5 * (log_w[: k_max + 1] - log_norm))
             * np.exp(1j * (phi + math.pi) * k))
 
@@ -552,6 +554,7 @@ def truncated_squeezed_reference(
         - k * math.log(2.0)
         - _log_factorial(k)
     )
+    phi = math.fmod(phi, 2 * math.pi)  # as in _squeezed_amplitudes
     coeffs[2 * k] = np.exp(logmag) * np.exp(1j * (phi + math.pi) * k)
     return _renormalized(coeffs)
 
@@ -600,21 +603,15 @@ def quadrature_operator(basis: FockBasis, phi: float) -> sp.csr_matrix:
     """Q(N, phi) = (e^{-i phi} A + e^{i phi} A†)/sqrt(2), A = J-/sqrt(N).
 
     Hermitian; Q(N, 0) = sqrt(2/N) Jx and Q(N, pi/2) = -sqrt(2/N) Jy.
-    Built from ``_quadrature_bands``: row n holds the entry below the
-    diagonal, then the one above.
+    The two off-diagonal bands come from ``_quadrature_bands``.
     """
     if basis.num_modes != 2:
         raise ValueError("quadratures are defined on a two-mode basis")
     import scipy.sparse as sp
 
-    size = basis.dimension
-    data = np.empty(2 * (size - 1), dtype=np.complex128)
-    data[0::2], data[1::2] = _quadrature_bands(basis.total_photons, phi, size)
-    n = np.arange(size - 1)
-    indices = np.empty_like(data, dtype=np.int32)
-    indices[0::2], indices[1::2] = n + 1, n
-    indptr = np.r_[0, np.arange(1, 2 * size - 2, 2), 2 * size - 2]
-    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
+    upper, lower = _quadrature_bands(basis.total_photons, phi,
+                                     basis.dimension)
+    return sp.diags([lower, upper], [-1, 1], format="csr")
 
 
 def _check_commutator_window(n_max: int, n_tot: int) -> None:
@@ -690,7 +687,7 @@ def uncertainty_check(state: State) -> UncertaintyRecord:
         mat = j_operator(basis, axis)
         mean = float(np.vdot(vec, mat @ vec).real)
         second = float(np.vdot(mat @ vec, mat @ vec).real)
-        deltas.append(math.sqrt(max(0.0, second - mean * mean)))
+        deltas.append(math.sqrt(max(second - mean * mean, 0.0)))
     jz = j_operator(basis, "z")
     half_abs = 0.5 * abs(float(np.vdot(vec, jz @ vec).real))
     product = deltas[0] * deltas[1]

@@ -140,7 +140,7 @@ def logical_gate_matrix(unitary, enc: Encoding) -> LogicalProjection:
 
 
 def _error_from_trace(trace: complex, d: int) -> float:
-    return max(0.0, 1.0 - abs(trace) / d)
+    return max(1.0 - abs(trace) / d, 0.0)
 
 
 def gate_error(unitary, target: np.ndarray, enc: Encoding) -> float:

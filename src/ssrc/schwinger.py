@@ -104,9 +104,9 @@ def _hop_csr(basis: FockBasis, i: int, j: int) -> sp.csr_matrix:
 
     rows, cols, vals = _hop_entries(basis, i, j)
     dim = basis.dimension
-    mat = sp.coo_matrix(
+    mat = sp.csr_matrix(
         (vals.astype(np.complex128), (rows, cols)), shape=(dim, dim)
-    ).tocsr()
+    )
     for arr in (mat.data, mat.indices, mat.indptr):
         arr.flags.writeable = False
     return mat
@@ -131,9 +131,8 @@ def j_operator(
         import scipy.sparse as sp
 
         occ = basis.occupations
-        return sp.csr_matrix(
-            sp.diags((occ[:, i] - occ[:, j]) / 2.0), dtype=np.complex128
-        )
+        return sp.diags((occ[:, i] - occ[:, j]) / 2.0, format="csr",
+                        dtype=np.complex128)
     plus = _hop_csr(basis, i, j)
     minus = _hop_csr(basis, j, i)
     if axis == "x":

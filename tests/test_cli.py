@@ -1228,6 +1228,19 @@ class TestRegistry:
             for key in spec.defaults:
                 assert key in spec.params, (name, key)
 
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_runners_return_plain_cells(self, name):
+        # run_experiment writes each cell as returned: a float (NumPy's
+        # float64 is one) as .16e text or its JSON repr, anything else
+        # with str; a NumPy int or bool would break the JSON output.
+        config = load_config(_REPO / "configs" / f"{name}.ini")
+        _, rows, _ = EXPERIMENTS[name].run(config.parameters, config.seed)
+        assert rows
+        for row in rows:
+            for cell in row:
+                assert type(cell) in (int, float, str, np.float64), (
+                    name, cell, type(cell))
+
 
 # Numbers for generated configs: half in range for most parameters, half
 # 0, negative or out of range.

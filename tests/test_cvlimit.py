@@ -461,6 +461,32 @@ class TestSqueezed:
         assert np.all(ref.coefficients[1::2] == 0)
         assert abs(np.linalg.norm(ref.coefficients) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("phi", [1e308, -1e308, 3e307])
+    def test_huge_phase_is_taken_mod_two_pi(self, phi):
+        # (phi + pi) k overflows from |phi| ~ 3e307; NaN phases must not
+        # read as a fidelity of exactly 1.
+        reduced = math.fmod(phi, 2 * math.pi)
+        for n_pairs in (100, 200):
+            got = squeezed_window_fidelity(0.5, phi, n_pairs, 20)
+            assert got == squeezed_window_fidelity(0.5, reduced, n_pairs, 20)
+            at_zero = squeezed_window_fidelity(0.5, 0.0, n_pairs, 20)
+            assert got == pytest.approx(at_zero, abs=1e-12)
+            assert got < 1.0
+        ref = truncated_squeezed_reference(0.5, phi, 20)
+        assert np.all(np.isfinite(ref.coefficients))
+        state = squeezed_from_rotation(0.5, phi, 10)
+        assert np.all(np.isfinite(state.amplitudes))
+
+
+def test_nan_is_not_a_perfect_score():
+    # In Python min(1.0, nan) is 1.0 and max(0.0, nan) is 0.0: a clip
+    # must put the computed value first.
+    nan = np.array([complex("nan")])
+    ref = cvlimit.TruncatedReference(np.array([1.0 + 0j]), 0.0)
+    assert math.isnan(cvlimit._window_fidelity(nan, ref))
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(cvlimit._renormalized(nan).tail_mass)
+
 
 class TestWindows:
     """Window quantities cost O(window) and agree with the full states."""
@@ -630,6 +656,18 @@ class TestQuadratures:
         scale = math.sqrt(2.0 / 9)
         assert np.max(np.abs(q0 - scale * jx)) < 1e-14
         assert np.max(np.abs(q1 + scale * jy)) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 20, 100, 1000])
+    def test_matches_ladder_formula_bit_for_bit(self, n):
+        basis = make_basis(2, n)
+        plus = j_operator(basis, "+")
+        minus = j_operator(basis, "-")
+        for phi in (0.0, 0.3, -1.2, math.pi / 2, 2.5, 4.0):
+            want = ((cmath.exp(-1j * phi) * minus + cmath.exp(1j * phi) * plus)
+                    / math.sqrt(2 * n))
+            got = quadrature_operator(basis, phi)
+            assert (got.toarray().tobytes()
+                    == want.toarray().tobytes()), (n, phi)
 
     def test_hermitian(self):
         basis = make_basis(2, 4)

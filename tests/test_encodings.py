@@ -151,6 +151,14 @@ class TestLogicalProjection:
         enc = fock_encoding(basis)
         assert gate_error(np.eye(basis.dimension), np.eye(2), enc) == 0.0
 
+    def test_nan_operator_is_not_a_perfect_gate(self):
+        # max(0.0, nan) is 0.0 in Python: a NaN trace must not read as a
+        # zero error.
+        basis = make_basis(2, 2)
+        enc = fock_encoding(basis)
+        nan = np.full((basis.dimension, basis.dimension), np.nan)
+        assert math.isnan(gate_error(nan, np.eye(2), enc))
+
 
 class TestPairEig:
     """``_pair_eig`` hands ``eigh`` the bytes of the operator-layer Jy,
